@@ -23,6 +23,7 @@ from .feller import decide_feller
 from .graphs import load_graph
 from .noise import parse_noise
 from .sim import (
+    RNG_RECIPE,
     ensemble_to_csv,
     invariant_measure_check,
     profile_to_csv,
@@ -219,12 +220,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         num_steps=args.steps,
         num_samples=args.samples,
         seed=args.seed,
-        workers=args.workers,
-        backend=args.backend,
     )
-    print(f"sampled {ens.num_samples} paths of {ens.num_modes} modes "
-          f"({args.steps} steps, backend {ens.backend}, workers {ens.workers})")
-    extra: dict = {"backend": ens.backend, "noise": noise.to_json()}
+    print(f"sampled {ens.num_samples} paths of {ens.num_modes} modes ({args.steps} steps)")
+    extra: dict = {
+        "cholesky_jitter": ens.cholesky_jitter,
+        "rng": RNG_RECIPE,
+        "noise": noise.to_json(),
+    }
     if not args.no_verify:
         report = verify_covariance(ens)
         print(f"covariance check over {len(report.times)} grid times: "
@@ -308,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=200)
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--workers", type=int, default=None,
-                    help="thread count (default: QGRAPH_THREADS or cpu count, max 8)")
-    sp.add_argument("--backend", choices=["numba", "numpy"], default=None)
     sp.add_argument("--no-verify", action="store_true",
                     help="skip the empirical-vs-exact covariance check")
     sp.add_argument("--alphas", default="0.0,0.2,0.3",

@@ -10,21 +10,20 @@ transition law, not an Euler scheme, so the step count only controls
 the output grid.  The law holds for any family of eigenfunctions,
 orthonormal or not — each tested coefficient is an exact stochastic
 convolution — which matters because the analytic star family overlaps
-on shared edges.  Sampling is embarrassingly parallel across paths and
-deterministic per (seed, sample index) regardless of thread count.
+on shared edges.  Each sample draws from its own RNG stream, a pure
+function of (seed, sample index); samples are stepped together in
+blocks whose size never changes the numbers.
 """
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import tolerances as tol
-from ._kernels import active_backend, ou_paths, warmup
 from .control import _eta
 from .errors import (
     CovarianceNotPSDError,
@@ -49,36 +48,37 @@ __all__ = [
 ]
 
 
-def _resolve_workers(workers: int | None, num_samples: int) -> int:
-    if workers is None:
-        env = os.environ.get("QGRAPH_THREADS", "").strip()
-        if env:
-            workers = int(env)
-        else:
-            workers = min(8, os.cpu_count() or 1)
-    return max(1, min(int(workers), num_samples))
+# Normals drawn per block of samples, 16 MB of float64: with the block's
+# innovations written straight into the ensemble, this bounds the
+# engine's working memory whatever the sample count.
+BLOCK_NORMALS = 2**21
+
+# how simulate seeds sample s; TrajectoryEnsemble.sample_seed builds it
+RNG_RECIPE = "per-sample SeedSequence(seed, spawn_key=(s,)) + PCG64"
 
 
-def _innovation_cholesky(cov: np.ndarray) -> np.ndarray:
+def _innovation_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with an escalating diagonal jitter.
 
     The innovation covariance is PSD by construction but often rank
     deficient (quiet modes), so plain Cholesky can fail on roundoff; a
     relative jitter up to a hard stop keeps the factor honest, and
     anything needing more than that is reported as a genuine failure.
+    Returns the factor and the jitter applied, relative to the mean
+    diagonal entry (0.0 when plain Cholesky succeeds).
     """
     if not np.any(cov):
-        return np.zeros_like(cov)
+        return np.zeros_like(cov), 0.0
     n = len(cov)
     scale = float(np.trace(cov)) / n
     try:
-        return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(cov), 0.0
     except np.linalg.LinAlgError:
         pass
     jitter = tol.JITTER_START
     while jitter <= tol.JITTER_STOP:
         try:
-            return np.linalg.cholesky(cov + (jitter * scale) * np.eye(n))
+            return np.linalg.cholesky(cov + (jitter * scale) * np.eye(n)), jitter
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise CovarianceNotPSDError(
@@ -94,7 +94,8 @@ class TrajectoryEnsemble:
     holds the noise-weighted vertex traces v_k row-wise, and vertex
     values of the state are coeffs @ vertex_traces.  Sample s was drawn
     from the RNG stream sample_seed(s), a pure function of the master
-    seed and s — never of the worker layout.
+    seed and s — never of the block it was stepped in.  cholesky_jitter
+    is the relative diagonal jitter the innovation factor needed.
     """
 
     times: np.ndarray
@@ -105,8 +106,7 @@ class TrajectoryEnsemble:
     vertices: tuple[str, ...]
     z0: np.ndarray
     seed: int
-    backend: str
-    workers: int
+    cholesky_jitter: float
 
     @property
     def num_samples(self) -> int:
@@ -144,18 +144,20 @@ def simulate(
     num_samples: int,
     seed: int = 42,
     num_modes: int | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
 ) -> TrajectoryEnsemble:
     """Draw sample paths of the first num_modes coefficients.
 
     Reproducibility contract: results are a pure function of
-    (eigensystem, noise, z0, horizon, num_steps, num_samples, seed) —
-    each sample owns an RNG spawned from the seed by its index, so the
-    worker count never changes the numbers, only the wall time.
+    (eigensystem, noise, z0, horizon, num_steps, num_samples, seed).
+    Sample s draws standard_normal((num_steps, k)) from its own stream
+    sample_seed(s), multiplies by the transposed innovation Cholesky
+    factor and runs x <- decay * x + innovation from z0.  Samples are
+    processed in blocks of at most BLOCK_NORMALS normals, one matmul and
+    one vectorized recursion per block; the block size never changes
+    the numbers, only the wall time and the working memory.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and positive")
     if num_steps < 1:
         raise ValueError("num_steps must be positive")
     if num_samples < 1:
@@ -168,6 +170,8 @@ def simulate(
     z0_in = np.asarray(z0_coeffs, dtype=float).ravel()
     if len(z0_in) > k_total:
         raise ValueError("z0 has more coefficients than modes in play")
+    if not np.all(np.isfinite(z0_in)):
+        raise ValueError("z0 must be finite")
     z0[: len(z0_in)] = z0_in
 
     lambdas = np.asarray(eig.lambdas[:k_total], dtype=float)
@@ -178,31 +182,24 @@ def simulate(
     decay = np.exp(-lambdas * dt)
     cov = (channels @ channels.T) * _eta(lambdas[:, None] + lambdas[None, :], dt)
     cov = 0.5 * (cov + cov.T)
-    chol = _innovation_cholesky(cov)
-
-    which = active_backend() if backend is None else backend
-    warmup(which)
-
-    coeffs = np.empty((num_samples, num_steps + 1, k_total))
+    chol, jitter = _innovation_cholesky(cov)
     chol_t = np.ascontiguousarray(chol.T)
 
-    def run_slice(lo: int, hi: int) -> None:
-        for s in range(lo, hi):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-            innovations = rng.standard_normal((num_steps, k_total)) @ chol_t
-            ou_paths(coeffs[s], decay, innovations, z0, backend=which)
-
-    nw = _resolve_workers(workers, num_samples)
-    if nw == 1:
-        run_slice(0, num_samples)
-    else:
-        bounds = np.linspace(0, num_samples, nw + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            futures = [
-                pool.submit(run_slice, int(bounds[i]), int(bounds[i + 1])) for i in range(nw)
-            ]
-            for fut in futures:
-                fut.result()
+    coeffs = np.empty((num_samples, num_steps + 1, k_total))
+    coeffs[:, 0] = z0
+    block = max(1, BLOCK_NORMALS // (num_steps * k_total))
+    normals = np.empty((min(block, num_samples), num_steps, k_total))
+    for lo in range(0, num_samples, block):
+        b = min(block, num_samples - lo)
+        for j in range(b):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lo + j,)))
+            rng.standard_normal((num_steps, k_total), out=normals[j])
+        # one gemm per sample, as for a single (num_steps, k) draw;
+        # each path's innovations land in its own rows 1..num_steps
+        paths = coeffs[lo : lo + b]
+        np.matmul(normals[:b], chol_t, out=paths[:, 1:])
+        for i in range(num_steps):
+            paths[:, i + 1] += decay * paths[:, i]
 
     return TrajectoryEnsemble(
         times=np.linspace(0.0, horizon, num_steps + 1),
@@ -213,8 +210,7 @@ def simulate(
         vertices=tuple(eig.graph.vertices),
         z0=z0,
         seed=int(seed),
-        backend=which,
-        workers=nw,
+        cholesky_jitter=jitter,
     )
 
 
@@ -351,8 +347,8 @@ def regularity_profile(
     so on a fixed graph the series flips from summable to divergent at
     a finite alpha, which the tail slope estimates.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and positive")
     k_total = eig.num_modes if num_modes is None else int(num_modes)
     if not 2 <= k_total <= eig.num_modes:
         raise ValueError(f"num_modes must lie in [2, {eig.num_modes}]")
@@ -495,10 +491,22 @@ def ensemble_to_csv(ens: TrajectoryEnsemble, path, max_samples: int | None = Non
                     writer.writerow([s, repr(float(t)), k, repr(float(ens.coeffs[s, i, k]))])
 
 
+# time indices reduced together by summary_to_csv
+_SUMMARY_TIMES = 32
+
+
 def summary_to_csv(ens: TrajectoryEnsemble, path) -> None:
     """Ensemble statistics: one row per (time, mode) with mean and variance."""
-    mean = ens.coeffs.mean(axis=0)
-    var = ens.coeffs.var(axis=0, ddof=1) if ens.num_samples > 1 else np.zeros_like(mean)
+    # reduced over chunks of time indices, so no temporary the size of the
+    # ensemble is made; each (time, mode) entry reduces exactly as before
+    num_times = len(ens.times)
+    mean = np.empty((num_times, ens.num_modes))
+    var = np.zeros_like(mean)
+    for i in range(0, num_times, _SUMMARY_TIMES):
+        chunk = ens.coeffs[:, i : i + _SUMMARY_TIMES]
+        mean[i : i + _SUMMARY_TIMES] = chunk.mean(axis=0)
+        if ens.num_samples > 1:
+            var[i : i + _SUMMARY_TIMES] = chunk.var(axis=0, ddof=1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "mode", "mean", "variance"])

@@ -244,9 +244,9 @@ def test_criterion_5_null_control():
         )
 
 
-def test_criterion_6_stochastic_covariance():
+def test_criterion_6_stochastic_covariance(monkeypatch):
     with criterion(6, "1e5-sample ensembles match the Gaussian law within "
-                      "4 SE; workers 1/2/8 bit-identical; under 60 s"):
+                      "4 SE; block sizes 13107/25000/1000 bit-identical; under 60 s"):
         t0 = perf_counter()
         interval = qg.interval_analytic(1.0, num_modes=10)
         star = qg.star_analytic(3, 1.0, num_clusters=8)
@@ -254,22 +254,27 @@ def test_criterion_6_stochastic_covariance():
             (interval, NoiseModel.from_diagonal(interval.graph, {"v1": 1.0})),
             (star, NoiseModel.from_diagonal(star.graph, {"v1": 1.0, "vc": 0.5})),
         ]
+        per_sample = 16 * 10  # normals drawn for one sample
+        # the default budget gives blocks of 13107, which does not divide 1e5
+        assert qg.sim.BLOCK_NORMALS // per_sample == 13107
         for eig, nm in cases:
             base = qg.simulate(
                 eig, nm, np.zeros(10), 1.0, 16, 100_000,
-                seed=42, num_modes=10, workers=1,
+                seed=42, num_modes=10,
             )
             report = qg.verify_covariance(base)
             assert report.max_cov_z <= 4.0, f"covariance z = {report.max_cov_z:.2f}"
             assert report.max_mean_z <= 4.0
             assert report.zero_entries_ok
-            for w in (2, 8):
+            for block in (25_000, 1_000):
+                monkeypatch.setattr(qg.sim, "BLOCK_NORMALS", block * per_sample)
                 other = qg.simulate(
                     eig, nm, np.zeros(10), 1.0, 16, 100_000,
-                    seed=42, num_modes=10, workers=w,
+                    seed=42, num_modes=10,
                 )
                 assert np.array_equal(base.coeffs, other.coeffs)
                 del other
+            monkeypatch.undo()
             del base
         elapsed = perf_counter() - t0
         assert elapsed <= 60.0, f"ensembles took {elapsed:.1f} s"

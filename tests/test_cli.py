@@ -119,23 +119,42 @@ def test_invariant_command(workdir, interval_file, capsys):
 
 def test_simulate_command_and_reproducibility(workdir, interval_file, capsys):
     summary_a = workdir / "a.csv"
-    summary_b = workdir / "b.csv"
     profile = workdir / "profile.csv"
     argv = [
         "simulate", "--graph", interval_file, "--noise", "diag:v1=1",
         "--mesh", "32", "--modes", "6", "--steps", "16", "--samples", "300",
         "--seed", "7", "--alphas", "0.0", "--profile-out", str(profile),
     ]
-    rc = main(argv + ["--summary-out", str(summary_a), "--workers", "1"])
+    rc = main(argv + ["--summary-out", str(summary_a)])
     assert rc == 0
     text = capsys.readouterr().out
+    assert "sampled 300 paths of 6 modes (16 steps)" in text
     assert "covariance check over 17 grid times" in text
     assert "alpha=0" in text
-    rc = main(argv + ["--summary-out", str(summary_b), "--workers", "3"])
+    first = summary_a.read_bytes()
+    rc = main(argv + ["--summary-out", str(summary_a)])
     assert rc == 0
     capsys.readouterr()
-    assert summary_a.read_bytes() == summary_b.read_bytes()
+    assert summary_a.read_bytes() == first
     assert profile.read_text().splitlines()[0] == "alpha,K',partial_sum,slope"
+    manifest = json.loads((workdir / "qgraph-simulate.manifest.json").read_text())
+    assert "backend" not in manifest
+    assert manifest["cholesky_jitter"] == 0.0
+    assert manifest["rng"] == "per-sample SeedSequence(seed, spawn_key=(s,)) + PCG64"
+
+
+@pytest.mark.parametrize("flag,value", [("--horizon", "nan"), ("--horizon", "inf"),
+                                        ("--z0", "0=nan")])
+def test_simulate_rejects_non_finite_input(workdir, interval_file, capsys, flag, value):
+    rc = main([
+        "simulate", "--graph", interval_file, "--noise", "diag:v1=1",
+        "--mesh", "16", "--modes", "4", "--steps", "4", "--samples", "10",
+        flag, value,
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (workdir / "qgraph-simulate.manifest.json").exists()
 
 
 def test_simulate_no_verify_skips_check(workdir, interval_file, capsys):

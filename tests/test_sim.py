@@ -1,9 +1,13 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qgraph as qg
+from qgraph import sim
+from qgraph import tolerances as tol
+from qgraph.control import _eta
 from qgraph.errors import (
     CovarianceNotPSDError,
     SpectralGapAmbiguousError,
@@ -71,41 +75,54 @@ def test_euler_maruyama_cross_check(interval_eig):
     np.testing.assert_allclose(ens.coeffs[:, -1, 1].var(), exact, rtol=0.08)
 
 
-def test_worker_count_never_changes_numbers(interval_eig):
+def test_block_size_never_changes_numbers(interval_eig, monkeypatch):
     nm = _interval_noise(interval_eig)
     z0 = [0.2, 0.1, 0.0, 0.0]
-    runs = [
-        qg.simulate(interval_eig, nm, z0, 1.0, 12, 13, seed=42, num_modes=4, workers=w)
-        for w in (1, 2, 4)
-    ]
-    assert runs[0].workers == 1 and runs[2].workers == 4
-    assert np.array_equal(runs[0].coeffs, runs[1].coeffs)
-    assert np.array_equal(runs[0].coeffs, runs[2].coeffs)
+    per_sample = 12 * 4  # normals drawn for one sample
+    runs = []
+    # blocks of 1, 5 (not dividing 13), 13 and the default budget
+    for budget in (per_sample, 5 * per_sample, 13 * per_sample, sim.BLOCK_NORMALS):
+        monkeypatch.setattr(sim, "BLOCK_NORMALS", budget)
+        runs.append(qg.simulate(interval_eig, nm, z0, 1.0, 12, 13, seed=42, num_modes=4))
+    for other in runs[1:]:
+        assert np.array_equal(runs[0].coeffs, other.coeffs)
+
+
+def test_block_buffers_bounded_by_budget(interval_eig, monkeypatch):
+    """Working memory beyond the ensemble does not grow with the sample count."""
+    nm = _interval_noise(interval_eig)
+    monkeypatch.setattr(sim, "BLOCK_NORMALS", 10 * 8 * 4)
+    budget_bytes = 8 * sim.BLOCK_NORMALS
+    for samples in (200, 2000):
+        tracemalloc.start()
+        try:
+            ens = qg.simulate(interval_eig, nm, [0.0], 1.0, 8, samples, seed=1, num_modes=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - ens.coeffs.nbytes <= 2 * budget_bytes + 64 * 1024
 
 
 def test_sample_seed_is_pure_function_of_index(interval_eig):
     nm = _interval_noise(interval_eig)
-    ens = qg.simulate(interval_eig, nm, [0.0], 1.0, 4, 3, seed=17, num_modes=1)
+    steps, k = 4, 3
+    ens = qg.simulate(interval_eig, nm, [0.5, -0.25], 1.0, steps, 3, seed=17, num_modes=k)
     ss = ens.sample_seed(2)
     assert ss.entropy == 17 and ss.spawn_key == (2,)
-    # replaying the per-sample stream reproduces the stored path
+    # replaying the documented per-sample recipe reproduces the stored path
+    dt = 1.0 / steps
+    lam = ens.lambdas
+    cov = (ens.channels @ ens.channels.T) * _eta(lam[:, None] + lam[None, :], dt)
+    chol, _ = _innovation_cholesky(0.5 * (cov + cov.T))
     rng = np.random.default_rng(ens.sample_seed(2))
-    again = qg.simulate(interval_eig, nm, [0.0], 1.0, 4, 3, seed=17, num_modes=1)
-    assert np.array_equal(ens.coeffs, again.coeffs)
-    assert rng.standard_normal(4).shape == (4,)
-
-
-def test_backends_agree(interval_eig):
-    nm = _interval_noise(interval_eig)
-    z0 = [0.5, 0.25, 0.0]
-    a = qg.simulate(interval_eig, nm, z0, 1.0, 10, 8, seed=1, num_modes=3, backend="numpy")
-    assert a.backend == "numpy"
-    try:
-        b = qg.simulate(interval_eig, nm, z0, 1.0, 10, 8, seed=1, num_modes=3, backend="numba")
-    except ValueError:
-        pytest.skip("numba backend not available")
-    # both backends consume the same precomputed innovations: identical bits
-    assert np.array_equal(a.coeffs, b.coeffs)
+    innovations = rng.standard_normal((steps, k)) @ chol.T
+    decay = np.exp(-lam * dt)
+    x = ens.z0.copy()
+    path = [x]
+    for i in range(steps):
+        x = decay * x + innovations[i]
+        path.append(x)
+    assert np.array_equal(np.array(path), ens.coeffs[2])
 
 
 def test_parseval_energy(interval_eig):
@@ -160,11 +177,34 @@ def test_simulate_validation(interval_eig):
         qg.simulate(interval_eig, nm, [0.0], 1.0, 0, 2)
     with pytest.raises(ValueError):
         qg.simulate(interval_eig, nm, np.zeros(50), 1.0, 4, 2, num_modes=50)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            qg.simulate(interval_eig, nm, [0.0], bad, 4, 2)
+        with pytest.raises(ValueError, match="z0"):
+            qg.simulate(interval_eig, nm, [0.0, bad], 1.0, 4, 2, num_modes=3)
 
 
 def test_innovation_cholesky_rejects_negative():
     with pytest.raises(CovarianceNotPSDError):
         _innovation_cholesky(np.array([[-1.0]]))
+
+
+def test_innovation_cholesky_reports_jitter():
+    assert _innovation_cholesky(np.eye(2))[1] == 0.0
+    assert _innovation_cholesky(np.zeros((2, 2)))[1] == 0.0
+    # rank deficient: plain Cholesky fails, the first jitter step succeeds
+    chol, jitter = _innovation_cholesky(np.ones((2, 2)))
+    assert jitter == tol.JITTER_START
+    np.testing.assert_allclose(chol @ chol.T, np.ones((2, 2)), atol=1e-6)
+
+
+def test_ensemble_carries_cholesky_jitter(interval_eig, star3_analytic):
+    ens = qg.simulate(interval_eig, _interval_noise(interval_eig), [], 1.0, 4, 2, num_modes=4)
+    assert ens.cholesky_jitter == 0.0
+    # one noisy leaf leaves quiet modes: the factor needs a jitter
+    nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0})
+    ens = qg.simulate(star3_analytic, nm, [], 1.0, 4, 2, num_modes=10)
+    assert tol.JITTER_START <= ens.cholesky_jitter <= tol.JITTER_STOP
 
 
 def test_regularity_profile_structure():
@@ -195,6 +235,9 @@ def test_regularity_profile_validation(interval_eig):
         qg.regularity_profile(interval_eig, nm, 1.0, [0.0], num_modes=0)
     with pytest.raises(ValueError):
         qg.regularity_profile(interval_eig, nm, 1.0, [0.0], num_modes=10**6)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            qg.regularity_profile(interval_eig, nm, bad, [0.0])
 
 
 def test_invariant_exists_with_potential():
