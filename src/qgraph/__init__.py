@@ -13,7 +13,6 @@ from .errors import (
     AsymmetricMatrixError,
     ConvergenceFailureError,
     CovarianceNotPSDError,
-    IllConditionedError,
     InfeasiblePathUnionError,
     InvalidGraphError,
     InvalidPathUnionError,
@@ -132,6 +131,6 @@ __all__ = [
     "InvalidGraphError", "NotATreeError", "SameVertexError", "UnknownVertexError",
     "OmitNotBoundaryError", "InfeasiblePathUnionError", "InvalidPathUnionError",
     "NotPSDError", "AsymmetricMatrixError", "RationalConditionFailedError",
-    "ConvergenceFailureError", "SolveFailureError", "IllConditionedError",
+    "ConvergenceFailureError", "SolveFailureError",
     "CovarianceNotPSDError", "SpectralGapAmbiguousError", "SpectrumTooCoarseError",
 ]

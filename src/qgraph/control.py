@@ -14,6 +14,7 @@ exactly the terminal state left over (up to sign).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,11 @@ class ControlResult:
         return float(np.linalg.norm(self.terminal_coefficients))
 
 
+def _check_horizon(horizon: float) -> None:
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and positive")
+
+
 def _eta(mu: np.ndarray, horizon: float) -> np.ndarray:
     """Integral of exp(-mu (T - s)) over [0, T], safe at mu = 0."""
     mu = np.asarray(mu, dtype=float)
@@ -97,8 +103,7 @@ def solve_null_control(
     a genuinely unreachable component — and is reported through the
     diagnostics rather than raised.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
     k_total = eig.num_modes if num_modes is None else int(num_modes)

@@ -73,10 +73,6 @@ class SolveFailureError(QGraphNumericalError):
     pass
 
 
-class IllConditionedError(QGraphNumericalError):
-    pass
-
-
 class CovarianceNotPSDError(QGraphNumericalError):
     pass
 

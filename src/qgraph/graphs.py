@@ -217,8 +217,13 @@ def validate(graph: MetricGraph) -> list[str]:
         for endpoint in (e.tail, e.head):
             if endpoint not in seen_v:
                 report.append(f"edge {e.id!r}: unknown endpoint {endpoint!r}")
-        if not (e.length > 0.0):
+        if not np.isfinite(e.length):
+            report.append(f"edge {e.id!r}: non-finite length {e.length}")
+        elif e.length <= 0.0:
             report.append(f"edge {e.id!r}: nonpositive length {e.length}")
+        for name, coeff in (("diffusion", e.diffusion), ("potential", e.potential)):
+            if not np.all(np.isfinite(coeff.values)):
+                report.append(f"edge {e.id!r}: non-finite {name} value")
         if e.diffusion.minimum() <= 0.0:
             report.append(f"edge {e.id!r}: nonpositive diffusion")
         if e.potential.minimum() < 0.0:

@@ -14,7 +14,12 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .errors import AsymmetricMatrixError, NotPSDError, UnknownVertexError
+from .errors import (
+    AsymmetricMatrixError,
+    NotPSDError,
+    QGraphValidationError,
+    UnknownVertexError,
+)
 from .graphs import MetricGraph
 
 __all__ = ["NoiseModel", "parse_noise"]
@@ -41,6 +46,8 @@ class NoiseModel:
         diag = np.zeros(graph.n)
         for v, val in q.items():
             val = float(val)
+            if not np.isfinite(val):
+                raise QGraphValidationError(f"non-finite noise intensity at {v!r}: {val}")
             if val < 0:
                 raise NotPSDError(f"negative noise intensity at {v!r}: {val}")
             diag[graph.vertex_index[v]] = val
@@ -52,6 +59,8 @@ class NoiseModel:
         n = graph.n
         if q.shape != (n, n):
             raise ValueError(f"noise matrix must be {n}x{n} for this graph")
+        if not np.all(np.isfinite(q)):
+            raise QGraphValidationError("noise matrix has non-finite entries")
         scale = max(1.0, float(np.abs(q).max()))
         if float(np.abs(q - q.T).max()) > tol.NOISE_SYMMETRY * scale:
             raise AsymmetricMatrixError("noise matrix is not symmetric")
@@ -135,9 +144,18 @@ def parse_noise(spec: str, graph: MetricGraph) -> NoiseModel:
         return NoiseModel.from_diagonal(graph, q)
     with open(spec, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise QGraphValidationError(f"noise file must hold a JSON object, got {data!r:.40}")
     kind = data.get("type")
+    if kind not in ("diagonal", "full"):
+        raise ValueError(f"unknown noise type {kind!r}")
+    try:
+        if kind == "diagonal":
+            q = {k: float(v) for k, v in data["q"].items()}
+        else:
+            matrix = np.asarray(data["matrix"], dtype=float)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise QGraphValidationError(f"malformed {kind} noise data: {exc!r}") from exc
     if kind == "diagonal":
-        return NoiseModel.from_diagonal(graph, {k: float(v) for k, v in data["q"].items()})
-    if kind == "full":
-        return NoiseModel.from_matrix(graph, data["matrix"])
-    raise ValueError(f"unknown noise type {kind!r}")
+        return NoiseModel.from_diagonal(graph, q)
+    return NoiseModel.from_matrix(graph, matrix)

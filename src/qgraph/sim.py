@@ -17,14 +17,13 @@ blocks whose size never changes the numbers.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import tolerances as tol
-from .control import _eta
+from .control import _check_horizon, _eta
 from .errors import (
     CovarianceNotPSDError,
     SpectralGapAmbiguousError,
@@ -156,8 +155,7 @@ def simulate(
     one vectorized recursion per block; the block size never changes
     the numbers, only the wall time and the working memory.
     """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be finite and positive")
+    _check_horizon(horizon)
     if num_steps < 1:
         raise ValueError("num_steps must be positive")
     if num_samples < 1:
@@ -347,8 +345,7 @@ def regularity_profile(
     so on a fixed graph the series flips from summable to divergent at
     a finite alpha, which the tail slope estimates.
     """
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be finite and positive")
+    _check_horizon(horizon)
     k_total = eig.num_modes if num_modes is None else int(num_modes)
     if not 2 <= k_total <= eig.num_modes:
         raise ValueError(f"num_modes must lie in [2, {eig.num_modes}]")
@@ -443,6 +440,7 @@ def invariant_measure_check(
     partial = []
     kernel_terms = []
     for t in horizons:
+        _check_horizon(t)
         terms = weights * _eta(2.0 * lam, t)
         partial.append(tuple(float(x) for x in np.cumsum(terms)))
         kernel_terms.append(float(terms[0]))

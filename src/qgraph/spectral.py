@@ -270,36 +270,31 @@ def _cluster_ranges(lambdas: np.ndarray) -> tuple[tuple[int, int], ...]:
 def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     """Lowest eigenpairs of stiffness f = lambda mass f.
 
-    Dense LAPACK path up to a size threshold, otherwise shift-invert
-    Lanczos (ARPACK) about a negative shift so the singular p = 0 case
-    stays factorizable.  Vectors come back mass-orthonormal; clusters
-    are re-orthonormalized symmetrically for safety.  Accuracy guidance:
-    keep num_modes well below the dof count (one order of magnitude).
+    One path at every size: shift-invert Lanczos (ARPACK) about a
+    negative shift, so the singular p = 0 case stays factorizable,
+    started from a fixed generic vector (standard normals from
+    default_rng(0)).  The fixed start makes the result a pure function
+    of the operator; a symmetric start such as all ones would miss the
+    modes orthogonal to the graph's symmetric subspace.  Vectors come
+    back mass-orthonormal; clusters are re-orthonormalized symmetrically
+    for safety.  Accuracy guidance: keep num_modes well below the dof
+    count (one order of magnitude).
     """
     dof = op.layout.total_dof
     if not 1 <= num_modes <= dof - 1:
         raise ValueError(f"num_modes must lie in [1, {dof - 1}]")
 
-    if dof <= tol.DENSE_DOF_LIMIT:
-        try:
-            w, v = scipy.linalg.eigh(
-                op.stiffness.toarray(),
-                op.mass.toarray(),
-                subset_by_index=(0, num_modes - 1),
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise ConvergenceFailureError(f"dense eigensolver failed: {exc}") from exc
-    else:
-        try:
-            w, v = spla.eigsh(
-                op.stiffness,
-                k=num_modes,
-                M=op.mass,
-                sigma=-1.0,
-                which="LM",
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceFailureError(f"Lanczos iteration did not converge: {exc}") from exc
+    try:
+        w, v = spla.eigsh(
+            op.stiffness,
+            k=num_modes,
+            M=op.mass,
+            sigma=-1.0,
+            which="LM",
+            v0=np.random.default_rng(0).standard_normal(dof),
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceFailureError(f"Lanczos iteration did not converge: {exc}") from exc
     order = np.argsort(w)
     w = w[order]
     v = v[:, order]
@@ -408,12 +403,12 @@ def star_analytic(
     Distinct eigenvalues alternate between simple fully symmetric modes
     at (k pi / length)^2 and ((k + 1/2) pi / length)^2 families of
     multiplicity n_edges - 1 vanishing at the center; the constant mode
-    sits at zero.  Multiple eigenvalues carry the edge-pair family: the
-    j-th member has amplitude sqrt(1/length) on the first edge and the
-    negative of that on edge j + 1.  Each member is normalized but the
-    family is not orthogonal (any two share the first edge, inner
-    product 1/2), so cluster computations downstream must not assume
-    orthonormality of this basis.
+    sits at zero.  Multiple eigenvalues carry the edge-pair family of
+    star_pair_modes: the j-th member has amplitude 1/sqrt(length) on the
+    first edge and the negative of that on edge j + 1.  Each member is
+    normalized but the family is not orthogonal (any two share the first
+    edge, inner product 1/2), so cluster computations downstream must
+    not assume orthonormality of this basis.
     """
     if n_edges < 2:
         raise ValueError("a star needs at least two edges")
@@ -422,7 +417,6 @@ def star_analytic(
     graph = star_graph([length] * n_edges)
     ell = float(length)
 
-    pair_amp = np.sqrt(1.0 / ell)
     sym_amp = np.sqrt(2.0 / (n_edges * ell))
 
     modes: list[tuple[float, np.ndarray]] = []
@@ -437,20 +431,16 @@ def star_analytic(
     j_anti = 0
     j_sym = 1
     while emitted < num_clusters:
-        mu_a = ((j_anti + 0.5) * np.pi / ell) ** 2
+        family = star_pair_modes(n_edges, ell, j_anti)
         mu_s = (j_sym * np.pi / ell) ** 2
         start = len(modes)
-        if mu_s < mu_a:
+        if mu_s < family[0].eigenvalue:
             modes.append((mu_s, np.full(n_edges, sym_amp)))
             clusters.append((start, start + 1))
             j_sym += 1
         else:
-            for j in range(1, n_edges):
-                amps = np.zeros(n_edges)
-                amps[0] = pair_amp
-                amps[j] = -pair_amp
-                modes.append((mu_a, amps))
-            clusters.append((start, start + (n_edges - 1)))
+            modes.extend((m.eigenvalue, m.amplitudes) for m in family)
+            clusters.append((start, start + len(family)))
             j_anti += 1
         emitted += 1
 
@@ -483,26 +473,15 @@ def interval_analytic(
 def star_pair_modes(n_edges: int, length: float, k: int) -> list[AnalyticMode]:
     """The raw edge-difference family at ((k + 1/2) pi / length)^2.
 
-    Mode j carries cos profiles with amplitude +1/sqrt(length) on the
-    first edge and -1/sqrt(length) on edge j + 1; each is normalized but
-    the family is not orthogonal (any two share the first edge, inner
-    product 1/2).  Traces vanish at the center exactly.
+    The equal-length case of rational_star_mode: mode j carries cos
+    profiles with amplitude +1/sqrt(length) on the first edge and
+    -1/sqrt(length) on edge j + 1 (sign -1, orders (k, k)); each is
+    normalized but the family is not orthogonal (any two share the
+    first edge, inner product 1/2).  Traces vanish at the center exactly.
     """
     if n_edges < 2:
         raise ValueError("a star needs at least two edges")
-    ell = float(length)
-    mu = ((k + 0.5) * np.pi / ell) ** 2
-    amp = 1.0 / np.sqrt(ell)
-    out = []
-    for j in range(1, n_edges):
-        amps = np.zeros(n_edges)
-        amps[0] = amp
-        amps[j] = -amp
-        traces = np.zeros(n_edges + 1)
-        traces[1] = amp
-        traces[1 + j] = -amp
-        out.append(AnalyticMode(eigenvalue=mu, amplitudes=amps, traces=traces))
-    return out
+    return [_pair_mode([length] * n_edges, 0, j, k, k) for j in range(1, n_edges)]
 
 
 def _pair_mode(lengths, a: int, b: int, na: int, nb: int) -> AnalyticMode:

@@ -28,9 +28,6 @@ SPECTRAL_GAP = 1e-8
 # a discrete mode is trusted when lambda * h_max^2 <= this
 TRUSTED_LAMBDA_H2 = 0.1
 
-# dense generalized eigensolver is used up to this many degrees of freedom
-DENSE_DOF_LIMIT = 2000
-
 # relative eigenvalue cutoff when inverting the moment-problem Gram matrix
 GRAM_TRUNCATION = 1e-12
 
@@ -58,7 +55,6 @@ def as_dict() -> dict:
         "rational_ratio": RATIONAL_RATIO,
         "spectral_gap": SPECTRAL_GAP,
         "trusted_lambda_h2": TRUSTED_LAMBDA_H2,
-        "dense_dof_limit": DENSE_DOF_LIMIT,
         "gram_truncation": GRAM_TRUNCATION,
         "control_residual": CONTROL_RESIDUAL,
         "noise_symmetry": NOISE_SYMMETRY,

@@ -9,7 +9,6 @@ argument: the active sets they generate are (sources, empty).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -317,7 +316,3 @@ def path_union_from_dict(data: dict) -> PathUnion:
         eids = tuple(seq[1::2])
         paths.append(DirectedPath(verts, eids))
     return PathUnion(tuple(paths), frozenset(data["sources"]))
-
-
-def path_union_to_json(pu: PathUnion) -> str:
-    return json.dumps(path_union_to_dict(pu), indent=2)

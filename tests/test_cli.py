@@ -52,7 +52,7 @@ def test_spectrum_command(workdir, star_file, capsys):
     assert mode_out.read_text().splitlines()[0] == "edge,x,value"
     manifest = json.loads((workdir / "spectrum.csv.manifest.json").read_text())
     assert manifest["command"] == "spectrum"
-    assert len(manifest["tolerances"]) == 16
+    assert len(manifest["tolerances"]) == 15
     assert set(manifest["versions"]) == {"qgraph", "numpy", "scipy", "python"}
     assert manifest["config"]["mesh"] == 64
 
@@ -143,6 +143,21 @@ def test_simulate_command_and_reproducibility(workdir, interval_file, capsys):
     assert manifest["rng"] == "per-sample SeedSequence(seed, spawn_key=(s,)) + PCG64"
 
 
+def test_simulate_reproducible_on_ten_edge_star(workdir, capsys):
+    """Equal seeds give equal bytes on a 9-fold degenerate spectrum (dof 2561)."""
+    star10 = workdir / "star10.json"
+    qg.save_graph(qg.star_graph([1.0] * 10), star10)
+    argv = [
+        "simulate", "--graph", str(star10), "--noise", "diag:v1=1,v2=0.5",
+        "--mesh", "256", "--modes", "30", "--steps", "8", "--samples", "300",
+        "--seed", "11", "--alphas", "", "--no-verify",
+    ]
+    assert main(argv + ["--summary-out", "a.csv"]) == 0
+    assert main(argv + ["--summary-out", "b.csv"]) == 0
+    capsys.readouterr()
+    assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+
+
 @pytest.mark.parametrize("flag,value", [("--horizon", "nan"), ("--horizon", "inf"),
                                         ("--z0", "0=nan")])
 def test_simulate_rejects_non_finite_input(workdir, interval_file, capsys, flag, value):
@@ -155,6 +170,43 @@ def test_simulate_rejects_non_finite_input(workdir, interval_file, capsys, flag,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (workdir / "qgraph-simulate.manifest.json").exists()
+
+
+@pytest.fixture()
+def malformed_files(workdir):
+    inf_length = qg.graph_to_dict(qg.interval_graph())
+    inf_length["edges"][0]["length"] = float("inf")
+    nan_coefficient = qg.graph_to_dict(qg.interval_graph())
+    nan_coefficient["edges"][0]["c"] = {"samples": [1.0, float("nan"), 1.0]}
+    payloads = {
+        "inf_length.json": inf_length,
+        "nan_coefficient.json": nan_coefficient,
+        "noise_without_q.json": {"type": "diagonal"},
+        "noise_list.json": [1.0, 0.0],
+        "noise_nan_matrix.json": {"type": "full", "matrix": [[float("nan"), 0.0], [0.0, 1.0]]},
+    }
+    for name, payload in payloads.items():
+        (workdir / name).write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--graph", "inf_length.json"],
+    ["spectrum", "--graph", "nan_coefficient.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "diag:v1=1", "--horizons", "nan"],
+    ["invariant", "--graph", "interval.json", "--noise", "diag:v1=1", "--horizons", "1,inf"],
+    ["invariant", "--graph", "interval.json", "--noise", "diag:v1=nan"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_without_q.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_list.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_nan_matrix.json"],
+    ["control", "--graph", "interval.json", "--noise", "diag:v1=1", "--z0", "1=1",
+     "--horizon", "nan"],
+], ids=lambda argv: " ".join(argv[3:]))
+def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed_files,
+                                               capsys, argv):
+    rc = main(argv + ["--mesh", "16", "--modes", "4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_simulate_no_verify_skips_check(workdir, interval_file, capsys):

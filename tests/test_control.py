@@ -122,6 +122,9 @@ def test_horizon_validation(interval_eig):
     nm = NoiseModel.from_diagonal(interval_eig.graph, {"v1": 1.0})
     with pytest.raises(ValueError):
         solve_null_control(interval_eig, nm, [1.0], 0.0)
+    for horizon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            solve_null_control(interval_eig, nm, [1.0], horizon)
     with pytest.raises(ValueError):
         solve_null_control(interval_eig, nm, np.ones(20), 1.0, num_modes=5)
 

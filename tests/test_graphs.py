@@ -61,6 +61,15 @@ def test_validate_coefficient_signs():
     assert any("negative potential" in r for r in qg.validate(g2))
 
 
+def test_validate_rejects_non_finite_values():
+    g = qg.interval_graph(float("inf"))
+    assert any("non-finite length" in r for r in qg.validate(g))
+    g2 = qg.interval_graph(1.0, c=Coefficient.linear_samples([1.0, float("nan"), 1.0]))
+    assert any("non-finite diffusion" in r for r in qg.validate(g2))
+    g3 = qg.interval_graph(1.0, p=Coefficient.cell_samples([0.5, float("nan")]))
+    assert any("non-finite potential" in r for r in qg.validate(g3))
+
+
 def test_validate_disconnected():
     c1 = Coefficient.const(1.0)
     c0 = Coefficient.const(0.0)

@@ -67,6 +67,30 @@ def test_from_matrix_rejects_bad_shape(star3):
         NoiseModel.from_matrix(star3, np.eye(3))
 
 
+def test_rejects_non_finite_intensities(star3):
+    with pytest.raises(qg.QGraphValidationError, match="non-finite"):
+        NoiseModel.from_diagonal(star3, {"v1": float("nan")})
+    q = np.eye(4)
+    q[2, 2] = np.inf
+    with pytest.raises(qg.QGraphValidationError, match="non-finite"):
+        NoiseModel.from_matrix(star3, q)
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "diagonal"},
+    {"type": "full"},
+    {"type": "diagonal", "q": [1.0]},
+    {"type": "full", "matrix": {"v1": 1.0}},
+    [{"type": "diagonal", "q": {"v1": 1.0}}],
+    "diagonal",
+])
+def test_parse_noise_malformed_json(tmp_path, star3, spec):
+    p = tmp_path / "noise.json"
+    p.write_text(json.dumps(spec))
+    with pytest.raises(qg.QGraphValidationError):
+        parse_noise(str(p), star3)
+
+
 def test_parse_noise_shorthand(star3):
     nm = parse_noise("diag:v1=1,v2=0.5", star3)
     assert nm.diagonal["v1"] == 1.0

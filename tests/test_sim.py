@@ -276,6 +276,13 @@ def test_invariant_fails_with_kernel_noise(interval_eig):
     assert report.hs_totals == tuple(s[-1] for s in report.hs_partial_sums)
 
 
+def test_invariant_rejects_non_finite_horizons(interval_eig):
+    nm = _interval_noise(interval_eig)
+    for horizons in ((float("nan"),), (1.0, float("inf")), (0.0,)):
+        with pytest.raises(ValueError, match="horizon"):
+            qg.invariant_measure_check(interval_eig, nm, horizons=horizons)
+
+
 def test_invariant_ambiguous_gap_raises():
     g = qg.interval_graph(p=1e-12)
     eig = qg.solve_spectrum(g, 64, 4)

@@ -134,6 +134,18 @@ def test_eigensolve_invariants_on_assorted_graphs():
             np.testing.assert_allclose(gram, np.eye(hi - lo), atol=1e-8)
 
 
+def test_repeated_solves_are_identical():
+    """The fixed Lanczos start makes the eigensystem a pure function of its
+    input, also inside the 9-fold clusters of the 10-star (dof 2561)."""
+    g = qg.star_graph([1.0] * 10)
+    first = qg.solve_spectrum(g, 256, 30)
+    second = qg.solve_spectrum(g, 256, 30)
+    assert first.layout.total_dof == 2561
+    assert max(b - a for a, b in first.clusters) == 9
+    assert np.array_equal(first.lambdas, second.lambdas)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
 def test_constant_kernel_mode(star3_eig):
     """p = 0 on a connected graph: lambda_0 = 0 simple, eigenfunction constant."""
     v0 = star3_eig.vectors[0]
@@ -229,6 +241,7 @@ def test_star_pair_modes_scale_invariance():
             np.testing.assert_allclose(m.eigenvalue, (1.5 * np.pi / ell) ** 2)
             np.testing.assert_allclose(m.amplitudes[0], np.sqrt(1 / ell))
             np.testing.assert_allclose(m.amplitudes[j + 1], -np.sqrt(1 / ell))
+            assert (m.sign, m.orders) == (-1, (1, 1))
 
 
 def test_star_analytic_n2_matches_interval():
