@@ -105,13 +105,13 @@ def _add_common(sp: argparse.ArgumentParser, mesh: bool = True) -> None:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
     eig = solve_spectrum(graph, args.mesh, args.modes)
-    if args.out:
-        spectrum_to_csv(eig, args.out)
-    if args.mode_out:
+    if args.mode_out:  # first: a bad mode index leaves no output behind
         k_str, _, path = args.mode_out.partition(":")
         if not path:
             raise ValueError("--mode-out expects K:PATH")
         mode_to_csv(eig, int(k_str), path)
+    if args.out:
+        spectrum_to_csv(eig, args.out)
     trusted = int(eig.trusted.sum())
     print(f"modes: {eig.num_modes}  clusters: {len(eig.clusters)}  trusted: {trusted}")
     show = min(eig.num_modes, 8)
@@ -212,6 +212,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     noise = parse_noise(args.noise, graph)
     eig = solve_spectrum(graph, args.mesh, args.modes)
     z0 = _parse_z0(args.z0) if args.z0 else []
+    # the profile is exact and cheap: checking its input first wastes no sampling
+    alphas = [float(x) for x in args.alphas.split(",") if x.strip()]
+    entries = []
+    if alphas:
+        entries = regularity_profile(eig, noise, args.horizon, alphas, num_modes=args.modes)
     ens = simulate(
         eig,
         noise,
@@ -233,10 +238,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"max |z| = {report.max_cov_z:.3g}, mean max |z| = {report.max_mean_z:.3g}, "
               f"within 3 SE: {100 * report.frac_within_3se:.1f}%")
         extra["covariance_check"] = report.to_json()
-    alphas = [float(x) for x in args.alphas.split(",") if x.strip()]
-    entries = []
-    if alphas:
-        entries = regularity_profile(eig, noise, args.horizon, alphas, num_modes=args.modes)
+    if entries:
         for entry in entries:
             status = "convergent" if entry.convergent else "divergent"
             print(f"alpha={entry.alpha:g}: tail slope {entry.tail_slope:.3f} ({status})")

@@ -78,13 +78,44 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError("horizon must be finite and positive")
 
 
-def _eta(mu: np.ndarray, horizon: float) -> np.ndarray:
-    """Integral of exp(-mu (T - s)) over [0, T], safe at mu = 0."""
+def _eta(mu: np.ndarray, t) -> np.ndarray:
+    """Integral of exp(-mu (t - s)) over [0, t], safe at mu = 0; broadcasts over t."""
     mu = np.asarray(mu, dtype=float)
-    out = np.full(mu.shape, float(horizon))
-    pos = mu > 0
-    out[pos] = -np.expm1(-mu[pos] * horizon) / mu[pos]
-    return out
+    safe = np.where(mu > 0, mu, 1.0)
+    return np.where(mu > 0, -np.expm1(-safe * t) / safe, t)
+
+
+# -- the exact Gaussian law of the mode coefficients, shared with sim -------
+
+def _modes_in_play(eig: EigenSystem, num_modes: int | None, least: int = 1) -> int:
+    """The number of leading modes used, all of them when num_modes is None."""
+    k = eig.num_modes if num_modes is None else int(num_modes)
+    if not least <= k <= eig.num_modes:
+        raise ValueError(f"num_modes must lie in [{least}, {eig.num_modes}]")
+    return k
+
+
+def _initial_coeffs(z0_coeffs, k: int) -> np.ndarray:
+    """Initial mode coefficients, zero-padded to length k."""
+    z0 = np.asarray(z0_coeffs, dtype=float).ravel()
+    if len(z0) > k:
+        raise ValueError("z0 has more coefficients than modes in play")
+    if not np.all(np.isfinite(z0)):
+        raise ValueError("z0 must be finite")
+    return np.pad(z0, (0, k - len(z0)))
+
+
+def _channels(eig: EigenSystem, noise: NoiseModel, k: int) -> np.ndarray:
+    """Channel vectors w_k of the first k modes, row-wise."""
+    return eig.vertex_traces[:k] @ noise.q_sqrt
+
+
+def _covariance(lambdas: np.ndarray, channels: np.ndarray, t) -> np.ndarray:
+    """Covariance (w_k . w_l) eta(lambda_k + lambda_l, t) of the stochastic
+    convolution, and the null-control Gram matrix at horizon t; exactly
+    symmetric.  An array of times gives one matrix per time."""
+    t = np.asarray(t, dtype=float)[..., None, None]
+    return (channels @ channels.T) * _eta(lambdas[:, None] + lambdas[None, :], t)
 
 
 def solve_null_control(
@@ -106,23 +137,12 @@ def solve_null_control(
     _check_horizon(horizon)
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    k_total = eig.num_modes if num_modes is None else int(num_modes)
-    if not 1 <= k_total <= eig.num_modes:
-        raise ValueError(f"num_modes must lie in [1, {eig.num_modes}]")
-
-    z0 = np.zeros(k_total)
-    z0_in = np.asarray(z0_coeffs, dtype=float).ravel()
-    if len(z0_in) > k_total:
-        raise ValueError("z0 has more coefficients than modes in play")
-    z0[: len(z0_in)] = z0_in
-
+    k_total = _modes_in_play(eig, num_modes)
+    z0 = _initial_coeffs(z0_coeffs, k_total)
     lambdas = eig.lambdas[:k_total]
-    channels = eig.vertex_traces[:k_total] @ noise.q_sqrt  # rows are w_k
+    channels = _channels(eig, noise, k_total)
     b = np.exp(-lambdas * horizon) * z0
-
-    overlaps = channels @ channels.T
-    gram = overlaps * _eta(lambdas[:, None] + lambdas[None, :], horizon)
-    gram = 0.5 * (gram + gram.T)
+    gram = _covariance(lambdas, channels, horizon)
 
     # scaled spectral pseudo-inverse
     diag = np.diag(gram).copy()

@@ -12,7 +12,9 @@ orthonormal or not — each tested coefficient is an exact stochastic
 convolution — which matters because the analytic star family overlaps
 on shared edges.  Each sample draws from its own RNG stream, a pure
 function of (seed, sample index); samples are stepped together in
-blocks whose size never changes the numbers.
+blocks whose size never changes the numbers.  The law itself is shared
+with control.  The ensemble is read back once: the covariance check and
+the summary statistics both use TrajectoryEnsemble.moments.
 """
 from __future__ import annotations
 
@@ -23,7 +25,13 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .control import _check_horizon, _eta
+from .control import (
+    _channels,
+    _check_horizon,
+    _covariance,
+    _initial_coeffs,
+    _modes_in_play,
+)
 from .errors import (
     CovarianceNotPSDError,
     SpectralGapAmbiguousError,
@@ -70,16 +78,13 @@ def _innovation_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
         return np.zeros_like(cov), 0.0
     n = len(cov)
     scale = float(np.trace(cov)) / n
-    try:
-        return np.linalg.cholesky(cov), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    jitter = tol.JITTER_START
+    jitter = 0.0
     while jitter <= tol.JITTER_STOP:
         try:
             return np.linalg.cholesky(cov + (jitter * scale) * np.eye(n)), jitter
         except np.linalg.LinAlgError:
-            jitter *= 10.0
+            # plain Cholesky first, then an escalating jitter
+            jitter = jitter * 10.0 if jitter else tol.JITTER_START
     raise CovarianceNotPSDError(
         f"innovation covariance not factorizable even with jitter {tol.JITTER_STOP}"
     )
@@ -127,11 +132,31 @@ class TrajectoryEnsemble:
         return self.coeffs @ self.vertex_traces
 
     def analytic_mean(self, t: float) -> np.ndarray:
-        return np.exp(-self.lambdas * t) * self.z0
+        """Exact mean at time t; an array of times gives one row per time."""
+        return np.exp(-self.lambdas * np.asarray(t, dtype=float)[..., None]) * self.z0
 
     def analytic_covariance(self, t: float) -> np.ndarray:
-        gram = self.channels @ self.channels.T
-        return gram * _eta(self.lambdas[:, None] + self.lambdas[None, :], t)
+        """Exact covariance at time t; an array of times gives one per time."""
+        return _covariance(self.lambdas, self.channels, t)
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-time mean (times, modes) and second moment (times, modes, modes)
+        of d = X - E X; centring at the exact mean spares the variances any
+        cancellation.  One pass over blocks of at most BLOCK_NORMALS values."""
+        s, num_times, k = self.coeffs.shape
+        mean = self.analytic_mean(self.times)
+        first = np.zeros((num_times, k))
+        second = np.zeros((num_times, k, k))
+        block = max(1, BLOCK_NORMALS // (num_times * k))
+        buf = np.empty((min(block, s), num_times, k))
+        for lo in range(0, s, block):
+            d = np.subtract(self.coeffs[lo : lo + block], mean, out=buf[: min(block, s - lo)])
+            first += d.sum(axis=0)
+            second += np.einsum("sti,stj->tij", d, d, optimize=True)
+        first, second = first / s, second / s
+        first.flags.writeable = second.flags.writeable = False  # shared by every reader
+        return first, second
 
 
 def simulate(
@@ -160,27 +185,14 @@ def simulate(
         raise ValueError("num_steps must be positive")
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
-    k_total = eig.num_modes if num_modes is None else int(num_modes)
-    if not 1 <= k_total <= eig.num_modes:
-        raise ValueError(f"num_modes must lie in [1, {eig.num_modes}]")
-
-    z0 = np.zeros(k_total)
-    z0_in = np.asarray(z0_coeffs, dtype=float).ravel()
-    if len(z0_in) > k_total:
-        raise ValueError("z0 has more coefficients than modes in play")
-    if not np.all(np.isfinite(z0_in)):
-        raise ValueError("z0 must be finite")
-    z0[: len(z0_in)] = z0_in
-
+    k_total = _modes_in_play(eig, num_modes)
+    z0 = _initial_coeffs(z0_coeffs, k_total)
     lambdas = np.asarray(eig.lambdas[:k_total], dtype=float)
-    traces = np.ascontiguousarray(eig.vertex_traces[:k_total])
-    channels = traces @ noise.q_sqrt
+    channels = _channels(eig, noise, k_total)
 
     dt = horizon / num_steps
     decay = np.exp(-lambdas * dt)
-    cov = (channels @ channels.T) * _eta(lambdas[:, None] + lambdas[None, :], dt)
-    cov = 0.5 * (cov + cov.T)
-    chol, jitter = _innovation_cholesky(cov)
+    chol, jitter = _innovation_cholesky(_covariance(lambdas, channels, dt))
     chol_t = np.ascontiguousarray(chol.T)
 
     coeffs = np.empty((num_samples, num_steps + 1, k_total))
@@ -203,7 +215,7 @@ def simulate(
         times=np.linspace(0.0, horizon, num_steps + 1),
         coeffs=coeffs,
         lambdas=lambdas,
-        vertex_traces=traces,
+        vertex_traces=eig.vertex_traces[:k_total],
         channels=channels,
         vertices=tuple(eig.graph.vertices),
         z0=z0,
@@ -254,55 +266,29 @@ def verify_covariance(ens: TrajectoryEnsemble, t_index: int | None = None) -> Co
     grid time (or a single one when t_index is given) and the worst
     standardized deviation is reported.
     """
-    if t_index is None:
-        indices = list(range(len(ens.times)))
-    else:
-        indices = [range(len(ens.times))[t_index]]
+    indices = np.arange(len(ens.times)) if t_index is None else [range(len(ens.times))[t_index]]
     s = ens.num_samples
+    mean_dev, emp = (m[indices] for m in ens.moments)
+    ana = ens.analytic_covariance(ens.times[indices])
+    var = np.diagonal(ana, axis1=1, axis2=2)
+    se = np.sqrt((var[:, :, None] * var[:, None, :] + ana**2) / s)
 
-    max_z_per_time = []
-    max_mean_z = 0.0
-    zero_ok = True
-    within3 = 0
-    live_total = 0
-    emp_final = ana_final = None
-
-    for idx in indices:
-        t = float(ens.times[idx])
-        centered = ens.coeffs[:, idx, :] - ens.analytic_mean(t)
-        emp = (centered.T @ centered) / s
-        ana = ens.analytic_covariance(t)
-        se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / s)
-
-        live = se > 0
-        if np.any(live):
-            z = np.abs(emp[live] - ana[live]) / se[live]
-            max_z_per_time.append(float(z.max()))
-            within3 += int(np.count_nonzero(z <= 3.0))
-            live_total += z.size
-        else:
-            max_z_per_time.append(0.0)
-        zero_ok = zero_ok and bool(np.all(np.abs(emp[~live]) <= 1e-12))
-
-        var = np.diag(ana)
-        dlive = var > 0
-        means = centered.mean(axis=0)
-        if np.any(dlive):
-            mz = float((np.abs(means[dlive]) / np.sqrt(var[dlive] / s)).max())
-            max_mean_z = max(max_mean_z, mz)
-        zero_ok = zero_ok and bool(np.all(np.abs(means[~dlive]) <= 1e-12))
-        emp_final, ana_final = emp, ana
+    live = se > 0
+    z = np.divide(np.abs(emp - ana), se, out=np.zeros_like(se), where=live)
+    dlive = var > 0
+    mean_z = np.divide(np.abs(mean_dev), np.sqrt(var / s), out=np.zeros_like(var), where=dlive)
+    zero_ok = np.all(np.abs(emp[~live]) <= 1e-12) and np.all(np.abs(mean_dev[~dlive]) <= 1e-12)
 
     return CovarianceReport(
         times=ens.times[indices],
         num_samples=s,
-        max_cov_z=float(max(max_z_per_time)),
-        max_cov_z_per_time=np.asarray(max_z_per_time),
-        frac_within_3se=float(within3 / live_total) if live_total else 1.0,
-        max_mean_z=max_mean_z,
-        zero_entries_ok=zero_ok,
-        empirical_final=emp_final,
-        analytic_final=ana_final,
+        max_cov_z=float(z.max()),
+        max_cov_z_per_time=z.max(axis=(1, 2)),
+        frac_within_3se=float(np.mean(z[live] <= 3.0)) if live.any() else 1.0,
+        max_mean_z=float(mean_z.max()),
+        zero_entries_ok=bool(zero_ok),
+        empirical_final=emp[-1],
+        analytic_final=ana[-1],
     )
 
 
@@ -346,16 +332,16 @@ def regularity_profile(
     a finite alpha, which the tail slope estimates.
     """
     _check_horizon(horizon)
-    k_total = eig.num_modes if num_modes is None else int(num_modes)
-    if not 2 <= k_total <= eig.num_modes:
-        raise ValueError(f"num_modes must lie in [2, {eig.num_modes}]")
+    alphas = [float(alpha) for alpha in alphas]
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("alphas must be finite")
+    k_total = _modes_in_play(eig, num_modes, least=2)
     lam = np.asarray(eig.lambdas[:k_total], dtype=float)
-    channels = eig.vertex_traces[:k_total] @ noise.q_sqrt
-    var = np.sum(channels**2, axis=1) * _eta(2.0 * lam, horizon)
+    var = np.diagonal(_covariance(lam, _channels(eig, noise, k_total), horizon))
 
     out = []
     for alpha in alphas:
-        inc = (1.0 + lam) ** (2.0 * float(alpha)) * var
+        inc = (1.0 + lam) ** (2.0 * alpha) * var
         sums = np.cumsum(inc)
         ks = np.arange(max(1, k_total // 2), k_total)
         pos = inc[ks] > 0
@@ -365,7 +351,7 @@ def regularity_profile(
             slope = -np.inf
         out.append(
             ProfileEntry(
-                alpha=float(alpha),
+                alpha=alpha,
                 increments=inc,
                 partial_sums=sums,
                 tail_slope=slope,
@@ -426,27 +412,21 @@ def invariant_measure_check(
     rather than a discretization accident; with potential present but no
     resolved gap the honest answer is an error, not a guess.
     """
-    k_total = eig.num_modes if num_modes is None else int(num_modes)
-    if not 1 <= k_total <= eig.num_modes:
-        raise ValueError(f"num_modes must lie in [1, {eig.num_modes}]")
+    k_total = _modes_in_play(eig, num_modes)
     if not bool(eig.trusted[0]):
         raise SpectrumTooCoarseError("bottom eigenvalue is outside the trusted range")
-
-    lam = np.asarray(eig.lambdas[:k_total], dtype=float)
-    channels = eig.vertex_traces[:k_total] @ noise.q_sqrt
-    weights = np.sum(channels**2, axis=1)
-
     horizons = tuple(float(t) for t in horizons)
-    partial = []
-    kernel_terms = []
     for t in horizons:
         _check_horizon(t)
-        terms = weights * _eta(2.0 * lam, t)
-        partial.append(tuple(float(x) for x in np.cumsum(terms)))
-        kernel_terms.append(float(terms[0]))
+
+    lam = np.asarray(eig.lambdas[:k_total], dtype=float)
+    channels = _channels(eig, noise, k_total)
+    terms = np.diagonal(_covariance(lam, channels, horizons), axis1=1, axis2=2)
+    partial = tuple(tuple(float(x) for x in np.cumsum(row)) for row in terms)
+    kernel_terms = tuple(float(x) for x in terms[:, 0])
 
     lam0 = float(lam[0])
-    kernel_residual = float(np.sqrt(weights[0]))
+    kernel_residual = float(np.linalg.norm(channels[0]))
 
     if lam0 > tol.SPECTRAL_GAP:
         exists, rule = True, "exponential-stability"
@@ -471,8 +451,8 @@ def invariant_measure_check(
         lambda0=lam0,
         kernel_residual=kernel_residual,
         horizons=horizons,
-        hs_partial_sums=tuple(partial),
-        kernel_terms=tuple(kernel_terms),
+        hs_partial_sums=partial,
+        kernel_terms=kernel_terms,
         num_modes=k_total,
     )
 
@@ -489,22 +469,17 @@ def ensemble_to_csv(ens: TrajectoryEnsemble, path, max_samples: int | None = Non
                     writer.writerow([s, repr(float(t)), k, repr(float(ens.coeffs[s, i, k]))])
 
 
-# time indices reduced together by summary_to_csv
-_SUMMARY_TIMES = 32
-
-
 def summary_to_csv(ens: TrajectoryEnsemble, path) -> None:
-    """Ensemble statistics: one row per (time, mode) with mean and variance."""
-    # reduced over chunks of time indices, so no temporary the size of the
-    # ensemble is made; each (time, mode) entry reduces exactly as before
-    num_times = len(ens.times)
-    mean = np.empty((num_times, ens.num_modes))
-    var = np.zeros_like(mean)
-    for i in range(0, num_times, _SUMMARY_TIMES):
-        chunk = ens.coeffs[:, i : i + _SUMMARY_TIMES]
-        mean[i : i + _SUMMARY_TIMES] = chunk.mean(axis=0)
-        if ens.num_samples > 1:
-            var[i : i + _SUMMARY_TIMES] = chunk.var(axis=0, ddof=1)
+    """Ensemble statistics: one row per (time, mode) with mean and variance.
+
+    The sample mean and the ddof = 1 sample variance, from the moments
+    about the exact mean: exactly 0 wherever every sample sits on it.
+    """
+    first, second = ens.moments
+    n = ens.num_samples
+    mean = ens.analytic_mean(ens.times) + first
+    spread = np.maximum(np.diagonal(second, axis1=1, axis2=2) - first**2, 0.0)
+    var = n / max(n - 1, 1) * spread
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "mode", "mean", "variance"])

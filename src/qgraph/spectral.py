@@ -250,6 +250,8 @@ class EigenSystem:
 
     def edge_values(self, k: int) -> dict[str, np.ndarray]:
         """Nodal values of mode k along each edge, tail to head."""
+        if not 0 <= k < self.num_modes:
+            raise ValueError(f"mode index must lie in [0, {self.num_modes - 1}], got {k}")
         out = {}
         for j, e in enumerate(self.graph.edges):
             out[e.id] = self.vectors[k, self.layout.edge_dofs(j)].copy()
@@ -293,8 +295,8 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
             which="LM",
             v0=np.random.default_rng(0).standard_normal(dof),
         )
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceFailureError(f"Lanczos iteration did not converge: {exc}") from exc
+    except spla.ArpackError as exc:
+        raise ConvergenceFailureError(f"Lanczos iteration failed: {exc}") from exc
     order = np.argsort(w)
     w = w[order]
     v = v[:, order]

@@ -200,13 +200,30 @@ def malformed_files(workdir):
     ["invariant", "--graph", "interval.json", "--noise", "noise_nan_matrix.json"],
     ["control", "--graph", "interval.json", "--noise", "diag:v1=1", "--z0", "1=1",
      "--horizon", "nan"],
+    ["control", "--graph", "interval.json", "--noise", "diag:v1=1", "--z0", "0=nan"],
+    ["simulate", "--graph", "interval.json", "--noise", "diag:v1=1", "--alphas", "nan",
+     "--samples", "10", "--steps", "4"],
+    ["spectrum", "--graph", "interval.json", "--mode-out", "4:m.csv"],
+    ["spectrum", "--graph", "interval.json", "--mode-out=-1:m.csv"],
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed_files,
                                                capsys, argv):
     rc = main(argv + ["--mesh", "16", "--modes", "4"])
     assert rc == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and "Traceback" not in err
+    # rejected before any work is reported or written
+    assert out == "" and not (workdir / "m.csv").exists()
+
+
+def test_arpack_failure_exits_3(workdir, capsys):
+    """A zero-length scale breaks ARPACK itself: a numerical failure, not a crash."""
+    tiny = workdir / "tiny.json"
+    qg.save_graph(qg.interval_graph(length=1e-300), tiny)
+    rc = main(["spectrum", "--graph", str(tiny), "--mesh", "8", "--modes", "3"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
 def test_simulate_no_verify_skips_check(workdir, interval_file, capsys):

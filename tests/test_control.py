@@ -127,6 +127,9 @@ def test_horizon_validation(interval_eig):
             solve_null_control(interval_eig, nm, [1.0], horizon)
     with pytest.raises(ValueError):
         solve_null_control(interval_eig, nm, np.ones(20), 1.0, num_modes=5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="z0"):
+            solve_null_control(interval_eig, nm, [1.0, bad], 1.0, num_modes=4)
 
 
 def test_control_csv(tmp_path, interval_eig):

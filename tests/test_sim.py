@@ -103,6 +103,23 @@ def test_block_buffers_bounded_by_budget(interval_eig, monkeypatch):
         assert peak - ens.coeffs.nbytes <= 2 * budget_bytes + 64 * 1024
 
 
+def test_moment_pass_bounded_by_budget(interval_eig, monkeypatch):
+    """Reading the ensemble needs no temporary the size of the ensemble."""
+    nm = _interval_noise(interval_eig)
+    monkeypatch.setattr(sim, "BLOCK_NORMALS", 20 * 9 * 4)
+    budget_bytes = 8 * sim.BLOCK_NORMALS
+    for samples in (200, 2000):
+        ens = qg.simulate(interval_eig, nm, [0.3], 1.0, 8, samples, seed=1, num_modes=4)
+        tracemalloc.start()
+        try:
+            first, second = ens.moments
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (9, 4) and second.shape == (9, 4, 4)
+        assert peak <= 2 * budget_bytes + 64 * 1024
+
+
 def test_sample_seed_is_pure_function_of_index(interval_eig):
     nm = _interval_noise(interval_eig)
     steps, k = 4, 3
@@ -158,6 +175,64 @@ def test_verify_covariance_single_time(interval_eig):
     np.testing.assert_allclose(
         report.analytic_final, ens.analytic_covariance(1.0), rtol=1e-12
     )
+
+
+def _per_time_reference(ens, indices):
+    """The per-time loop verify_covariance replaced: (max z, mean z) at each time."""
+    s = ens.num_samples
+    cov_z, mean_z = [], []
+    for idx in indices:
+        t = float(ens.times[idx])
+        centered = ens.coeffs[:, idx, :] - ens.analytic_mean(t)
+        emp = (centered.T @ centered) / s
+        ana = ens.analytic_covariance(t)
+        se = np.sqrt((np.outer(np.diag(ana), np.diag(ana)) + ana**2) / s)
+        live = se > 0
+        cov_z.append(float((np.abs(emp[live] - ana[live]) / se[live]).max()))
+        var = np.diag(ana)
+        dlive = var > 0
+        means = centered.mean(axis=0)
+        mean_z.append(float((np.abs(means[dlive]) / np.sqrt(var[dlive] / s)).max()))
+    return np.array(cov_z), np.array(mean_z)
+
+
+def test_verify_covariance_matches_per_time_reference(star3_analytic):
+    # one noisy leaf: quiet modes and zero-variance entries on every time
+    nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0})
+    z0 = [0.8, 0.0, -0.4, 0.3]
+    ens = qg.simulate(star3_analytic, nm, z0, 1.0, 12, 1500, seed=41, num_modes=6)
+    full = range(len(ens.times))
+    for t_index, indices in ((None, list(full)[1:]), (-1, [full[-1]])):
+        report = qg.verify_covariance(ens, t_index=t_index)
+        cov_z, mean_z = _per_time_reference(ens, indices)
+        per_time = report.max_cov_z_per_time[-len(indices):]
+        np.testing.assert_allclose(per_time, cov_z, rtol=1e-12)
+        np.testing.assert_allclose(report.max_mean_z, mean_z.max(), rtol=1e-12)
+        assert report.zero_entries_ok
+    # t = 0 sits on the exact law: nothing is live, nothing deviates
+    assert qg.verify_covariance(ens, t_index=0).max_cov_z == 0.0
+
+
+def test_analytic_law_stacks_over_times(star3_analytic):
+    nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0, "v2": 0.5})
+    ens = qg.simulate(star3_analytic, nm, [0.5, 0.25], 2.0, 5, 2, seed=1, num_modes=6)
+    stacked_cov = ens.analytic_covariance(ens.times)
+    stacked_mean = ens.analytic_mean(ens.times)
+    assert stacked_cov.shape == (6, 6, 6) and stacked_mean.shape == (6, 6)
+    for i, t in enumerate(ens.times):
+        assert np.array_equal(stacked_cov[i], ens.analytic_covariance(float(t)))
+        assert np.array_equal(stacked_mean[i], ens.analytic_mean(float(t)))
+
+
+def test_profile_and_invariant_read_the_covariance_diagonal(star3_analytic):
+    """Variance diagnostics and the sampler use one covariance law."""
+    nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0, "v2": 0.5})
+    ens = qg.simulate(star3_analytic, nm, [], 2.0, 4, 2, seed=1, num_modes=10)
+    (entry,) = qg.regularity_profile(star3_analytic, nm, 2.0, [0.0], num_modes=10)
+    assert np.array_equal(entry.increments, np.diag(ens.analytic_covariance(2.0)))
+    report = qg.invariant_measure_check(star3_analytic, nm, horizons=(0.5, 2.0), num_modes=10)
+    for t, sums in zip((0.5, 2.0), report.hs_partial_sums):
+        assert sums == tuple(np.cumsum(np.diag(ens.analytic_covariance(t))))
 
 
 def test_vertex_paths_shape(star3_analytic):
@@ -238,6 +313,9 @@ def test_regularity_profile_validation(interval_eig):
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="horizon"):
             qg.regularity_profile(interval_eig, nm, bad, [0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="alphas"):
+            qg.regularity_profile(interval_eig, nm, 1.0, [0.0, bad])
 
 
 def test_invariant_exists_with_potential():
@@ -312,19 +390,40 @@ def test_ensemble_csv(tmp_path, interval_eig):
     np.testing.assert_allclose(float(rows[1][3]), 0.1)
 
 
-def test_summary_csv(tmp_path, interval_eig):
-    nm = _interval_noise(interval_eig)
-    ens = qg.simulate(interval_eig, nm, [0.0, 0.0], 1.0, 2, 40, seed=13, num_modes=2)
-    path = tmp_path / "summary.csv"
+def _summary(ens, path):
     qg.summary_to_csv(ens, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["time", "mode", "mean", "variance"]
-    assert len(rows) == 1 + 3 * 2
-    # final-time mode-1 row carries the ddof=1 sample variance
-    np.testing.assert_allclose(
-        float(rows[-1][3]), ens.coeffs[:, -1, 1].var(ddof=1), rtol=1e-12
-    )
+    assert len(rows) == 1 + len(ens.times) * ens.num_modes
+    table = np.array([[float(x) for x in row] for row in rows[1:]])
+    return table[:, 2].reshape(len(ens.times), -1), table[:, 3].reshape(len(ens.times), -1)
+
+
+def test_summary_csv(tmp_path, interval_eig):
+    nm = _interval_noise(interval_eig)
+    z0 = [1.5, -0.5, 0.0]
+    ens = qg.simulate(interval_eig, nm, z0, 1.0, 6, 400, seed=13, num_modes=3)
+    mean, var = _summary(ens, tmp_path / "summary.csv")
+    # every row carries the sample mean and the ddof=1 sample variance
+    np.testing.assert_allclose(mean[1:], ens.coeffs[:, 1:].mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(var[1:], ens.coeffs[:, 1:].var(axis=0, ddof=1), rtol=1e-12)
+    # every path starts on z0: exact mean, exactly zero variance
+    assert np.array_equal(mean[0], z0) and np.all(var[0] == 0.0)
+
+    # a mode the noise never feeds stays on its exact mean: exactly zero spread
+    quiet = NoiseModel.from_diagonal(interval_eig.graph, {})
+    ens = qg.simulate(interval_eig, quiet, [0.7], 1.0, 6, 50, seed=13, num_modes=3)
+    mean, var = _summary(ens, tmp_path / "quiet.csv")
+    assert np.all(var == 0.0)
+    assert np.all(mean[:, 0] == 0.7) and np.all(mean[:, 1:] == 0.0)
+
+
+def test_summary_csv_single_sample(tmp_path, interval_eig):
+    ens = qg.simulate(interval_eig, _interval_noise(interval_eig), [0.2], 1.0, 4, 1, num_modes=2)
+    mean, var = _summary(ens, tmp_path / "one.csv")
+    np.testing.assert_allclose(mean, ens.coeffs[0], rtol=1e-14)
+    assert np.all(var == 0.0)
 
 
 def test_profile_csv(tmp_path):

@@ -368,3 +368,12 @@ def test_mode_csv(tmp_path, star3_eig):
     assert rows[0] == ["edge", "x", "value"]
     edges = {r[0] for r in rows[1:]}
     assert edges == {"e1", "e2", "e3"}
+
+
+def test_mode_index_out_of_range(tmp_path, star3_eig):
+    for k in (-1, star3_eig.num_modes):
+        with pytest.raises(ValueError, match="mode index"):
+            star3_eig.edge_values(k)
+        with pytest.raises(ValueError, match="mode index"):
+            qg.mode_to_csv(star3_eig, k, tmp_path / "mode.csv")
+    assert not (tmp_path / "mode.csv").exists()
