@@ -1,9 +1,16 @@
 """Command line front end.
 
-Every run writes a manifest JSON recording the resolved configuration,
-the numerical tolerances in force, and library versions, so results
-can be traced and reproduced byte for byte.  Exit codes: 0 success,
-2 invalid input (graph, noise, or request), 3 numerical failure.
+Every subcommand runs the same protocol, owned by `main`: parse the
+arguments (the parser is built once per process), load `--graph`,
+parse `--noise` when the subcommand takes one, call the handler
+`_cmd_<name>(args, graph, noise)`, which does its own work and returns
+its manifest extras, add the noise record to them, and write the
+manifest JSON.  The manifest records the resolved configuration, the
+numerical tolerances in force, and library versions, so results can be
+traced and reproduced byte for byte; a failed run writes none.
+Exceptions become exit codes: 0 success, 2 invalid input (graph,
+noise, or request), 3 numerical failure (including linear-algebra
+errors), never a traceback.
 """
 from __future__ import annotations
 
@@ -20,8 +27,8 @@ from . import tolerances as tol
 from .control import control_to_csv, solve_null_control
 from .errors import QGraphNumericalError, QGraphValidationError
 from .feller import decide_feller
-from .graphs import load_graph
-from .noise import parse_noise
+from .graphs import MetricGraph, load_graph
+from .noise import NoiseModel, parse_noise
 from .sim import (
     RNG_RECIPE,
     ensemble_to_csv,
@@ -59,13 +66,18 @@ def _parse_z0(text: str) -> list[float]:
     return out
 
 
+def _floats(text: str) -> list[float]:
+    """Parse comma-separated floats, skipping empty items: "1,2," -> [1.0, 2.0]."""
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_manifest(args: argparse.Namespace, extra: dict | None = None) -> None:
+def _write_manifest(args: argparse.Namespace, extra: dict) -> None:
     path = args.manifest
     if path is None:
         base = getattr(args, "out", None)
@@ -86,8 +98,7 @@ def _write_manifest(args: argparse.Namespace, extra: dict | None = None) -> None
             "python": platform.python_version(),
         },
     }
-    if extra:
-        payload.update(extra)
+    payload.update(extra)
     _write_json(path, payload)
 
 
@@ -102,8 +113,7 @@ def _add_common(sp: argparse.ArgumentParser, mesh: bool = True) -> None:
                     help="manifest path (default: derived from --out)")
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
+def _cmd_spectrum(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
     eig = solve_spectrum(graph, args.mesh, args.modes)
     if args.mode_out:  # first: a bad mode index leaves no output behind
         k_str, _, path = args.mode_out.partition(":")
@@ -117,13 +127,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     show = min(eig.num_modes, 8)
     for k in range(show):
         print(f"  lambda_{k} = {eig.lambdas[k]:.10g}")
-    _write_manifest(args, {"h_max": eig.h_max, "num_clusters": len(eig.clusters)})
-    return 0
+    return {"h_max": eig.h_max, "num_clusters": len(eig.clusters)}
 
 
-def _cmd_feller(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    noise = parse_noise(args.noise, graph)
+def _cmd_feller(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
     verdict = decide_feller(
         graph,
         noise,
@@ -136,14 +143,10 @@ def _cmd_feller(args: argparse.Namespace) -> int:
     print(f"detail: {verdict.detail}")
     if args.out:
         _write_json(args.out, verdict.to_json())
-    _write_manifest(args, {"verdict": verdict.verdict, "rule": verdict.rule,
-                           "noise": noise.to_json()})
-    return 0
+    return {"verdict": verdict.verdict, "rule": verdict.rule}
 
 
-def _cmd_control(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    noise = parse_noise(args.noise, graph)
+def _cmd_control(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
     eig = solve_spectrum(graph, args.mesh, args.modes)
     z0 = _parse_z0(args.z0)
     result = solve_null_control(eig, noise, z0, args.horizon, grid_points=args.grid)
@@ -162,12 +165,10 @@ def _cmd_control(args: argparse.Namespace) -> int:
             "terminal_coefficients": [float(x) for x in result.terminal_coefficients],
             "diagnostics": d.to_json(),
         })
-    _write_manifest(args, {"noise": noise.to_json(), "diagnostics": d.to_json()})
-    return 0
+    return {"diagnostics": d.to_json()}
 
 
-def _cmd_st_active(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
+def _cmd_st_active(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
     pu = path_union(graph, omit=args.omit)
     violations = verify_tf(pu, graph)
     active = st_active_set(pu)
@@ -176,25 +177,20 @@ def _cmd_st_active(args: argparse.Namespace) -> int:
         print(f"path: {route}")
     print(f"sources: {', '.join(sorted(pu.source_set))}")
     print(f"active boundary set: {', '.join(sorted(active.i_star)) or '(empty)'}")
-    if violations:
-        for v in violations:
-            print(f"violation: {v}")
+    for v in violations:
+        print(f"violation: {v}")
     payload = path_union_to_dict(pu)
     payload["i_star"] = sorted(active.i_star)
     payload["j_star"] = sorted(active.j_star)
     payload["violations"] = violations
     if args.out:
         _write_json(args.out, payload)
-    _write_manifest(args, {"violations": violations})
-    return 0
+    return {"violations": violations}
 
 
-def _cmd_invariant(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    noise = parse_noise(args.noise, graph)
+def _cmd_invariant(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
     eig = solve_spectrum(graph, args.mesh, args.modes)
-    horizons = [float(x) for x in args.horizons.split(",") if x.strip()]
-    report = invariant_measure_check(eig, noise, horizons=horizons)
+    report = invariant_measure_check(eig, noise, horizons=_floats(args.horizons))
     print(f"invariant measure exists: {'Yes' if report.exists else 'No'}")
     print(f"rule: {report.rule}")
     print(f"lambda_0 = {report.lambda0:.10g}")
@@ -202,18 +198,14 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         print(f"  T={t:g}: variance sum {total:.10g} (kernel term {kern:.10g})")
     if args.out:
         _write_json(args.out, report.to_json())
-    _write_manifest(args, {"exists": report.exists, "rule": report.rule,
-                           "noise": noise.to_json()})
-    return 0
+    return {"exists": report.exists, "rule": report.rule}
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    noise = parse_noise(args.noise, graph)
+def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
     eig = solve_spectrum(graph, args.mesh, args.modes)
-    z0 = _parse_z0(args.z0) if args.z0 else []
+    z0 = _parse_z0(args.z0)
     # the profile is exact and cheap: checking its input first wastes no sampling
-    alphas = [float(x) for x in args.alphas.split(",") if x.strip()]
+    alphas = _floats(args.alphas)
     entries = []
     if alphas:
         entries = regularity_profile(eig, noise, args.horizon, alphas, num_modes=args.modes)
@@ -227,11 +219,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     print(f"sampled {ens.num_samples} paths of {ens.num_modes} modes ({args.steps} steps)")
-    extra: dict = {
-        "cholesky_jitter": ens.cholesky_jitter,
-        "rng": RNG_RECIPE,
-        "noise": noise.to_json(),
-    }
+    extra: dict = {"cholesky_jitter": ens.cholesky_jitter, "rng": RNG_RECIPE}
     if not args.no_verify:
         report = verify_covariance(ens)
         print(f"covariance check over {len(report.times)} grid times: "
@@ -249,8 +237,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         summary_to_csv(ens, args.summary_out)
     if args.profile_out and entries:
         profile_to_csv(entries, args.profile_out)
-    _write_manifest(args, extra)
-    return 0
+    return extra
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,20 +316,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
-    except QGraphValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QGraphNumericalError as exc:
+        graph = load_graph(args.graph)
+        noise = parse_noise(args.noise, graph) if hasattr(args, "noise") else None
+        extra = args.func(args, graph, noise)
+        if noise is not None:
+            extra["noise"] = noise.to_json()
+        _write_manifest(args, extra)
+        return 0
+    except (QGraphNumericalError, numpy.linalg.LinAlgError) as exc:
+        # before the input branch: LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (QGraphValidationError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
+from .errors import SolveFailureError
 from .noise import NoiseModel
 from .spectral import EigenSystem
 
@@ -155,7 +156,11 @@ def solve_null_control(
     rank = int(np.count_nonzero(keep))
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
-    c = scale * (u @ (inv * (u.T @ (scale * b))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = scale * (u @ (inv * (u.T @ (scale * b))))
+    if not np.all(np.isfinite(c)):
+        # the scaled coefficients grow like 1/T: a vanishing horizon overflows them
+        raise SolveFailureError(f"moment solve is not finite at horizon {horizon:g}")
 
     residual = gram @ c - b
     terminal = -residual

@@ -271,7 +271,9 @@ def verify_covariance(ens: TrajectoryEnsemble, t_index: int | None = None) -> Co
     mean_dev, emp = (m[indices] for m in ens.moments)
     ana = ens.analytic_covariance(ens.times[indices])
     var = np.diagonal(ana, axis1=1, axis2=2)
-    se = np.sqrt((var[:, :, None] * var[:, None, :] + ana**2) / s)
+    sd = np.sqrt(var)
+    # sqrt(var_k var_l + ana^2), formed without squaring: no overflow at any scale
+    se = np.hypot(sd[:, :, None] * sd[:, None, :], ana) / np.sqrt(s)
 
     live = se > 0
     z = np.divide(np.abs(emp - ana), se, out=np.zeros_like(se), where=live)

@@ -132,9 +132,11 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
     """P1 stiffness and mass matrices with shared vertex dofs.
 
     elements_per_edge is the number of mesh cells per edge (>= 2), so
-    edge j has spacing h_j = length_j / elements_per_edge.  Variable
-    coefficients are integrated by the midpoint rule per element;
-    constant coefficients reproduce the classical stencils exactly.
+    edge j has spacing h_j = length_j / elements_per_edge.  Both
+    coefficients are taken at element midpoints: c by the midpoint rule,
+    p through the consistent-mass stencil (h/3, h/6), so one rule serves
+    constant and sampled coefficients and is exact for coefficients
+    constant on each element.
     """
     violations = validate(graph)
     if violations:
@@ -160,14 +162,9 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
         k01 = -c_mid / h
 
         # potential term
-        if e.potential.is_constant:
-            pval = e.potential.constant_value
-            p00 = np.full_like(c_mid, pval * h / 3.0)
-            p01 = np.full_like(c_mid, pval * h / 6.0)
-        else:
-            p_mid = e.potential.at(mids, e.length)
-            p00 = p_mid * h / 4.0
-            p01 = p_mid * h / 4.0
+        p_mid = e.potential.at(mids, e.length)
+        p00 = p_mid * h / 3.0
+        p01 = p_mid * h / 6.0
 
         m00 = np.full_like(c_mid, h / 3.0)
         m01 = np.full_like(c_mid, h / 6.0)
@@ -295,7 +292,7 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
             which="LM",
             v0=np.random.default_rng(0).standard_normal(dof),
         )
-    except spla.ArpackError as exc:
+    except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
         raise ConvergenceFailureError(f"Lanczos iteration failed: {exc}") from exc
     order = np.argsort(w)
     w = w[order]

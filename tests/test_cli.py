@@ -226,6 +226,60 @@ def test_arpack_failure_exits_3(workdir, capsys):
     assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    # c = 1e300 on every edge: the shift-invert factorization is exactly singular
+    ["spectrum", "--graph", "stiff_star.json", "--mesh", "8", "--modes", "4"],
+    # the scaled moment solve grows like 1/T and overflows
+    ["control", "--graph", "star.json", "--noise", "diag:v1=1", "--z0", "1=1",
+     "--horizon", "1e-320", "--mesh", "8", "--modes", "4", "--report", "report.json"],
+], ids=["singular-factor", "control-overflow"])
+def test_numerical_failures_exit_3(workdir, star_file, capsys, argv):
+    qg.save_graph(qg.star_graph([1.0, 1.0, 1.0], c=1e300), workdir / "stiff_star.json")
+    rc = main(argv)
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+    assert out == "" and not (workdir / "report.json").exists()
+    assert not list(workdir.glob("*.manifest.json"))
+
+
+def test_linalg_error_exits_3(workdir, interval_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("qgraph.cli.solve_spectrum", fail)
+    rc = main(["spectrum", "--graph", interval_file, "--mesh", "8", "--modes", "2"])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+
+
+def test_parser_is_built_once(workdir, interval_file, capsys, monkeypatch):
+    def fail():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr("qgraph.cli.build_parser", fail)
+    assert main(["spectrum", "--graph", interval_file, "--mesh", "8", "--modes", "2"]) == 0
+    capsys.readouterr()
+
+
+def test_runs_in_one_process_do_not_leak(workdir, interval_file, capsys):
+    spectrum = ["spectrum", "--graph", interval_file, "--mesh", "8", "--modes", "2"]
+    assert main(spectrum + ["--manifest", "fresh.json"]) == 0
+    assert main(["simulate", "--graph", interval_file, "--noise", "diag:v1=1",
+                 "--mesh", "8", "--modes", "2", "--steps", "4", "--samples", "10",
+                 "--manifest", "sim.json"]) == 0
+    assert main(spectrum + ["--manifest", "after.json"]) == 0
+    capsys.readouterr()
+    fresh, sim, after = (json.loads((workdir / name).read_text())
+                         for name in ("fresh.json", "sim.json", "after.json"))
+    assert after["config"].keys() == fresh["config"].keys()
+    assert {k: v for k, v in after["config"].items() if k != "manifest"} == \
+        {k: v for k, v in fresh["config"].items() if k != "manifest"}
+    assert "noise" not in after and "noise" not in fresh
+    assert sim["noise"] == {"type": "diagonal", "q": {"v1": 1.0}}
+    assert "seed" in sim["config"] and "seed" not in after["config"]
+
+
 def test_simulate_no_verify_skips_check(workdir, interval_file, capsys):
     rc = main([
         "simulate", "--graph", interval_file, "--noise", "diag:v1=1",

@@ -213,6 +213,22 @@ def test_verify_covariance_matches_per_time_reference(star3_analytic):
     assert qg.verify_covariance(ens, t_index=0).max_cov_z == 0.0
 
 
+def test_verify_covariance_is_scale_free():
+    """Scaling the noise by q scales every coefficient by sqrt(q); the z-scores
+    must not move, even where the variances' product would overflow."""
+    eig = qg.star_analytic(3, 1.0, num_clusters=4)
+    reports = []
+    for q in (1.0, 2.0**700):
+        nm = NoiseModel.from_diagonal(eig.graph, {"v1": q, "vc": q / 2})
+        ens = qg.simulate(eig, nm, [], 1.0, 8, 400, seed=3, num_modes=4)
+        reports.append(qg.verify_covariance(ens))
+    small, large = reports
+    assert small.max_cov_z > 1.0
+    np.testing.assert_allclose(large.max_cov_z_per_time, small.max_cov_z_per_time, rtol=1e-12)
+    np.testing.assert_allclose(large.max_mean_z, small.max_mean_z, rtol=1e-12)
+    assert large.frac_within_3se == small.frac_within_3se
+
+
 def test_analytic_law_stacks_over_times(star3_analytic):
     nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0, "v2": 0.5})
     ens = qg.simulate(star3_analytic, nm, [0.5, 0.25], 2.0, 5, 2, seed=1, num_modes=6)

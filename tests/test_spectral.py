@@ -59,6 +59,23 @@ def test_constant_potential_adds_mass():
     )
 
 
+def test_potential_quadrature_is_one_rule():
+    """A potential assembles the same operator however it is written, and a
+    profile constant on each element is integrated exactly."""
+    const = assemble(qg.interval_graph(1.0, p=0.5), 8).stiffness
+    cells = assemble(qg.interval_graph(1.0, p=qg.Coefficient.cell_samples([0.5] * 4)), 8)
+    assert np.array_equal(const.toarray(), cells.stiffness.toarray())
+
+    # u = x is exact in P1, so u' (K_p - K_0) u must equal the integral of p x^2
+    values = [0.5, 1.0, 0.25, 2.0]
+    op_p = assemble(qg.interval_graph(1.0, p=qg.Coefficient.cell_samples(values)), 8)
+    op_0 = assemble(qg.interval_graph(1.0), 8)
+    u = np.zeros(op_p.layout.total_dof)
+    u[op_p.layout.edge_dofs(0)] = op_p.layout.edge_coords(0)
+    exact = sum(v * ((i + 1) ** 3 - i**3) / (3 * 4**3) for i, v in enumerate(values))
+    assert u @ ((op_p.stiffness - op_0.stiffness) @ u) == pytest.approx(exact, rel=1e-14)
+
+
 def test_assembled_matrices_symmetric_and_psd(star3):
     op = assemble(star3, 32)
     k = op.stiffness.toarray()
