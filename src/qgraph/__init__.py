@@ -1,9 +1,9 @@
 """Diffusion driven by vertex noise on metric graphs.
 
 Tools for the operator picture (P1 discretization, eigensystems, vertex
-traces, boundary pairing), exact analytic spectra for intervals and
-Neumann stars, strong Feller verdicts, minimal-norm null control,
-tree path decompositions, and exact-law Monte Carlo simulation.
+traces), exact analytic spectra for intervals and Neumann stars, strong
+Feller verdicts, minimal-norm null control, tree path decompositions,
+and exact-law Monte Carlo simulation.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ from .errors import (
     QGraphError,
     QGraphNumericalError,
     QGraphValidationError,
-    RationalConditionFailedError,
     SameVertexError,
     SolveFailureError,
     SpectralGapAmbiguousError,
@@ -74,13 +73,10 @@ from .spectral import (
     DiscreteOperator,
     EigenSystem,
     MeshLayout,
-    adjoint_check,
     assemble,
-    dirichlet_lift,
     eigensolve,
     interval_analytic,
     mode_to_csv,
-    rational_star_mode,
     solve_spectrum,
     spectrum_to_csv,
     star_analytic,
@@ -107,8 +103,8 @@ __all__ = [
     # spectral
     "MeshLayout", "DiscreteOperator", "EigenSystem", "AnalyticMode",
     "assemble", "eigensolve", "solve_spectrum",
-    "star_analytic", "interval_analytic", "star_pair_modes", "rational_star_mode",
-    "dirichlet_lift", "adjoint_check", "spectrum_to_csv", "mode_to_csv",
+    "star_analytic", "interval_analytic", "star_pair_modes",
+    "spectrum_to_csv", "mode_to_csv",
     # noise
     "NoiseModel", "parse_noise",
     # feller
@@ -130,7 +126,7 @@ __all__ = [
     "QGraphError", "QGraphValidationError", "QGraphNumericalError",
     "InvalidGraphError", "NotATreeError", "SameVertexError", "UnknownVertexError",
     "OmitNotBoundaryError", "InfeasiblePathUnionError", "InvalidPathUnionError",
-    "NotPSDError", "AsymmetricMatrixError", "RationalConditionFailedError",
+    "NotPSDError", "AsymmetricMatrixError",
     "ConvergenceFailureError", "SolveFailureError",
     "CovarianceNotPSDError", "SpectralGapAmbiguousError", "SpectrumTooCoarseError",
 ]

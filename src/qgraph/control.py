@@ -41,7 +41,8 @@ class ControlDiagnostics:
             "gram_size": int(self.gram_size),
             "gram_rank": int(self.gram_rank),
             "gram_truncated": bool(self.gram_truncated),
-            "condition": float(self.condition),
+            # inf when the truncation keeps nothing: JSON has no infinity
+            "condition": self.condition if math.isfinite(self.condition) else None,
             "residual_norm": float(self.residual_norm),
             "residual_above_tol": bool(self.residual_above_tol),
         }
@@ -101,8 +102,9 @@ def _initial_coeffs(z0_coeffs, k: int) -> np.ndarray:
     z0 = np.asarray(z0_coeffs, dtype=float).ravel()
     if len(z0) > k:
         raise ValueError("z0 has more coefficients than modes in play")
-    if not np.all(np.isfinite(z0)):
-        raise ValueError("z0 must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(z0 @ z0):
+            raise ValueError("z0 must be finite, with a finite squared norm")
     return np.pad(z0, (0, k - len(z0)))
 
 
@@ -116,7 +118,11 @@ def _covariance(lambdas: np.ndarray, channels: np.ndarray, t) -> np.ndarray:
     convolution, and the null-control Gram matrix at horizon t; exactly
     symmetric.  An array of times gives one matrix per time."""
     t = np.asarray(t, dtype=float)[..., None, None]
-    return (channels @ channels.T) * _eta(lambdas[:, None] + lambdas[None, :], t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = (channels @ channels.T) * _eta(lambdas[:, None] + lambdas[None, :], t)
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("noise intensity and horizon too large: the covariance overflows")
+    return cov
 
 
 def solve_null_control(
@@ -156,18 +162,20 @@ def solve_null_control(
     rank = int(np.count_nonzero(keep))
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
+    times = np.linspace(0.0, horizon, grid_points)
     with np.errstate(over="ignore", invalid="ignore"):
         c = scale * (u @ (inv * (u.T @ (scale * b))))
-    if not np.all(np.isfinite(c)):
-        # the scaled coefficients grow like 1/T: a vanishing horizon overflows them
+        residual = gram @ c - b
+        quad = float(c @ gram @ c)
+        residual_norm = float(np.linalg.norm(residual))
+        control = np.exp(-np.outer(horizon - times, lambdas)) @ (c[:, None] * channels)
+    if not (np.isfinite(quad) and np.isfinite(residual_norm) and np.all(np.isfinite(control))):
+        # the scaled coefficients grow like 1/T (a vanishing horizon) or with z0
         raise SolveFailureError(f"moment solve is not finite at horizon {horizon:g}")
 
-    residual = gram @ c - b
     terminal = -residual
-    quad = float(c @ gram @ c)
     control_norm = float(np.sqrt(max(quad, 0.0)))
     uncontrolled = float(np.linalg.norm(b))
-    residual_norm = float(np.linalg.norm(residual))
 
     condition = float(wmax / w[keep].min()) if rank else np.inf
     diagnostics = ControlDiagnostics(
@@ -178,10 +186,6 @@ def solve_null_control(
         residual_norm=residual_norm,
         residual_above_tol=residual_norm > tol.CONTROL_RESIDUAL * max(1.0, uncontrolled),
     )
-
-    times = np.linspace(0.0, horizon, grid_points)
-    weights = np.exp(-np.outer(horizon - times, lambdas))
-    control = weights @ (c[:, None] * channels)
 
     return ControlResult(
         times=times,

@@ -59,10 +59,6 @@ class AsymmetricMatrixError(QGraphValidationError):
     pass
 
 
-class RationalConditionFailedError(QGraphValidationError):
-    pass
-
-
 # -- numerics ---------------------------------------------------------------
 
 class ConvergenceFailureError(QGraphNumericalError):

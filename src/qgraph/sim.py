@@ -65,25 +65,32 @@ RNG_RECIPE = "per-sample SeedSequence(seed, spawn_key=(s,)) + PCG64"
 
 
 def _innovation_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor with an escalating diagonal jitter.
+    """Lower Cholesky factor, with a per-mode diagonal jitter if needed.
 
     The innovation covariance is PSD by construction but often rank
-    deficient (quiet modes), so plain Cholesky can fail on roundoff; a
-    relative jitter up to a hard stop keeps the factor honest, and
-    anything needing more than that is reported as a genuine failure.
-    Returns the factor and the jitter applied, relative to the mean
-    diagonal entry (0.0 when plain Cholesky succeeds).
+    deficient (quiet modes), so plain Cholesky can fail on roundoff.  Then
+    the correlation matrix D^(-1/2) cov D^(-1/2) gets an escalating jitter
+    up to a hard stop, and its factor is rescaled by D^(1/2): one large
+    variance (the kernel mode at a long horizon) cannot swamp the others,
+    and zero-variance modes keep exactly zero rows.  Returns the factor
+    and the jitter (0.0 when plain Cholesky succeeds).
     """
-    if not np.any(cov):
-        return np.zeros_like(cov), 0.0
-    n = len(cov)
-    scale = float(np.trace(cov)) / n
+    try:
+        return np.linalg.cholesky(cov), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    d = np.diag(cov)
+    live = d > 0
+    if np.any(d < 0) or np.any(cov[~live]):  # PSD: zero variance, zero row
+        raise CovarianceNotPSDError("innovation covariance is not positive semidefinite")
+    sd = np.sqrt(d)
+    unit = np.where(live, sd, 1.0)
+    corr = cov / np.outer(unit, unit) + np.diag(~live)  # a dead mode factors as 1
     jitter = 0.0
     while jitter <= tol.JITTER_STOP:
         try:
-            return np.linalg.cholesky(cov + (jitter * scale) * np.eye(n)), jitter
+            return sd[:, None] * np.linalg.cholesky(corr + jitter * np.diag(live)), jitter
         except np.linalg.LinAlgError:
-            # plain Cholesky first, then an escalating jitter
             jitter = jitter * 10.0 if jitter else tol.JITTER_START
     raise CovarianceNotPSDError(
         f"innovation covariance not factorizable even with jitter {tol.JITTER_STOP}"
@@ -99,7 +106,8 @@ class TrajectoryEnsemble:
     values of the state are coeffs @ vertex_traces.  Sample s was drawn
     from the RNG stream sample_seed(s), a pure function of the master
     seed and s — never of the block it was stepped in.  cholesky_jitter
-    is the relative diagonal jitter the innovation factor needed.
+    is the diagonal jitter, relative to each mode's variance, that the
+    innovation factor needed.
     """
 
     times: np.ndarray
@@ -277,8 +285,9 @@ def verify_covariance(ens: TrajectoryEnsemble, t_index: int | None = None) -> Co
 
     live = se > 0
     z = np.divide(np.abs(emp - ana), se, out=np.zeros_like(se), where=live)
-    dlive = var > 0
-    mean_z = np.divide(np.abs(mean_dev), np.sqrt(var / s), out=np.zeros_like(var), where=dlive)
+    mean_se = np.sqrt(var / s)
+    dlive = mean_se > 0  # like se: a variance that underflows here counts as zero
+    mean_z = np.divide(np.abs(mean_dev), mean_se, out=np.zeros_like(var), where=dlive)
     zero_ok = np.all(np.abs(emp[~live]) <= 1e-12) and np.all(np.abs(mean_dev[~dlive]) <= 1e-12)
 
     return CovarianceReport(
@@ -299,8 +308,9 @@ class ProfileEntry:
     """Partial sums of the weighted variance series at one smoothness level.
 
     increments[k] = (1 + lambda_k)^(2 alpha) Var X_k(T); the tail slope
-    is a log-log fit over the second half of the modes, and the series
-    is called convergent when the increments decay faster than 1/k.
+    is a log-log fit over the second half of the modes (-inf, written as
+    null, when fewer than two are positive), and the series is called
+    convergent when the increments decay faster than 1/k.
     """
 
     alpha: float
@@ -313,7 +323,7 @@ class ProfileEntry:
         return {
             "alpha": float(self.alpha),
             "partial_sums": [float(x) for x in self.partial_sums],
-            "tail_slope": float(self.tail_slope),
+            "tail_slope": self.tail_slope if np.isfinite(self.tail_slope) else None,
             "convergent": bool(self.convergent),
         }
 
@@ -343,7 +353,10 @@ def regularity_profile(
 
     out = []
     for alpha in alphas:
-        inc = (1.0 + lam) ** (2.0 * alpha) * var
+        with np.errstate(over="ignore", invalid="ignore"):
+            inc = (1.0 + lam) ** (2.0 * alpha) * var
+        if not np.all(np.isfinite(inc)):
+            raise ValueError(f"alphas too large: the weights overflow at alpha = {alpha:g}")
         sums = np.cumsum(inc)
         ks = np.arange(max(1, k_total // 2), k_total)
         pos = inc[ks] > 0
@@ -498,7 +511,8 @@ def profile_to_csv(entries: list[ProfileEntry], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "K'", "partial_sum", "slope"])
         for entry in entries:
+            slope = repr(entry.tail_slope) if np.isfinite(entry.tail_slope) else ""
             for k, val in enumerate(entry.partial_sums, start=1):
                 writer.writerow(
-                    [repr(entry.alpha), k, repr(float(val)), repr(entry.tail_slope)]
+                    [repr(entry.alpha), k, repr(float(val)), slope]
                 )

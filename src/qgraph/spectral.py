@@ -24,13 +24,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import tolerances as tol
-from .errors import (
-    ConvergenceFailureError,
-    InvalidGraphError,
-    RationalConditionFailedError,
-    SolveFailureError,
-)
-from .graphs import Coefficient, MetricGraph, interval_graph, star_graph, validate
+from .errors import ConvergenceFailureError, InvalidGraphError
+from .graphs import MetricGraph, interval_graph, star_graph, validate
 
 __all__ = [
     "MeshLayout",
@@ -43,9 +38,6 @@ __all__ = [
     "star_analytic",
     "interval_analytic",
     "star_pair_modes",
-    "rational_star_mode",
-    "dirichlet_lift",
-    "adjoint_check",
     "spectrum_to_csv",
     "mode_to_csv",
 ]
@@ -118,15 +110,6 @@ class DiscreteOperator:
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
 
-    @cached_property
-    def shifted_lu(self):
-        """Factorization of (mass + stiffness), used by the Dirichlet lift."""
-        return spla.splu((self.mass + self.stiffness).tocsc())
-
-    @cached_property
-    def mass_lu(self):
-        return spla.splu(self.mass.tocsc())
-
 
 def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
     """P1 stiffness and mass matrices with shared vertex dofs.
@@ -156,15 +139,13 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
         h = layout.h(j)
         mids = 0.5 * (coords[:-1] + coords[1:])
         c_mid = e.diffusion.at(mids, e.length)
-
-        # stiffness: c-part from the midpoint rule (exact for constant c)
-        k00 = c_mid / h
-        k01 = -c_mid / h
-
-        # potential term
         p_mid = e.potential.at(mids, e.length)
-        p00 = p_mid * h / 3.0
-        p01 = p_mid * h / 6.0
+
+        # stiffness: c-part from the midpoint rule (exact for constant c) plus
+        # the potential term; extreme scales may overflow, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_diag = c_mid / h + p_mid * h / 3.0
+            k_off = -c_mid / h + p_mid * h / 6.0
 
         m00 = np.full_like(c_mid, h / 3.0)
         m01 = np.full_like(c_mid, h / 6.0)
@@ -173,13 +154,16 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
         right = idx[1:]
         rows.append(np.concatenate([left, right, left, right]))
         cols.append(np.concatenate([left, right, right, left]))
-        k_vals.append(np.concatenate([k00 + p00, k00 + p00, k01 + p01, k01 + p01]))
+        k_vals.append(np.concatenate([k_diag, k_diag, k_off, k_off]))
         m_vals.append(np.concatenate([m00, m00, m01, m01]))
 
+    k_all = np.concatenate(k_vals)
+    if not np.all(np.isfinite(k_all)):
+        raise ValueError("lengths and coefficients out of range: the stiffness overflows")
     r = np.concatenate(rows)
     c = np.concatenate(cols)
     shape = (layout.total_dof, layout.total_dof)
-    stiffness = sp.coo_matrix((np.concatenate(k_vals), (r, c)), shape=shape).tocsr()
+    stiffness = sp.coo_matrix((k_all, (r, c)), shape=shape).tocsr()
     mass = sp.coo_matrix((np.concatenate(m_vals), (r, c)), shape=shape).tocsr()
     return DiscreteOperator(graph=graph, layout=layout, stiffness=stiffness, mass=mass)
 
@@ -274,10 +258,11 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     started from a fixed generic vector (standard normals from
     default_rng(0)).  The fixed start makes the result a pure function
     of the operator; a symmetric start such as all ones would miss the
-    modes orthogonal to the graph's symmetric subspace.  Vectors come
-    back mass-orthonormal; clusters are re-orthonormalized symmetrically
-    for safety.  Accuracy guidance: keep num_modes well below the dof
-    count (one order of magnitude).
+    modes orthogonal to the graph's symmetric subspace.  Clusters are
+    re-orthonormalized symmetrically, then every pair must pass the
+    residual and mass-orthonormality certificates (EIG_RESIDUAL and
+    ORTHONORMALITY), else ConvergenceFailureError.  Accuracy guidance:
+    keep num_modes well below the dof count (one order of magnitude).
     """
     dof = op.layout.total_dof
     if not 1 <= num_modes <= dof - 1:
@@ -316,14 +301,25 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
             raise ConvergenceFailureError("degenerate cluster basis")
         v[:, a:b] = block @ (eu / np.sqrt(ew)) @ eu.T
 
-    # residual norms in the inverse-mass metric
-    residuals = np.empty(num_modes)
-    for k in range(num_modes):
-        r = op.stiffness @ v[:, k] - w[k] * (op.mass @ v[:, k])
-        residuals[k] = float(np.sqrt(abs(r @ op.mass_lu.solve(r))))
+    # certificates: residual norms in the inverse-mass metric against the
+    # operator's own stiffness scale rho, then mass orthonormality (by einsum:
+    # a threaded BLAS gemm wakes threads that then slow the next solve)
+    with np.errstate(over="ignore", divide="ignore"):
+        rho = float(np.max(op.stiffness.diagonal() / op.mass.diagonal()))
+    if not 0 < rho < np.inf:
+        raise ConvergenceFailureError(f"stiffness scale max K_ii/M_ii = {rho} out of range")
+    mv = op.mass @ v
+    r = op.stiffness @ v - mv * w
+    residuals = np.sqrt(np.abs(np.einsum("ik,ik->k", r, spla.splu(op.mass.tocsc()).solve(r))))
+    excess = np.max(residuals / (tol.EIG_RESIDUAL * (w + rho)))
+    if not excess <= 1.0:
+        raise ConvergenceFailureError(f"eigenpair residual {excess:.3g} times its bound")
+    defect = np.max(np.abs(np.einsum("ik,il->kl", v, mv) - np.eye(num_modes)))
+    if not defect <= tol.ORTHONORMALITY:
+        raise ConvergenceFailureError(f"eigenvectors not mass-orthonormal: defect {defect:.3g}")
 
-    h_max = op.layout.h_max
-    trusted = w * h_max**2 <= tol.TRUSTED_LAMBDA_H2
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge cell trusts nothing
+        trusted = w * np.square(op.layout.h_max) <= tol.TRUSTED_LAMBDA_H2
 
     return EigenSystem(
         graph=op.graph,
@@ -472,7 +468,7 @@ def interval_analytic(
 def star_pair_modes(n_edges: int, length: float, k: int) -> list[AnalyticMode]:
     """The raw edge-difference family at ((k + 1/2) pi / length)^2.
 
-    The equal-length case of rational_star_mode: mode j carries cos
+    The equal-length case of the two-edge modes: mode j carries cos
     profiles with amplitude +1/sqrt(length) on the first edge and
     -1/sqrt(length) on edge j + 1 (sign -1, orders (k, k)); each is
     normalized but the family is not orthogonal (any two share the
@@ -484,14 +480,16 @@ def star_pair_modes(n_edges: int, length: float, k: int) -> list[AnalyticMode]:
 
 
 def _pair_mode(lengths, a: int, b: int, na: int, nb: int) -> AnalyticMode:
+    """Eigenfunction of a Neumann star supported on edges a and b.
+
+    The caller guarantees lengths[a] / lengths[b] = (2 na + 1)/(2 nb + 1);
+    then mu = ((nb + 1/2) pi / lengths[b])^2 is an eigenvalue with a cosine
+    profile on the two edges (opposite signs when na and nb share parity),
+    whose traces, in vertex order (center, v1, ..., vN), vanish except at
+    the two boundary ends.
+    """
     ells = [float(x) for x in lengths]
     la, lb = ells[a], ells[b]
-    ratio = la / lb
-    target = (2 * na + 1) / (2 * nb + 1)
-    if abs(ratio - target) > tol.RATIONAL_RATIO * abs(target):
-        raise RationalConditionFailedError(
-            f"length ratio {ratio} does not match odd ratio {2 * na + 1}/{2 * nb + 1}"
-        )
     mu = ((nb + 0.5) * np.pi / lb) ** 2
     sign = -1 if (na - nb) % 2 == 0 else 1
     r = 1.0 / np.sqrt(0.5 * (la + lb))
@@ -505,62 +503,6 @@ def _pair_mode(lengths, a: int, b: int, na: int, nb: int) -> AnalyticMode:
     return AnalyticMode(
         eigenvalue=mu, amplitudes=amps, traces=traces, sign=sign, orders=(na, nb)
     )
-
-
-def rational_star_mode(lengths, i: int, n1: int, ni: int) -> AnalyticMode:
-    """Eigenfunction supported on the first edge and edge i of a star.
-
-    Requires lengths[0] / lengths[i] = (2 n1 + 1)/(2 ni + 1); then
-    mu = ((ni + 1/2) pi / lengths[i])^2 is an eigenvalue with a cosine
-    profile on the two edges (relative sign fixed by order parity,
-    opposite sign when n1 and ni share parity) and zero trace at the
-    center, hence zero trace everywhere except the two boundary ends.
-    Vertex order of the traces is (center, v1, ..., vN).
-    """
-    if not 0 < i < len(lengths):
-        raise ValueError("i must index an edge other than the first")
-    if n1 < 0 or ni < 0:
-        raise ValueError("mode orders must be nonnegative")
-    return _pair_mode(lengths, 0, i, n1, ni)
-
-
-# -- boundary pairing ----------------------------------------------------------
-
-def dirichlet_lift(op: DiscreteOperator, alpha: np.ndarray) -> np.ndarray:
-    """Solve the weak form of (1 - A_max) z = 0 with boundary data alpha.
-
-    alpha prescribes the Kirchhoff sums of co-normal derivatives taken
-    into the edges; by the orientation of those derivatives the discrete
-    right-hand side carries alpha with a minus sign at the vertex dofs.
-    """
-    n = op.layout.n_vertices
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (n,):
-        raise ValueError(f"alpha must have shape ({n},)")
-    rhs = np.zeros(op.layout.total_dof)
-    rhs[:n] = -alpha
-    try:
-        return op.shifted_lu.solve(rhs)
-    except RuntimeError as exc:
-        raise SolveFailureError(f"Dirichlet lift solve failed: {exc}") from exc
-
-
-def adjoint_check(op: DiscreteOperator, alpha: np.ndarray, h: np.ndarray) -> float:
-    """Residual of the identity pairing lifted boundary data against traces.
-
-    For the lift z of alpha and any conforming h, the discrete pairing
-    <(1 - A) z, h> must equal <alpha, -(h at vertices)>; the returned
-    residual |pairing + alpha . traces(h)| vanishes up to solver
-    roundoff, which realizes the adjoint relation between the control
-    operator and the vertex trace map.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (op.layout.total_dof,):
-        raise ValueError("h must be a global dof vector")
-    z = dirichlet_lift(op, alpha)
-    pairing = float(h @ ((op.mass + op.stiffness) @ z))
-    n = op.layout.n_vertices
-    return abs(pairing + float(np.asarray(alpha) @ h[:n]))
 
 
 # -- exports -------------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_spectrum_command(workdir, star_file, capsys):
     assert mode_out.read_text().splitlines()[0] == "edge,x,value"
     manifest = json.loads((workdir / "spectrum.csv.manifest.json").read_text())
     assert manifest["command"] == "spectrum"
-    assert len(manifest["tolerances"]) == 15
+    assert len(manifest["tolerances"]) == 14
     assert set(manifest["versions"]) == {"qgraph", "numpy", "scipy", "python"}
     assert manifest["config"]["mesh"] == 64
 
@@ -178,8 +178,10 @@ def malformed_files(workdir):
     inf_length["edges"][0]["length"] = float("inf")
     nan_coefficient = qg.graph_to_dict(qg.interval_graph())
     nan_coefficient["edges"][0]["c"] = {"samples": [1.0, float("nan"), 1.0]}
+    overflowing = qg.graph_to_dict(qg.interval_graph(length=1e300, p=1e300))
     payloads = {
         "inf_length.json": inf_length,
+        "overflowing.json": overflowing,
         "nan_coefficient.json": nan_coefficient,
         "noise_without_q.json": {"type": "diagonal"},
         "noise_list.json": [1.0, 0.0],
@@ -192,6 +194,10 @@ def malformed_files(workdir):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--graph", "inf_length.json"],
     ["spectrum", "--graph", "nan_coefficient.json"],
+    # finite input whose stiffness, squared norm or covariance overflows
+    ["spectrum", "--graph", "overflowing.json"],
+    ["control", "--graph", "interval.json", "--noise", "diag:v1=1", "--z0", "0=1e300"],
+    ["invariant", "--graph", "interval.json", "--noise", "diag:v1=1e300", "--horizons", "1e300"],
     ["invariant", "--graph", "interval.json", "--noise", "diag:v1=1", "--horizons", "nan"],
     ["invariant", "--graph", "interval.json", "--noise", "diag:v1=1", "--horizons", "1,inf"],
     ["invariant", "--graph", "interval.json", "--noise", "diag:v1=nan"],
@@ -202,6 +208,8 @@ def malformed_files(workdir):
      "--horizon", "nan"],
     ["control", "--graph", "interval.json", "--noise", "diag:v1=1", "--z0", "0=nan"],
     ["simulate", "--graph", "interval.json", "--noise", "diag:v1=1", "--alphas", "nan",
+     "--samples", "10", "--steps", "4"],
+    ["simulate", "--graph", "interval.json", "--noise", "diag:v1=1", "--alphas", "1e300",
      "--samples", "10", "--steps", "4"],
     ["spectrum", "--graph", "interval.json", "--mode-out", "4:m.csv"],
     ["spectrum", "--graph", "interval.json", "--mode-out=-1:m.csv"],
@@ -229,18 +237,38 @@ def test_arpack_failure_exits_3(workdir, capsys):
 @pytest.mark.parametrize("argv", [
     # c = 1e300 on every edge: the shift-invert factorization is exactly singular
     ["spectrum", "--graph", "stiff_star.json", "--mesh", "8", "--modes", "4"],
+    # an edge of length 1e300: the stiffness scale 3 c / h^2 underflows to zero
+    ["spectrum", "--graph", "long_interval.json", "--mesh", "4", "--modes", "2"],
     # the scaled moment solve grows like 1/T and overflows
     ["control", "--graph", "star.json", "--noise", "diag:v1=1", "--z0", "1=1",
      "--horizon", "1e-320", "--mesh", "8", "--modes", "4", "--report", "report.json"],
-], ids=["singular-factor", "control-overflow"])
+], ids=["singular-factor", "stiffness-scale", "control-overflow"])
 def test_numerical_failures_exit_3(workdir, star_file, capsys, argv):
     qg.save_graph(qg.star_graph([1.0, 1.0, 1.0], c=1e300), workdir / "stiff_star.json")
+    qg.save_graph(qg.interval_graph(length=1e300), workdir / "long_interval.json")
     rc = main(argv)
     assert rc == 3
     out, err = capsys.readouterr()
     assert err.startswith("numerical failure:") and "Traceback" not in err
     assert out == "" and not (workdir / "report.json").exists()
     assert not list(workdir.glob("*.manifest.json"))
+
+
+def test_undefined_statistics_are_written_as_null(workdir, interval_file, capsys):
+    """Without noise the control Gram matrix keeps no direction, and two modes
+    leave one tail increment: no condition number, no slope, and no Infinity."""
+    assert main(["control", "--graph", interval_file, "--noise", "diag:", "--z0", "1=1",
+                 "--mesh", "8", "--modes", "4", "--report", "report.json"]) == 0
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["diagnostics"]["condition"] is None
+    assert main(["simulate", "--graph", interval_file, "--noise", "diag:v1=1", "--mesh", "8",
+                 "--modes", "2", "--steps", "4", "--samples", "10", "--alphas", "0",
+                 "--profile-out", "profile.csv", "--manifest", "sim.json"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((workdir / "sim.json").read_text())
+    assert manifest["profile"][0]["tail_slope"] is None
+    rows = (workdir / "profile.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["", ""]
 
 
 def test_linalg_error_exits_3(workdir, interval_file, capsys, monkeypatch):

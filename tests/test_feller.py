@@ -207,6 +207,18 @@ def test_rational_scan_respects_max_order():
     assert w is not None and w.edge_pair == ("e1", "e2")
 
 
+def test_rational_scan_witness_one_three():
+    """Lengths 1:3 on the quiet pair: orders (0, 1), eigenvalue pi^2/4, and
+    the only traces sit at the two supported boundary ends."""
+    g = qg.star_graph([1.0, 3.0, 1.0])
+    w = rational_star_scan(g, NoiseModel.from_diagonal(g, {"v3": 1.0}))
+    assert (w.edge_pair, w.mode_orders) == (("e1", "e2"), (0, 1))
+    np.testing.assert_allclose(w.eigenvalue, PI2 / 4)
+    assert w.traces[0] == 0.0 and w.traces[3] == 0.0  # the center and the noisy end
+    assert w.traces[1] != 0.0 and w.traces[2] != 0.0
+    assert w.residual == 0.0
+
+
 def test_rational_scan_needs_two_quiet_ends(star3):
     nm = NoiseModel.from_diagonal(star3, {"v1": 1.0, "v2": 1.0})
     assert rational_star_scan(star3, nm) is None

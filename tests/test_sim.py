@@ -227,6 +227,12 @@ def test_verify_covariance_is_scale_free():
     np.testing.assert_allclose(large.max_cov_z_per_time, small.max_cov_z_per_time, rtol=1e-12)
     np.testing.assert_allclose(large.max_mean_z, small.max_mean_z, rtol=1e-12)
     assert large.frac_within_3se == small.frac_within_3se
+    # at the smallest positive intensity the standard errors underflow to
+    # zero: those entries count as noiseless, and no warning escapes
+    eig = qg.interval_analytic(1.0, num_modes=3)
+    nm = NoiseModel.from_diagonal(eig.graph, {"v0": 5e-324})
+    ens = qg.simulate(eig, nm, [], 1.0, 3, 20, seed=3)
+    assert qg.verify_covariance(ens).passed()
 
 
 def test_analytic_law_stacks_over_times(star3_analytic):
@@ -278,6 +284,9 @@ def test_simulate_validation(interval_eig):
 def test_innovation_cholesky_rejects_negative():
     with pytest.raises(CovarianceNotPSDError):
         _innovation_cholesky(np.array([[-1.0]]))
+    # a zero variance with a nonzero covariance is not PSD either
+    with pytest.raises(CovarianceNotPSDError):
+        _innovation_cholesky(np.array([[1.0, 0.5], [0.5, 0.0]]))
 
 
 def test_innovation_cholesky_reports_jitter():
@@ -287,6 +296,14 @@ def test_innovation_cholesky_reports_jitter():
     chol, jitter = _innovation_cholesky(np.ones((2, 2)))
     assert jitter == tol.JITTER_START
     np.testing.assert_allclose(chol @ chol.T, np.ones((2, 2)), atol=1e-6)
+    # the jitter is relative to each mode's own variance, and a mode
+    # without variance keeps an exactly zero row
+    cov = np.diag([1e100, 1.0, 1.0, 0.0])
+    cov[1:3, 1:3] = 1.0
+    chol, jitter = _innovation_cholesky(cov)
+    assert jitter == tol.JITTER_START
+    np.testing.assert_allclose(chol @ chol.T, cov, rtol=1e-6, atol=1e-6)
+    assert not np.any(chol[3]) and not np.any(chol[:, 3])
 
 
 def test_ensemble_carries_cholesky_jitter(interval_eig, star3_analytic):
@@ -296,6 +313,17 @@ def test_ensemble_carries_cholesky_jitter(interval_eig, star3_analytic):
     nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0})
     ens = qg.simulate(star3_analytic, nm, [], 1.0, 4, 2, num_modes=10)
     assert tol.JITTER_START <= ens.cholesky_jitter <= tol.JITTER_STOP
+
+
+def test_long_horizon_ensemble_matches_the_law():
+    """At T = 1e50 the kernel mode's variance (growing like T) exceeds the
+    others by 50 decades; a jitter scaled to it would swamp them."""
+    g = qg.star_graph([1.0, 1.0, 1.0])
+    eig = qg.solve_spectrum(g, 16, 4)
+    nm = NoiseModel.from_diagonal(g, {"v1": 1.0})
+    ens = qg.simulate(eig, nm, [], 1e50, 4, 2000, seed=42)
+    assert ens.cholesky_jitter > 0.0
+    assert qg.verify_covariance(ens).passed()
 
 
 def test_regularity_profile_structure():
@@ -332,6 +360,9 @@ def test_regularity_profile_validation(interval_eig):
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="alphas"):
             qg.regularity_profile(interval_eig, nm, 1.0, [0.0, bad])
+    # finite alphas whose weights (1 + lambda)^(2 alpha) overflow
+    with pytest.raises(ValueError, match="alphas"):
+        qg.regularity_profile(interval_eig, nm, 1.0, [0.0, 1e300])
 
 
 def test_invariant_exists_with_potential():

@@ -2,8 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import qgraph as qg
+from qgraph.cli import main
 from qgraph.spectral import assemble, eigensolve, star_pair_modes
 
 PI2 = np.pi**2
@@ -151,6 +153,41 @@ def test_eigensolve_invariants_on_assorted_graphs():
             np.testing.assert_allclose(gram, np.eye(hi - lo), atol=1e-8)
 
 
+def _perturb(v):
+    return v + 1e-6 * np.random.default_rng(0).standard_normal(v.shape)
+
+
+def _scale_first(v):
+    v = v.copy()
+    v[:, 0] *= 1.0 + 1e-6
+    return v
+
+
+@pytest.mark.parametrize("tamper,check", [(_perturb, "residual"),
+                                          (_scale_first, "orthonormal")],
+                         ids=["residual", "orthonormality"])
+def test_eigensolve_enforces_certificates(tmp_path, monkeypatch, capsys, tamper, check):
+    """Eigenpairs off by 1e-6 fail their certificate: in the library a
+    ConvergenceFailureError, at the command line exit 3 and no manifest."""
+    eigsh = spla.eigsh
+
+    def tampered(*args, **kwargs):
+        w, v = eigsh(*args, **kwargs)
+        return w, tamper(v)
+
+    monkeypatch.setattr("qgraph.spectral.spla.eigsh", tampered)
+    g = qg.interval_graph(1.0)
+    with pytest.raises(qg.ConvergenceFailureError, match=check):
+        qg.solve_spectrum(g, 32, 4)
+
+    monkeypatch.chdir(tmp_path)
+    qg.save_graph(g, "interval.json")
+    assert main(["spectrum", "--graph", "interval.json", "--mesh", "32", "--modes", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure:") and check in err
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
 def test_repeated_solves_are_identical():
     """The fixed Lanczos start makes the eigensystem a pure function of its
     input, also inside the 9-fold clusters of the 10-star (dof 2561)."""
@@ -287,80 +324,21 @@ def test_analytic_matches_fem_interval():
 # -- rational two-edge modes ---------------------------------------------------
 
 
-def test_rational_mode_one_three():
-    m = qg.rational_star_mode([1.0, 3.0, 1.0], i=1, n1=0, ni=1)
-    np.testing.assert_allclose(m.eigenvalue, PI2 / 4)
-    assert m.traces[0] == 0.0  # center
-    # only the two supported boundary ends carry a trace
-    assert m.traces[1] != 0.0 and m.traces[2] != 0.0
-    np.testing.assert_allclose(m.traces[3], 0.0)
-
-
 def test_rational_mode_equal_lengths_reduces_to_pair():
-    m = qg.rational_star_mode([1.0, 1.0, 1.0], i=1, n1=0, ni=0)
-    np.testing.assert_allclose(m.eigenvalue, PI2 / 4)
-    # same parity: opposite signs, the equilateral antisymmetric pattern
-    np.testing.assert_allclose(m.traces[1], -m.traces[2])
+    # equal orders share parity: opposite signs, the equilateral pattern
+    g = qg.star_graph([1.0, 1.0, 1.0])
+    w = qg.rational_star_scan(g, qg.NoiseModel.from_diagonal(g, {"v3": 1.0}))
+    assert w.mode_orders == (0, 0)
+    np.testing.assert_allclose(w.eigenvalue, PI2 / 4)
+    assert w.traces[1] == -w.traces[2] != 0.0
 
 
 def test_rational_mode_sign_parity():
-    # orders 0 and 1 have different parity: same sign at both ends
-    m = qg.rational_star_mode([3.0, 1.0], i=1, n1=1, ni=0)
-    assert m.sign == 1.0
-    np.testing.assert_allclose(m.traces[1], m.traces[2])
-
-
-def test_rational_condition_failure():
-    with pytest.raises(qg.RationalConditionFailedError):
-        qg.rational_star_mode([1.0, 2.0], i=1, n1=0, ni=0)
-
-
-def test_rational_mode_input_validation():
-    with pytest.raises(ValueError):
-        qg.rational_star_mode([1.0, 3.0], i=0, n1=0, ni=1)
-    with pytest.raises(ValueError):
-        qg.rational_star_mode([1.0, 3.0], i=5, n1=0, ni=1)
-
-
-# -- boundary pairing ----------------------------------------------------------
-
-
-def test_adjoint_check_zero_alpha(star3):
-    op = assemble(star3, 32)
-    h = np.zeros(op.layout.total_dof)
-    h[: star3.n] = 1.0
-    assert qg.adjoint_check(op, np.zeros(star3.n), np.ones(op.layout.total_dof)) == 0.0
-
-
-def test_adjoint_pairing_interval_constant_test_function():
-    """With h identically 1 the boundary pairing evaluates to -sum(alpha)."""
-    g = qg.interval_graph(1.0)
-    op = assemble(g, 64)
-    alpha = np.array([1.0, 0.0])
-    z = qg.dirichlet_lift(op, alpha)
-    h = np.ones(op.layout.total_dof)
-    shifted = op.stiffness + op.mass
-    pairing = h @ (shifted @ z)
-    assert pairing == pytest.approx(-1.0, abs=1e-10)
-    assert qg.adjoint_check(op, alpha, h) <= 1e-6
-
-
-def test_adjoint_check_random_conforming(star3, rng):
-    op = assemble(star3, 64)
-    for _ in range(5):
-        alpha = rng.standard_normal(star3.n)
-        h = rng.standard_normal(op.layout.total_dof)
-        assert qg.adjoint_check(op, alpha, h) <= 1e-6
-
-
-def test_dirichlet_lift_residual(star3, rng):
-    op = assemble(star3, 32)
-    alpha = rng.standard_normal(star3.n)
-    z = qg.dirichlet_lift(op, alpha)
-    rhs = np.zeros(op.layout.total_dof)
-    rhs[: star3.n] = -alpha
-    res = (op.stiffness + op.mass) @ z - rhs
-    assert np.linalg.norm(res) <= 1e-10 * max(1.0, np.linalg.norm(alpha))
+    # orders 1 and 0 differ in parity: the same sign at both ends
+    g = qg.star_graph([3.0, 1.0])
+    w = qg.rational_star_scan(g, qg.NoiseModel.zero(g))
+    assert w.mode_orders == (1, 0)
+    assert w.traces[1] == w.traces[2] != 0.0
 
 
 # -- exports -------------------------------------------------------------------
