@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import InvalidGraphError, SpectrumTooCoarseError
-from .graphs import GraphClass, MetricGraph, classify, star_center, validate
+from .graphs import Coefficient, GraphClass, MetricGraph, classify, star_center
 from .noise import NoiseModel
 from .spectral import EigenSystem, _pair_mode, solve_spectrum
 
@@ -91,18 +91,6 @@ class FellerVerdict:
         }
 
 
-def _unit_diffusion(graph: MetricGraph) -> bool:
-    return all(
-        e.diffusion.is_constant and e.diffusion.constant_value == 1.0 for e in graph.edges
-    )
-
-
-def _zero_potential(graph: MetricGraph) -> bool:
-    return all(
-        e.potential.is_constant and e.potential.constant_value == 0.0 for e in graph.edges
-    )
-
-
 def sufficient_tree_rule(graph: MetricGraph, noise: NoiseModel) -> str | None:
     """Detail string when the tree sufficiency criterion applies, else None.
 
@@ -112,7 +100,7 @@ def sufficient_tree_rule(graph: MetricGraph, noise: NoiseModel) -> str | None:
     """
     if classify(graph) is not GraphClass.TREE:
         return None
-    if not _unit_diffusion(graph):
+    if any(e.diffusion != Coefficient.const(1.0) for e in graph.edges):
         return None
     if not noise.is_diagonal:
         return None
@@ -195,7 +183,8 @@ def rational_star_scan(
     center = star_center(graph)
     if center is None:
         return None
-    if not (_unit_diffusion(graph) and _zero_potential(graph)):
+    unit, zero = Coefficient.const(1.0), Coefficient.const(0.0)
+    if any(e.diffusion != unit or e.potential != zero for e in graph.edges):
         return None
     quiet_edges = []
     for j, e in enumerate(graph.edges):
@@ -214,11 +203,14 @@ def rational_star_scan(
             if orders is None:
                 continue
             mode = _pair_mode(lengths, a, b, orders[0], orders[1])
-            residual = float(np.linalg.norm(noise.q_sqrt @ mode.traces))
+            traces = np.zeros(graph.n)
+            traces[graph.vertex_index[va]] = mode.amplitudes[a]
+            traces[graph.vertex_index[vb]] = mode.amplitudes[b]
+            residual = float(np.linalg.norm(noise.q_sqrt @ traces))
             cand = Witness(
                 eigenvalue=mode.eigenvalue,
                 multiplicity=1,
-                traces=mode.traces,
+                traces=traces,
                 residual=residual,
                 mode_orders=orders,
                 edge_pair=(graph.edges[a].id, graph.edges[b].id),
@@ -243,10 +235,6 @@ def decide_feller(
     geometry is checked arithmetically.  Verdicts never guess: graphs
     outside all three mechanisms come back Unknown.
     """
-    violations = validate(graph)
-    if violations:
-        raise InvalidGraphError(violations)
-
     detail = sufficient_tree_rule(graph, noise)
     if detail is not None:
         return FellerVerdict(verdict=VERDICT_STRONG, rule="thm-main", detail=detail)

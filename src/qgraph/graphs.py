@@ -6,6 +6,8 @@ with a canonical tail/head orientation that only fixes the coordinate
 chart x in [0, length] (x = 0 at the tail); the graph itself is
 undirected.  Degree counts endpoint incidences, so a self-loop adds two
 to the degree of its vertex.  Boundary vertices are those of degree one.
+A MetricGraph is checked once, when it is built, so everything
+downstream may take it to be connected and well formed.
 """
 from __future__ import annotations
 
@@ -144,8 +146,16 @@ class GraphClass(Enum):
 
 @dataclass(frozen=True)
 class MetricGraph:
+    """Valid by construction: building one runs `validate` and raises
+    InvalidGraphError listing every violation."""
+
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        violations = validate(self)
+        if violations:
+            raise InvalidGraphError(violations)
 
     @property
     def n(self) -> int:
@@ -202,7 +212,11 @@ class MetricGraph:
 # -- validation and classification ------------------------------------------
 
 def validate(graph: MetricGraph) -> list[str]:
-    """Structural checks. Returns a list of violations, empty when valid."""
+    """Structural checks. Returns a list of violations, empty when valid.
+
+    MetricGraph runs it on itself when built, so a graph in hand always
+    passes; the list is what InvalidGraphError carries.
+    """
     report: list[str] = []
     seen_v = set()
     for v in graph.vertices:
@@ -234,26 +248,32 @@ def validate(graph: MetricGraph) -> list[str]:
     for v in graph.vertices:
         if graph.degree(v) < 1:
             report.append(f"vertex {v!r} is isolated (degree 0)")
-    # connectivity over the undirected structure
-    if graph.m > 0 or graph.n > 1:
-        start = graph.vertices[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for _, w in graph.adjacency.get(u, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != graph.n:
-            report.append("graph is disconnected")
+    if len(_breadth_first(graph, graph.vertices[0])[3]) != graph.n:
+        report.append("graph is disconnected")
     return report
 
 
-def _require_valid(graph: MetricGraph) -> None:
-    violations = validate(graph)
-    if violations:
-        raise InvalidGraphError(violations)
+def _breadth_first(graph: MetricGraph, root: str):
+    """Breadth-first search from root over the undirected structure.
+
+    Returns parent pointers, parent edges, children lists and the visit
+    order (root first) of the component of root; on a tree this is the
+    tree rooted at root.
+    """
+    parent: dict[str, str] = {}
+    parent_edge: dict[str, str] = {}
+    children: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    order: list[str] = [root]
+    seen = {root}
+    for u in order:  # order grows while it is read: a FIFO queue
+        for eid, w in graph.adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = u
+                parent_edge[w] = eid
+                children[u].append(w)
+                order.append(w)
+    return parent, parent_edge, children, order
 
 
 def classify(graph: MetricGraph) -> GraphClass:
@@ -262,9 +282,10 @@ def classify(graph: MetricGraph) -> GraphClass:
     HasLoop means there is a cycle all of whose vertices, except possibly
     one attachment point, have degree two; such a cycle carries modes
     that vanish at every vertex.  Detection contracts maximal chains of
-    degree-two vertices and looks for a self-loop in the result.
+    degree-two vertices and looks for a self-loop in the result.  The
+    graph was validated when it was built, so a connected graph with
+    m = n - 1 edges is a tree.
     """
-    _require_valid(graph)
     if graph.m == graph.n - 1:
         return GraphClass.TREE
     if any(e.tail == e.head for e in graph.edges):
@@ -302,25 +323,11 @@ def unique_path(graph: MetricGraph, v: str, w: str) -> tuple[str, ...]:
             raise UnknownVertexError(f"unknown vertex {x!r}")
     if v == w:
         raise SameVertexError(f"path endpoints coincide: {v!r}")
-    parent: dict[str, tuple[str, str]] = {}
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        if u == w:
-            break
-        for edge_id, other in graph.adjacency[u]:
-            if other not in seen:
-                seen.add(other)
-                parent[other] = (u, edge_id)
-                stack.append(other)
-    out: list[str] = [w]
-    cur = w
-    while cur != v:
-        prev, eid = parent[cur]
-        out.append(eid)
-        out.append(prev)
-        cur = prev
+    parent, parent_edge, _, _ = _breadth_first(graph, v)
+    out = [w]
+    while out[-1] != v:
+        u = out[-1]
+        out += [parent_edge[u], parent[u]]
     return tuple(reversed(out))
 
 
@@ -441,19 +448,11 @@ def lasso_graph(loop_length: float = 1.0, tail_length: float = 0.8, c=1.0, p=0.0
 
 
 def star_center(graph: MetricGraph) -> str | None:
-    """The center vertex if the graph is a star with >= 2 edges, else None."""
+    """The center vertex if the graph is a star with >= 2 edges, else None.
+
+    A tree with a vertex on every edge is a star, and the graph is a tree
+    when m = n - 1, since it was checked to be connected when built.
+    """
     if graph.m < 2 or graph.n != graph.m + 1:
         return None
-    centers = [v for v in graph.vertices if graph.degree(v) == graph.m]
-    if len(centers) != 1:
-        return None
-    c = centers[0]
-    for e in graph.edges:
-        if e.tail == e.head:
-            return None
-        if c not in (e.tail, e.head):
-            return None
-        other = e.head if e.tail == c else e.tail
-        if graph.degree(other) != 1:
-            return None
-    return c
+    return next((v for v in graph.vertices if graph.degree(v) == graph.m), None)

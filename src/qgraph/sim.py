@@ -37,6 +37,7 @@ from .errors import (
     SpectralGapAmbiguousError,
     SpectrumTooCoarseError,
 )
+from .graphs import Coefficient
 from .noise import NoiseModel
 from .spectral import EigenSystem
 
@@ -60,8 +61,12 @@ __all__ = [
 # engine's working memory whatever the sample count.
 BLOCK_NORMALS = 2**21
 
-# how simulate seeds sample s; TrajectoryEnsemble.sample_seed builds it
+# how simulate seeds sample s: _sample_seed, written into every manifest
 RNG_RECIPE = "per-sample SeedSequence(seed, spawn_key=(s,)) + PCG64"
+
+
+def _sample_seed(seed: int, s: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=seed, spawn_key=(s,))
 
 
 def _innovation_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -128,12 +133,8 @@ class TrajectoryEnsemble:
     def num_modes(self) -> int:
         return self.coeffs.shape[2]
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
     def sample_seed(self, s: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(entropy=self.seed, spawn_key=(s,))
+        return _sample_seed(self.seed, s)
 
     def vertex_paths(self) -> np.ndarray:
         """State values at the vertices, shape (samples, steps + 1, n)."""
@@ -210,7 +211,7 @@ def simulate(
     for lo in range(0, num_samples, block):
         b = min(block, num_samples - lo)
         for j in range(b):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(lo + j,)))
+            rng = np.random.default_rng(_sample_seed(seed, lo + j))
             rng.standard_normal((num_steps, k_total), out=normals[j])
         # one gemm per sample, as for a single (num_steps, k) draw;
         # each path's innovations land in its own rows 1..num_steps
@@ -445,20 +446,15 @@ def invariant_measure_check(
 
     if lam0 > tol.SPECTRAL_GAP:
         exists, rule = True, "exponential-stability"
-    else:
-        p_zero = all(
-            e.potential.is_constant and e.potential.constant_value == 0.0
-            for e in eig.graph.edges
+    elif any(e.potential != Coefficient.const(0.0) for e in eig.graph.edges):
+        raise SpectralGapAmbiguousError(
+            f"potential present but bottom eigenvalue {lam0} is below the "
+            f"gap tolerance; refine the mesh to resolve the sign"
         )
-        if not p_zero:
-            raise SpectralGapAmbiguousError(
-                f"potential present but bottom eigenvalue {lam0} is below the "
-                f"gap tolerance; refine the mesh to resolve the sign"
-            )
-        if kernel_residual <= tol.TRACE_ZERO:
-            exists, rule = True, "noise-invisible-to-kernel"
-        else:
-            exists, rule = False, "kernel-mode-noise"
+    elif kernel_residual <= tol.TRACE_ZERO:
+        exists, rule = True, "noise-invisible-to-kernel"
+    else:
+        exists, rule = False, "kernel-mode-noise"
 
     return InvariantMeasureReport(
         exists=exists,

@@ -24,8 +24,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import tolerances as tol
-from .errors import ConvergenceFailureError, InvalidGraphError
-from .graphs import MetricGraph, interval_graph, star_graph, validate
+from .errors import ConvergenceFailureError
+from .graphs import MetricGraph, interval_graph, star_graph
 
 __all__ = [
     "MeshLayout",
@@ -121,9 +121,6 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
     constant and sampled coefficients and is exact for coefficients
     constant on each element.
     """
-    violations = validate(graph)
-    if violations:
-        raise InvalidGraphError(violations)
     if elements_per_edge < 2:
         raise ValueError("elements_per_edge must be at least 2")
 
@@ -258,11 +255,14 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     started from a fixed generic vector (standard normals from
     default_rng(0)).  The fixed start makes the result a pure function
     of the operator; a symmetric start such as all ones would miss the
-    modes orthogonal to the graph's symmetric subspace.  Clusters are
-    re-orthonormalized symmetrically, then every pair must pass the
-    residual and mass-orthonormality certificates (EIG_RESIDUAL and
-    ORTHONORMALITY), else ConvergenceFailureError.  Accuracy guidance:
-    keep num_modes well below the dof count (one order of magnitude).
+    modes orthogonal to the graph's symmetric subspace.  A lambda_0
+    below -EIG_RESIDUAL rho, with rho = max K_ii/M_ii the operator's
+    stiffness scale, is rejected; above it, negative roundoff is clamped
+    to zero.  Clusters are re-orthonormalized symmetrically, then every
+    pair must pass the residual and mass-orthonormality certificates
+    (EIG_RESIDUAL and ORTHONORMALITY), else ConvergenceFailureError.
+    Accuracy guidance: keep num_modes well below the dof count (one
+    order of magnitude).
     """
     dof = op.layout.total_dof
     if not 1 <= num_modes <= dof - 1:
@@ -283,8 +283,13 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     w = w[order]
     v = v[:, order]
 
-    # clamp the roundoff-negative zero mode
-    if w[0] < -1e-6 * (1.0 + abs(w[-1])):
+    # the operator's own stiffness scale rho bounds both the roundoff of a
+    # zero mode, clamped here, and the residuals certified below
+    with np.errstate(over="ignore", divide="ignore"):
+        rho = float(np.max(op.stiffness.diagonal() / op.mass.diagonal()))
+    if not 0 < rho < np.inf:
+        raise ConvergenceFailureError(f"stiffness scale max K_ii/M_ii = {rho} out of range")
+    if w[0] < -tol.EIG_RESIDUAL * rho:
         raise ConvergenceFailureError(f"spurious negative eigenvalue {w[0]}")
     w = np.maximum(w, 0.0)
 
@@ -301,13 +306,9 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
             raise ConvergenceFailureError("degenerate cluster basis")
         v[:, a:b] = block @ (eu / np.sqrt(ew)) @ eu.T
 
-    # certificates: residual norms in the inverse-mass metric against the
-    # operator's own stiffness scale rho, then mass orthonormality (by einsum:
-    # a threaded BLAS gemm wakes threads that then slow the next solve)
-    with np.errstate(over="ignore", divide="ignore"):
-        rho = float(np.max(op.stiffness.diagonal() / op.mass.diagonal()))
-    if not 0 < rho < np.inf:
-        raise ConvergenceFailureError(f"stiffness scale max K_ii/M_ii = {rho} out of range")
+    # certificates: residual norms in the inverse-mass metric against rho,
+    # then mass orthonormality (by einsum: a threaded BLAS gemm wakes
+    # threads that then slow the next solve)
     mv = op.mass @ v
     r = op.stiffness @ v - mv * w
     residuals = np.sqrt(np.abs(np.einsum("ik,ik->k", r, spla.splu(op.mass.tocsc()).solve(r))))
@@ -347,7 +348,6 @@ class AnalyticMode:
 
     eigenvalue: float
     amplitudes: np.ndarray
-    traces: np.ndarray
     sign: int | None = None
     orders: tuple[int, int] | None = None
 
@@ -485,8 +485,8 @@ def _pair_mode(lengths, a: int, b: int, na: int, nb: int) -> AnalyticMode:
     The caller guarantees lengths[a] / lengths[b] = (2 na + 1)/(2 nb + 1);
     then mu = ((nb + 1/2) pi / lengths[b])^2 is an eigenvalue with a cosine
     profile on the two edges (opposite signs when na and nb share parity),
-    whose traces, in vertex order (center, v1, ..., vN), vanish except at
-    the two boundary ends.
+    measured from each edge's boundary end.  Its traces vanish except at
+    those two ends, where each equals the edge's amplitude.
     """
     ells = [float(x) for x in lengths]
     la, lb = ells[a], ells[b]
@@ -497,12 +497,7 @@ def _pair_mode(lengths, a: int, b: int, na: int, nb: int) -> AnalyticMode:
     amps = np.zeros(n)
     amps[a] = r
     amps[b] = sign * r
-    traces = np.zeros(n + 1)
-    traces[1 + a] = r
-    traces[1 + b] = sign * r
-    return AnalyticMode(
-        eigenvalue=mu, amplitudes=amps, traces=traces, sign=sign, orders=(na, nb)
-    )
+    return AnalyticMode(eigenvalue=mu, amplitudes=amps, sign=sign, orders=(na, nb))
 
 
 # -- exports -------------------------------------------------------------------

@@ -6,7 +6,8 @@ manifests can record the complete set.
 
 # eigenpair residual: ||K f - lambda M f||_{M^-1} <= EIG_RESIDUAL * (lambda + rho)
 # with rho = max_i K_ii / M_ii (about 3 c / h^2 for P1), the operator's own
-# scale, which roundoff follows; a (1 + lambda) scale fails valid fine meshes
+# scale, which roundoff follows; a (1 + lambda) scale fails valid fine meshes.
+# Also the zero mode's roundoff: lambda_0 < -EIG_RESIDUAL * rho is rejected
 EIG_RESIDUAL = 1e-8
 
 # mass orthonormality of eigenvectors: max |<f_j, f_k> - delta_jk|

@@ -17,7 +17,7 @@ from .errors import (
     NotATreeError,
     OmitNotBoundaryError,
 )
-from .graphs import GraphClass, MetricGraph, classify
+from .graphs import GraphClass, MetricGraph, _breadth_first, classify
 
 __all__ = [
     "DirectedPath",
@@ -63,27 +63,6 @@ class STActiveSet:
     j_star: frozenset[str]
 
 
-def _rooted_structure(tree: MetricGraph, root: str):
-    """Parent pointers and children lists for the tree rooted at root."""
-    parent: dict[str, str] = {}
-    parent_edge: dict[str, str] = {}
-    children: dict[str, list[str]] = {v: [] for v in tree.vertices}
-    order: list[str] = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for eid, w in tree.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                parent_edge[w] = eid
-                children[u].append(w)
-                order.append(w)
-    return parent, parent_edge, children, order
-
-
 def path_union(tree: MetricGraph, omit: str | None = None) -> PathUnion:
     """Cover a tree by directed paths starting at boundary vertices.
 
@@ -106,7 +85,7 @@ def path_union(tree: MetricGraph, omit: str | None = None) -> PathUnion:
         root = max(boundary)
     sources = sorted(v for v in boundary if v != root)
 
-    parent, parent_edge, children, order = _rooted_structure(tree, root)
+    parent, parent_edge, children, order = _breadth_first(tree, root)
 
     # smallest source in the subtree below each vertex (leaves first)
     source_set_lookup = set(sources)

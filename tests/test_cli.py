@@ -356,3 +356,28 @@ def test_manifest_explicit_path(workdir, interval_file):
     assert payload["command"] == "spectrum"
     assert payload["config"]["graph"] == interval_file
     assert not (workdir / "qgraph-spectrum.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["feller", "--graph", "star.json", "--noise", "diag:v1=1", "--mesh", "32", "--modes", "12"],
+    ["spectrum", "--graph", "star.json", "--mesh", "16", "--modes", "4"],
+], ids=["feller-hautus", "spectrum"])
+def test_graph_is_validated_once_per_run(workdir, star_file, monkeypatch, capsys, argv):
+    import sys
+
+    from qgraph import graphs
+
+    validate = graphs.validate
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return validate(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qgraph" and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counted)
+    assert main(argv) == 0
+    assert len(calls) == 1
+    if argv[0] == "feller":
+        assert "rule: hautus" in capsys.readouterr().out

@@ -145,14 +145,15 @@ def test_verdict_unknown_for_nonunit_diffusion_tree():
 
 
 def test_decide_feller_validates_graph():
+    """No invalid graph reaches decide_feller: building one already raises."""
     from qgraph.graphs import Coefficient, Edge, MetricGraph
 
-    bad = MetricGraph(
-        vertices=("a", "b"),
-        edges=(Edge("e", "a", "zz", 1.0, Coefficient.const(1.0), Coefficient.const(0.0)),),
-    )
-    with pytest.raises(qg.InvalidGraphError):
-        qg.decide_feller(bad, NoiseModel(("a", "b"), np.eye(2), np.eye(2)))
+    with pytest.raises(qg.InvalidGraphError) as exc:
+        MetricGraph(
+            vertices=("a", "b"),
+            edges=(Edge("e", "a", "zz", 1.0, Coefficient.const(1.0), Coefficient.const(0.0)),),
+        )
+    assert "edge 'e': unknown endpoint 'zz'" in exc.value.violations
 
 
 def test_sufficient_implies_no_hautus_witness(rng):
@@ -216,6 +217,20 @@ def test_rational_scan_witness_one_three():
     np.testing.assert_allclose(w.eigenvalue, PI2 / 4)
     assert w.traces[0] == 0.0 and w.traces[3] == 0.0  # the center and the noisy end
     assert w.traces[1] != 0.0 and w.traces[2] != 0.0
+    assert w.residual == 0.0
+
+
+def test_rational_scan_witness_in_graph_vertex_order():
+    """The witness traces follow the graph's own vertex list, here with the
+    center last: they sit on the two quiet ends v1 and v2, so the noise at
+    v3 sees none of them."""
+    from qgraph.graphs import MetricGraph
+
+    star = qg.star_graph([3.0, 1.0, 1.0])
+    g = MetricGraph(("v1", "v2", "v3", "vc"), star.edges)
+    w = rational_star_scan(g, NoiseModel.from_diagonal(g, {"v3": 1.0}))
+    assert (w.edge_pair, w.mode_orders) == (("e1", "e2"), (1, 0))
+    np.testing.assert_allclose(w.traces, [np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
     assert w.residual == 0.0
 
 

@@ -36,51 +36,73 @@ def test_validate_empty_on_good_graphs(star3):
     assert qg.validate(qg.lasso_graph()) == []
 
 
+def _violations(build):
+    """The violations listed by the InvalidGraphError that build() raises."""
+    with pytest.raises(qg.InvalidGraphError) as exc:
+        build()
+    return exc.value.violations
+
+
 def test_validate_catches_structural_errors():
     c1 = Coefficient.const(1.0)
     c0 = Coefficient.const(0.0)
-    bad = MetricGraph(
+    report = _violations(lambda: MetricGraph(
         vertices=("a", "a", "b"),
         edges=(
             Edge("e1", "a", "b", 1.0, c1, c0),
             Edge("e1", "a", "zz", -1.0, c1, c0),
         ),
-    )
-    report = qg.validate(bad)
-    joined = "\n".join(report)
-    assert "duplicate vertex" in joined
-    assert "duplicate edge" in joined
-    assert "unknown endpoint" in joined
-    assert "nonpositive length" in joined
+    ))
+    assert report == [
+        "duplicate vertex id 'a'",
+        "duplicate edge id 'e1'",
+        "edge 'e1': unknown endpoint 'zz'",
+        "edge 'e1': nonpositive length -1.0",
+        "graph is disconnected",
+    ]
 
 
 def test_validate_coefficient_signs():
-    g = qg.interval_graph(1.0, c=0.0)
-    assert any("diffusion" in r for r in qg.validate(g))
-    g2 = qg.interval_graph(1.0, p=-0.5)
-    assert any("negative potential" in r for r in qg.validate(g2))
+    assert any("diffusion" in r for r in _violations(lambda: qg.interval_graph(1.0, c=0.0)))
+    report = _violations(lambda: qg.interval_graph(1.0, p=-0.5))
+    assert any("negative potential" in r for r in report)
 
 
 def test_validate_rejects_non_finite_values():
-    g = qg.interval_graph(float("inf"))
-    assert any("non-finite length" in r for r in qg.validate(g))
-    g2 = qg.interval_graph(1.0, c=Coefficient.linear_samples([1.0, float("nan"), 1.0]))
-    assert any("non-finite diffusion" in r for r in qg.validate(g2))
-    g3 = qg.interval_graph(1.0, p=Coefficient.cell_samples([0.5, float("nan")]))
-    assert any("non-finite potential" in r for r in qg.validate(g3))
+    report = _violations(lambda: qg.interval_graph(float("inf")))
+    assert any("non-finite length" in r for r in report)
+    nan_c = Coefficient.linear_samples([1.0, float("nan"), 1.0])
+    report = _violations(lambda: qg.interval_graph(1.0, c=nan_c))
+    assert any("non-finite diffusion" in r for r in report)
+    nan_p = Coefficient.cell_samples([0.5, float("nan")])
+    report = _violations(lambda: qg.interval_graph(1.0, p=nan_p))
+    assert any("non-finite potential" in r for r in report)
 
 
 def test_validate_disconnected():
     c1 = Coefficient.const(1.0)
     c0 = Coefficient.const(0.0)
-    g = MetricGraph(
+    report = _violations(lambda: MetricGraph(
         vertices=("a", "b", "c", "d"),
         edges=(
             Edge("e1", "a", "b", 1.0, c1, c0),
             Edge("e2", "c", "d", 1.0, c1, c0),
         ),
-    )
-    assert any("disconnected" in r for r in qg.validate(g))
+    ))
+    assert any("disconnected" in r for r in report)
+
+
+def test_load_graph_rejects_invalid_json(tmp_path):
+    data = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": "e1", "tail": "a", "head": "b", "length": -2.0, "c": 0.0}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert _violations(lambda: qg.load_graph(path)) == [
+        "edge 'e1': nonpositive length -2.0",
+        "edge 'e1': nonpositive diffusion",
+    ]
 
 
 def test_classify_basic_shapes(star3):
@@ -258,3 +280,67 @@ def test_prufer_trees_classify_and_roundtrip(prufer):
     assert qg.validate(g) == []
     assert qg.classify(g) is GraphClass.TREE
     assert qg.graph_to_dict(qg.graph_from_dict(qg.graph_to_dict(g))) == qg.graph_to_dict(g)
+
+
+def _nx_graph(vertices, edges):
+    import networkx as nx
+
+    nxg = nx.Graph()
+    nxg.add_nodes_from(vertices)
+    nxg.add_edges_from((e.tail, e.head, {"id": e.id}) for e in edges)
+    return nxg
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=7), min_size=0, max_size=6), st.data())
+def test_unique_path_matches_networkx(prufer, data):
+    import networkx as nx
+
+    prufer = [x % (len(prufer) + 2) for x in prufer]
+    g = _random_tree_graph(prufer)
+    nxg = _nx_graph(g.vertices, g.edges)
+    v = data.draw(st.sampled_from(g.vertices))
+    w = data.draw(st.sampled_from([x for x in g.vertices if x != v]))
+    path = qg.unique_path(g, v, w)
+    assert list(path[0::2]) == nx.shortest_path(nxg, v, w)
+    assert [nxg[a][b]["id"] for a, b in zip(path[0:-1:2], path[2::2])] == list(path[1::2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=4),
+    st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=4),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=2),
+)
+def test_disconnected_matches_networkx(prufer_a, prufer_b, bridges):
+    """Two trees side by side, joined by zero or more bridges between them."""
+    import networkx as nx
+
+    a = _random_tree_graph([x % (len(prufer_a) + 2) for x in prufer_a])
+    b = _random_tree_graph([x % (len(prufer_b) + 2) for x in prufer_b])
+    c1, c0 = Coefficient.const(1.0), Coefficient.const(0.0)
+    vertices = tuple(f"a{v}" for v in a.vertices) + tuple(f"b{v}" for v in b.vertices)
+    edges = (
+        tuple(Edge(f"a{e.id}", f"a{e.tail}", f"a{e.head}", 1.0, c1, c0) for e in a.edges)
+        + tuple(Edge(f"b{e.id}", f"b{e.tail}", f"b{e.head}", 1.0, c1, c0) for e in b.edges)
+        + tuple(
+            Edge(f"x{k}", f"an{i % a.n}", f"bn{j % b.n}", 1.0, c1, c0)
+            for k, (i, j) in enumerate(bridges)
+        )
+    )
+    try:
+        MetricGraph(vertices, edges)
+        report = []
+    except qg.InvalidGraphError as exc:
+        report = exc.violations
+    assert ("graph is disconnected" in report) == (not nx.is_connected(_nx_graph(vertices, edges)))
+    assert report in ([], ["graph is disconnected"])
+
+
+def test_only_graphs_calls_validate():
+    """A graph is checked once, when it is built: no other module re-checks."""
+    from pathlib import Path
+
+    src = Path(qg.__file__).parent
+    callers = [p.name for p in sorted(src.glob("*.py")) if "validate(" in p.read_text("utf-8")]
+    assert callers == ["graphs.py"]

@@ -188,6 +188,32 @@ def test_eigensolve_enforces_certificates(tmp_path, monkeypatch, capsys, tamper,
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+def test_zero_mode_roundoff_is_clamped():
+    """A 1e-5 edge beside a 2.0 edge: the zero mode comes back from Lanczos
+    as a roundoff negative far below the operator's scale, and is clamped."""
+    for mesh, modes in ((1024, 1), (1024, 2), (4096, 2)):
+        eig = qg.solve_spectrum(qg.path_graph([1e-5, 2.0]), mesh, modes)
+        assert eig.lambdas[0] == 0.0
+
+
+def test_negative_eigenvalue_on_operator_scale_exits_3(tmp_path, monkeypatch, capsys):
+    """lambda_0 = -1e-6 rho lies beyond roundoff of a zero mode: exit 3."""
+    eigsh = spla.eigsh
+
+    def shifted(a, **kwargs):
+        w, v = eigsh(a, **kwargs)
+        w[np.argmin(w)] = -1e-6 * np.max(a.diagonal() / kwargs["M"].diagonal())
+        return w, v
+
+    monkeypatch.setattr("qgraph.spectral.spla.eigsh", shifted)
+    monkeypatch.chdir(tmp_path)
+    qg.save_graph(qg.interval_graph(1.0), "interval.json")
+    assert main(["spectrum", "--graph", "interval.json", "--mesh", "32", "--modes", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: spurious negative eigenvalue")
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
 def test_repeated_solves_are_identical():
     """The fixed Lanczos start makes the eigensystem a pure function of its
     input, also inside the 9-fold clusters of the 10-star (dof 2561)."""
