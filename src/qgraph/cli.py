@@ -217,6 +217,7 @@ def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMode
         num_steps=args.steps,
         num_samples=args.samples,
         seed=args.seed,
+        keep_paths=args.csv_samples if args.out else 0,
     )
     print(f"sampled {ens.num_samples} paths of {ens.num_modes} modes ({args.steps} steps)")
     extra: dict = {"cholesky_jitter": ens.cholesky_jitter, "rng": RNG_RECIPE}
@@ -232,7 +233,7 @@ def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMode
             print(f"alpha={entry.alpha:g}: tail slope {entry.tail_slope:.3f} ({status})")
         extra["profile"] = [e.to_json() for e in entries]
     if args.out:
-        ensemble_to_csv(ens, args.out, max_samples=args.csv_samples)
+        ensemble_to_csv(ens, args.out)
     if args.summary_out:
         summary_to_csv(ens, args.summary_out)
     if args.profile_out and entries:
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile-out", default=None,
                     help="write the regularity partial-sum table CSV here")
     sp.add_argument("--csv-samples", type=int, default=10,
-                    help="cap on samples written to the CSV (default 10)")
+                    help="paths kept and written to the --out CSV (default 10)")
     sp.set_defaults(func=_cmd_simulate)
 
     return parser

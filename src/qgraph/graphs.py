@@ -12,6 +12,7 @@ downstream may take it to be connected and well formed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -231,12 +232,12 @@ def validate(graph: MetricGraph) -> list[str]:
         for endpoint in (e.tail, e.head):
             if endpoint not in seen_v:
                 report.append(f"edge {e.id!r}: unknown endpoint {endpoint!r}")
-        if not np.isfinite(e.length):
+        if not math.isfinite(e.length):
             report.append(f"edge {e.id!r}: non-finite length {e.length}")
         elif e.length <= 0.0:
             report.append(f"edge {e.id!r}: nonpositive length {e.length}")
         for name, coeff in (("diffusion", e.diffusion), ("potential", e.potential)):
-            if not np.all(np.isfinite(coeff.values)):
+            if not all(math.isfinite(v) for v in coeff.values):
                 report.append(f"edge {e.id!r}: non-finite {name} value")
         if e.diffusion.minimum() <= 0.0:
             report.append(f"edge {e.id!r}: nonpositive diffusion")

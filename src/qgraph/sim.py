@@ -10,17 +10,17 @@ transition law, not an Euler scheme, so the step count only controls
 the output grid.  The law holds for any family of eigenfunctions,
 orthonormal or not — each tested coefficient is an exact stochastic
 convolution — which matters because the analytic star family overlaps
-on shared edges.  Each sample draws from its own RNG stream, a pure
-function of (seed, sample index); samples are stepped together in
-blocks whose size never changes the numbers.  The law itself is shared
-with control.  The ensemble is read back once: the covariance check and
-the summary statistics both use TrajectoryEnsemble.moments.
+on shared edges.  Samples run in blocks of BLOCK_SAMPLES, block j on
+its own RNG stream, a pure function of (seed, j); the per-time moments
+about the exact mean are summed while sampling, so memory does not grow
+with the sample count, and only the leading paths asked for are kept.
+The law itself is shared with control.  The covariance check and the
+summary statistics both read TrajectoryEnsemble.moments.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,17 +56,18 @@ __all__ = [
 ]
 
 
-# Normals drawn per block of samples, 16 MB of float64: with the block's
-# innovations written straight into the ensemble, this bounds the
-# engine's working memory whatever the sample count.
-BLOCK_NORMALS = 2**21
+# Samples per block, part of the RNG recipe: changing it changes the numbers.
+BLOCK_SAMPLES = 1024
 
-# how simulate seeds sample s: _sample_seed, written into every manifest
-RNG_RECIPE = "per-sample SeedSequence(seed, spawn_key=(s,)) + PCG64"
+# how simulate seeds and draws, written into every manifest
+RNG_RECIPE = (
+    f"block j of {BLOCK_SAMPLES} samples: SeedSequence(seed, spawn_key=(j,)) + PCG64, "
+    "one standard_normal((samples, modes)) per step"
+)
 
 
-def _sample_seed(seed: int, s: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(s,))
+def _exact_mean(lambdas: np.ndarray, z0: np.ndarray, t) -> np.ndarray:
+    return np.exp(-lambdas * np.asarray(t, dtype=float)[..., None]) * z0
 
 
 def _innovation_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -104,15 +105,18 @@ def _innovation_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Sampled mode-coefficient paths and the data needed to read them.
+    """Moments of num_samples sampled mode-coefficient paths, and the
+    leading paths themselves.
 
-    coeffs has shape (num_samples, num_steps + 1, num_modes); channels
-    holds the noise-weighted vertex traces v_k row-wise, and vertex
-    values of the state are coeffs @ vertex_traces.  Sample s was drawn
-    from the RNG stream sample_seed(s), a pure function of the master
-    seed and s — never of the block it was stepped in.  cholesky_jitter
-    is the diagonal jitter, relative to each mode's variance, that the
-    innovation factor needed.
+    moments is (mean, second moment) of d = X - E X at every grid time,
+    shapes (times, modes) and (times, modes, modes), over all num_samples
+    samples; centring at the exact mean spares the variances any
+    cancellation.  coeffs holds the first paths only, shape (kept,
+    num_steps + 1, num_modes): the same rows whatever the count kept.
+    channels holds the noise-weighted vertex traces v_k row-wise, and
+    vertex values of the state are coeffs @ vertex_traces.
+    cholesky_jitter is the diagonal jitter, relative to each mode's
+    variance, that the innovation factor needed.
     """
 
     times: np.ndarray
@@ -124,48 +128,24 @@ class TrajectoryEnsemble:
     z0: np.ndarray
     seed: int
     cholesky_jitter: float
-
-    @property
-    def num_samples(self) -> int:
-        return self.coeffs.shape[0]
+    num_samples: int
+    moments: tuple[np.ndarray, np.ndarray]
 
     @property
     def num_modes(self) -> int:
-        return self.coeffs.shape[2]
-
-    def sample_seed(self, s: int) -> np.random.SeedSequence:
-        return _sample_seed(self.seed, s)
+        return len(self.lambdas)
 
     def vertex_paths(self) -> np.ndarray:
-        """State values at the vertices, shape (samples, steps + 1, n)."""
+        """State values at the vertices of the kept paths, shape (kept, steps + 1, n)."""
         return self.coeffs @ self.vertex_traces
 
     def analytic_mean(self, t: float) -> np.ndarray:
         """Exact mean at time t; an array of times gives one row per time."""
-        return np.exp(-self.lambdas * np.asarray(t, dtype=float)[..., None]) * self.z0
+        return _exact_mean(self.lambdas, self.z0, t)
 
     def analytic_covariance(self, t: float) -> np.ndarray:
         """Exact covariance at time t; an array of times gives one per time."""
         return _covariance(self.lambdas, self.channels, t)
-
-    @cached_property
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-time mean (times, modes) and second moment (times, modes, modes)
-        of d = X - E X; centring at the exact mean spares the variances any
-        cancellation.  One pass over blocks of at most BLOCK_NORMALS values."""
-        s, num_times, k = self.coeffs.shape
-        mean = self.analytic_mean(self.times)
-        first = np.zeros((num_times, k))
-        second = np.zeros((num_times, k, k))
-        block = max(1, BLOCK_NORMALS // (num_times * k))
-        buf = np.empty((min(block, s), num_times, k))
-        for lo in range(0, s, block):
-            d = np.subtract(self.coeffs[lo : lo + block], mean, out=buf[: min(block, s - lo)])
-            first += d.sum(axis=0)
-            second += np.einsum("sti,stj->tij", d, d, optimize=True)
-        first, second = first / s, second / s
-        first.flags.writeable = second.flags.writeable = False  # shared by every reader
-        return first, second
 
 
 def simulate(
@@ -177,59 +157,74 @@ def simulate(
     num_samples: int,
     seed: int = 42,
     num_modes: int | None = None,
+    keep_paths: int | None = None,
 ) -> TrajectoryEnsemble:
-    """Draw sample paths of the first num_modes coefficients.
+    """Sample the first num_modes coefficients and sum their moments.
 
     Reproducibility contract: results are a pure function of
-    (eigensystem, noise, z0, horizon, num_steps, num_samples, seed).
-    Sample s draws standard_normal((num_steps, k)) from its own stream
-    sample_seed(s), multiplies by the transposed innovation Cholesky
-    factor and runs x <- decay * x + innovation from z0.  Samples are
-    processed in blocks of at most BLOCK_NORMALS normals, one matmul and
-    one vectorized recursion per block; the block size never changes
-    the numbers, only the wall time and the working memory.
+    (eigensystem, noise, z0, horizon, num_steps, num_samples, seed);
+    keep_paths (default all) only sets how many leading paths coeffs
+    holds.  Samples run serially in blocks of BLOCK_SAMPLES, the last one
+    possibly partial.  Block j, of b samples, starts at z0 and draws from
+    default_rng(SeedSequence(seed, spawn_key=(j,))) one
+    standard_normal((b, k)) z per time step, setting
+    x <- decay * x + z @ chol.T with chol the innovation Cholesky factor;
+    d.sum(0) and d.T @ d of d = x - E x(t_i) are added to per-time sums,
+    block after block, which become the moments once divided by
+    num_samples.
     """
     _check_horizon(horizon)
     if num_steps < 1:
         raise ValueError("num_steps must be positive")
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
-    k_total = _modes_in_play(eig, num_modes)
-    z0 = _initial_coeffs(z0_coeffs, k_total)
-    lambdas = np.asarray(eig.lambdas[:k_total], dtype=float)
-    channels = _channels(eig, noise, k_total)
+    if keep_paths is not None and keep_paths < 0:
+        raise ValueError("keep_paths must be nonnegative")
+    k = _modes_in_play(eig, num_modes)
+    z0 = _initial_coeffs(z0_coeffs, k)
+    lambdas = np.asarray(eig.lambdas[:k], dtype=float)
+    channels = _channels(eig, noise, k)
 
+    times = np.linspace(0.0, horizon, num_steps + 1)
     dt = horizon / num_steps
     decay = np.exp(-lambdas * dt)
     chol, jitter = _innovation_cholesky(_covariance(lambdas, channels, dt))
     chol_t = np.ascontiguousarray(chol.T)
+    mean = _exact_mean(lambdas, z0, times)
 
-    coeffs = np.empty((num_samples, num_steps + 1, k_total))
+    keep = num_samples if keep_paths is None else min(keep_paths, num_samples)
+    coeffs = np.empty((keep, num_steps + 1, k))
     coeffs[:, 0] = z0
-    block = max(1, BLOCK_NORMALS // (num_steps * k_total))
-    normals = np.empty((min(block, num_samples), num_steps, k_total))
-    for lo in range(0, num_samples, block):
-        b = min(block, num_samples - lo)
-        for j in range(b):
-            rng = np.random.default_rng(_sample_seed(seed, lo + j))
-            rng.standard_normal((num_steps, k_total), out=normals[j])
-        # one gemm per sample, as for a single (num_steps, k) draw;
-        # each path's innovations land in its own rows 1..num_steps
-        paths = coeffs[lo : lo + b]
-        np.matmul(normals[:b], chol_t, out=paths[:, 1:])
-        for i in range(num_steps):
-            paths[:, i + 1] += decay * paths[:, i]
+    # every path starts on the exact mean: the t = 0 moments stay exactly 0
+    first = np.zeros((num_steps + 1, k))
+    second = np.zeros((num_steps + 1, k, k))
+    for j, lo in enumerate(range(0, num_samples, BLOCK_SAMPLES)):
+        b = min(BLOCK_SAMPLES, num_samples - lo)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
+        kept = coeffs[lo : lo + b]
+        x = np.tile(z0, (b, 1))
+        for i in range(1, num_steps + 1):
+            x = decay * x + rng.standard_normal((b, k)) @ chol_t
+            d = x - mean[i]
+            first[i] += d.sum(axis=0)
+            second[i] += d.T @ d
+            kept[:, i] = x[: len(kept)]
+    first /= num_samples
+    second /= num_samples
+    first.flags.writeable = second.flags.writeable = False  # shared by every reader
 
     return TrajectoryEnsemble(
-        times=np.linspace(0.0, horizon, num_steps + 1),
+        times=times,
         coeffs=coeffs,
         lambdas=lambdas,
-        vertex_traces=eig.vertex_traces[:k_total],
+        vertex_traces=eig.vertex_traces[:k],
         channels=channels,
         vertices=tuple(eig.graph.vertices),
         z0=z0,
         seed=int(seed),
         cholesky_jitter=jitter,
+        num_samples=int(num_samples),
+        moments=(first, second),
     )
 
 
@@ -469,8 +464,8 @@ def invariant_measure_check(
 
 
 def ensemble_to_csv(ens: TrajectoryEnsemble, path, max_samples: int | None = None) -> None:
-    """Long-format mode coefficients: one row per (sample, time, mode)."""
-    count = ens.num_samples if max_samples is None else min(max_samples, ens.num_samples)
+    """Long-format mode coefficients of the kept paths: one row per (sample, time, mode)."""
+    count = len(ens.coeffs) if max_samples is None else min(max_samples, len(ens.coeffs))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "time", "mode", "value"])

@@ -140,7 +140,32 @@ def test_simulate_command_and_reproducibility(workdir, interval_file, capsys):
     manifest = json.loads((workdir / "qgraph-simulate.manifest.json").read_text())
     assert "backend" not in manifest
     assert manifest["cholesky_jitter"] == 0.0
-    assert manifest["rng"] == "per-sample SeedSequence(seed, spawn_key=(s,)) + PCG64"
+    assert manifest["rng"] == (
+        "block j of 1024 samples: SeedSequence(seed, spawn_key=(j,)) + PCG64, "
+        "one standard_normal((samples, modes)) per step"
+    )
+
+
+def test_simulate_keeps_only_the_csv_paths(workdir, interval_file, capsys, monkeypatch):
+    kept = []
+
+    def spy(*args, **kwargs):
+        ens = qg.simulate(*args, **kwargs)
+        kept.append(len(ens.coeffs))
+        return ens
+
+    monkeypatch.setattr("qgraph.cli.simulate", spy)
+    argv = ["simulate", "--graph", interval_file, "--noise", "diag:v1=1", "--mesh", "8",
+            "--modes", "2", "--steps", "3", "--samples", "40", "--alphas", ""]
+    assert main(argv + ["--summary-out", "summary.csv"]) == 0
+    assert main(argv + ["--out", "paths.csv", "--csv-samples", "3"]) == 0
+    capsys.readouterr()
+    assert kept == [0, 3]
+    rows = (workdir / "paths.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 * 4 * 2
+    assert {row.split(",")[0] for row in rows[1:]} == {"0", "1", "2"}
+    manifest = json.loads((workdir / "paths.csv.manifest.json").read_text())
+    assert manifest["covariance_check"]["num_samples"] == 40
 
 
 def test_simulate_reproducible_on_ten_edge_star(workdir, capsys):

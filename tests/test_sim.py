@@ -75,71 +75,82 @@ def test_euler_maruyama_cross_check(interval_eig):
     np.testing.assert_allclose(ens.coeffs[:, -1, 1].var(), exact, rtol=0.08)
 
 
-def test_block_size_never_changes_numbers(interval_eig, monkeypatch):
+def test_kept_paths_never_change_moments(interval_eig, monkeypatch):
     nm = _interval_noise(interval_eig)
     z0 = [0.2, 0.1, 0.0, 0.0]
-    per_sample = 12 * 4  # normals drawn for one sample
-    runs = []
-    # blocks of 1, 5 (not dividing 13), 13 and the default budget
-    for budget in (per_sample, 5 * per_sample, 13 * per_sample, sim.BLOCK_NORMALS):
-        monkeypatch.setattr(sim, "BLOCK_NORMALS", budget)
-        runs.append(qg.simulate(interval_eig, nm, z0, 1.0, 12, 13, seed=42, num_modes=4))
-    for other in runs[1:]:
-        assert np.array_equal(runs[0].coeffs, other.coeffs)
+    # one block, then blocks of 5 with a partial last block
+    for block in (sim.BLOCK_SAMPLES, 5):
+        monkeypatch.setattr(sim, "BLOCK_SAMPLES", block)
+        full, *partial = (
+            qg.simulate(interval_eig, nm, z0, 1.0, 12, 13, seed=42, num_modes=4, keep_paths=keep)
+            for keep in (None, 0, 10, 13, 100)
+        )
+        assert full.coeffs.shape == (13, 13, 4) and full.num_samples == 13
+        for ens in partial:
+            assert ens.num_samples == 13
+            assert all(np.array_equal(a, b) for a, b in zip(ens.moments, full.moments))
+            assert np.array_equal(ens.coeffs, full.coeffs[: len(ens.coeffs)])
+        assert [len(ens.coeffs) for ens in partial] == [0, 10, 13, 13]
 
 
-def test_block_buffers_bounded_by_budget(interval_eig, monkeypatch):
-    """Working memory beyond the ensemble does not grow with the sample count."""
+def test_moments_match_kept_paths(interval_eig, monkeypatch):
+    """The moments summed while sampling are those of the paths themselves."""
+    monkeypatch.setattr(sim, "BLOCK_SAMPLES", 7)
+    z0 = [0.5, -0.2, 0.1]
+    ens = qg.simulate(interval_eig, _interval_noise(interval_eig), z0, 1.0, 9, 30, seed=8,
+                      num_modes=3)
+    d = ens.coeffs - ens.analytic_mean(ens.times)
+    first, second = ens.moments
+    np.testing.assert_allclose(first, d.mean(axis=0), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(second, np.einsum("sti,stj->tij", d, d) / 30, rtol=1e-12)
+    assert not np.any(first[0]) and not np.any(second[0])
+    assert not first.flags.writeable and not second.flags.writeable
+
+
+def test_memory_independent_of_sample_count(interval_eig, monkeypatch):
+    """With no path kept, memory beyond the moments does not grow with the blocks."""
     nm = _interval_noise(interval_eig)
-    monkeypatch.setattr(sim, "BLOCK_NORMALS", 10 * 8 * 4)
-    budget_bytes = 8 * sim.BLOCK_NORMALS
-    for samples in (200, 2000):
+    monkeypatch.setattr(sim, "BLOCK_SAMPLES", 50)
+    extra = []
+    for samples in (100, 1000):  # 2 and 20 blocks
         tracemalloc.start()
         try:
-            ens = qg.simulate(interval_eig, nm, [0.0], 1.0, 8, samples, seed=1, num_modes=4)
+            ens = qg.simulate(interval_eig, nm, [0.3], 1.0, 8, samples, seed=1, num_modes=4,
+                              keep_paths=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - ens.coeffs.nbytes <= 2 * budget_bytes + 64 * 1024
+        extra.append(peak - sum(m.nbytes for m in ens.moments))
+    assert extra[1] <= extra[0] + 4096
 
 
-def test_moment_pass_bounded_by_budget(interval_eig, monkeypatch):
-    """Reading the ensemble needs no temporary the size of the ensemble."""
+def test_block_replays_from_recipe(interval_eig, monkeypatch):
+    """Every block, the partial last one too, replays from the documented
+    recipe, and so do the moments summed in block order."""
+    monkeypatch.setattr(sim, "BLOCK_SAMPLES", 4)
     nm = _interval_noise(interval_eig)
-    monkeypatch.setattr(sim, "BLOCK_NORMALS", 20 * 9 * 4)
-    budget_bytes = 8 * sim.BLOCK_NORMALS
-    for samples in (200, 2000):
-        ens = qg.simulate(interval_eig, nm, [0.3], 1.0, 8, samples, seed=1, num_modes=4)
-        tracemalloc.start()
-        try:
-            first, second = ens.moments
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert first.shape == (9, 4) and second.shape == (9, 4, 4)
-        assert peak <= 2 * budget_bytes + 64 * 1024
-
-
-def test_sample_seed_is_pure_function_of_index(interval_eig):
-    nm = _interval_noise(interval_eig)
-    steps, k = 4, 3
-    ens = qg.simulate(interval_eig, nm, [0.5, -0.25], 1.0, steps, 3, seed=17, num_modes=k)
-    ss = ens.sample_seed(2)
-    assert ss.entropy == 17 and ss.spawn_key == (2,)
-    # replaying the documented per-sample recipe reproduces the stored path
+    steps, k, n = 4, 3, 10  # blocks of 4, 4 and 2 samples
+    ens = qg.simulate(interval_eig, nm, [0.5, -0.25], 1.0, steps, n, seed=17, num_modes=k)
     dt = 1.0 / steps
     lam = ens.lambdas
     cov = (ens.channels @ ens.channels.T) * _eta(lam[:, None] + lam[None, :], dt)
     chol, _ = _innovation_cholesky(0.5 * (cov + cov.T))
-    rng = np.random.default_rng(ens.sample_seed(2))
-    innovations = rng.standard_normal((steps, k)) @ chol.T
     decay = np.exp(-lam * dt)
-    x = ens.z0.copy()
-    path = [x]
-    for i in range(steps):
-        x = decay * x + innovations[i]
-        path.append(x)
-    assert np.array_equal(np.array(path), ens.coeffs[2])
+    mean = ens.analytic_mean(ens.times)
+    first, second = np.zeros((steps + 1, k)), np.zeros((steps + 1, k, k))
+    for j, lo in enumerate((0, 4, 8)):
+        b = min(4, n - lo)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=17, spawn_key=(j,)))
+        x = np.tile(ens.z0, (b, 1))
+        assert np.array_equal(ens.coeffs[lo : lo + b, 0], x)
+        for i in range(1, steps + 1):
+            x = decay * x + rng.standard_normal((b, k)) @ chol.T
+            assert np.array_equal(ens.coeffs[lo : lo + b, i], x)
+            d = x - mean[i]
+            first[i] += d.sum(axis=0)
+            second[i] += d.T @ d
+    assert np.array_equal(ens.moments[0], first / n)
+    assert np.array_equal(ens.moments[1], second / n)
 
 
 def test_parseval_energy(interval_eig):
@@ -274,6 +285,8 @@ def test_simulate_validation(interval_eig):
         qg.simulate(interval_eig, nm, [0.0], 1.0, 0, 2)
     with pytest.raises(ValueError):
         qg.simulate(interval_eig, nm, np.zeros(50), 1.0, 4, 2, num_modes=50)
+    with pytest.raises(ValueError, match="keep_paths"):
+        qg.simulate(interval_eig, nm, [0.0], 1.0, 4, 2, keep_paths=-1)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="horizon"):
             qg.simulate(interval_eig, nm, [0.0], bad, 4, 2)
