@@ -107,6 +107,41 @@ def test_moments_match_kept_paths(interval_eig, monkeypatch):
     assert not first.flags.writeable and not second.flags.writeable
 
 
+def test_block_buffers_bounded_by_budget(interval_eig, monkeypatch):
+    """Working memory beyond the kept paths and the moments does not grow
+    with the sample count: it stays within a few blocks' worth of paths."""
+    nm = _interval_noise(interval_eig)
+    monkeypatch.setattr(sim, "BLOCK_SAMPLES", 10)
+    budget_bytes = 8 * sim.BLOCK_SAMPLES * 9 * 4  # one block of paths
+    for samples in (200, 2000):
+        tracemalloc.start()
+        try:
+            ens = qg.simulate(interval_eig, nm, [0.0], 1.0, 8, samples, seed=1, num_modes=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.coeffs.shape == (samples, 9, 4)
+        stored = ens.coeffs.nbytes + sum(m.nbytes for m in ens.moments)
+        assert peak - stored <= 2 * budget_bytes + 64 * 1024
+
+
+def test_moment_pass_bounded_by_budget(interval_eig, monkeypatch):
+    """Reading the moments needs no temporary the size of the ensemble."""
+    nm = _interval_noise(interval_eig)
+    monkeypatch.setattr(sim, "BLOCK_SAMPLES", 20)
+    budget_bytes = 8 * sim.BLOCK_SAMPLES * 9 * 4
+    for samples in (200, 2000):
+        ens = qg.simulate(interval_eig, nm, [0.3], 1.0, 8, samples, seed=1, num_modes=4)
+        tracemalloc.start()
+        try:
+            first, second = ens.moments
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.shape == (9, 4) and second.shape == (9, 4, 4)
+        assert peak <= 2 * budget_bytes + 64 * 1024
+
+
 def test_memory_independent_of_sample_count(interval_eig, monkeypatch):
     """With no path kept, memory beyond the moments does not grow with the blocks."""
     nm = _interval_noise(interval_eig)
