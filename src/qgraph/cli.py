@@ -220,7 +220,8 @@ def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMode
         keep_paths=args.csv_samples if args.out else 0,
     )
     print(f"sampled {ens.num_samples} paths of {ens.num_modes} modes ({args.steps} steps)")
-    extra: dict = {"cholesky_jitter": ens.cholesky_jitter, "rng": RNG_RECIPE}
+    extra: dict = {"innovation_rank": ens.innovation_rank,
+                   "innovation_dropped": ens.innovation_dropped, "rng": RNG_RECIPE}
     if not args.no_verify:
         report = verify_covariance(ens)
         print(f"covariance check over {len(report.times)} grid times: "

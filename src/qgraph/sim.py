@@ -10,12 +10,12 @@ transition law, not an Euler scheme, so the step count only controls
 the output grid.  The law holds for any family of eigenfunctions,
 orthonormal or not — each tested coefficient is an exact stochastic
 convolution — which matters because the analytic star family overlaps
-on shared edges.  Samples run in blocks of BLOCK_SAMPLES, block j on
-its own RNG stream, a pure function of (seed, j); the per-time moments
-about the exact mean are summed while sampling, so memory does not grow
-with the sample count, and only the leading paths asked for are kept.
-The law itself is shared with control.  The covariance check and the
-summary statistics both read TrajectoryEnsemble.moments.
+on shared edges.  Each step draws r <= k normals per sample through a
+pivoted-Cholesky factor of the innovation's numerical rank.  Samples run
+in blocks of BLOCK_SAMPLES, block j on its own RNG stream, a pure function
+of (seed, j); the moments about the exact mean, which the covariance check
+and the summary read, are summed while sampling, so memory does not grow
+with the sample count.  Only the leading paths asked for are kept.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf
 
 from . import tolerances as tol
 from .control import (
@@ -62,7 +63,7 @@ BLOCK_SAMPLES = 1024
 # how simulate seeds and draws, written into every manifest
 RNG_RECIPE = (
     f"block j of {BLOCK_SAMPLES} samples: SeedSequence(seed, spawn_key=(j,)) + PCG64, "
-    "one standard_normal((samples, modes)) per step"
+    "one standard_normal((samples, innovation_rank)) per step"
 )
 
 
@@ -70,37 +71,31 @@ def _exact_mean(lambdas: np.ndarray, z0: np.ndarray, t) -> np.ndarray:
     return np.exp(-lambdas * np.asarray(t, dtype=float)[..., None]) * z0
 
 
-def _innovation_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor, with a per-mode diagonal jitter if needed.
+def _innovation_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rank-revealing factor F, k x r, with F F^T the innovation covariance.
 
-    The innovation covariance is PSD by construction but often rank
-    deficient (quiet modes), so plain Cholesky can fail on roundoff.  Then
-    the correlation matrix D^(-1/2) cov D^(-1/2) gets an escalating jitter
-    up to a hard stop, and its factor is rescaled by D^(1/2): one large
-    variance (the kernel mode at a long horizon) cannot swamp the others,
-    and zero-variance modes keep exactly zero rows.  Returns the factor
-    and the jitter (0.0 when plain Cholesky succeeds).
+    Pivoted Cholesky (LAPACK dpstrf) of the correlation matrix D^(-1/2) cov
+    D^(-1/2) of the modes with variance, stopped once no pivot exceeds
+    INNOVATION_DROP, scaled back by D^(1/2): one large variance (the kernel
+    mode at a long horizon) cannot swamp the others, and zero-variance modes
+    keep zero rows.  Returns F and the dropped residual max |corr - F F^T|,
+    enforced against the same tolerance: an indefinite input fails there.
     """
-    try:
-        return np.linalg.cholesky(cov), 0.0
-    except np.linalg.LinAlgError:
-        pass
     d = np.diag(cov)
     live = d > 0
     if np.any(d < 0) or np.any(cov[~live]):  # PSD: zero variance, zero row
         raise CovarianceNotPSDError("innovation covariance is not positive semidefinite")
-    sd = np.sqrt(d)
-    unit = np.where(live, sd, 1.0)
-    corr = cov / np.outer(unit, unit) + np.diag(~live)  # a dead mode factors as 1
-    jitter = 0.0
-    while jitter <= tol.JITTER_STOP:
-        try:
-            return sd[:, None] * np.linalg.cholesky(corr + jitter * np.diag(live)), jitter
-        except np.linalg.LinAlgError:
-            jitter = jitter * 10.0 if jitter else tol.JITTER_START
-    raise CovarianceNotPSDError(
-        f"innovation covariance not factorizable even with jitter {tol.JITTER_STOP}"
-    )
+    sd = np.sqrt(d[live])
+    corr = cov[np.ix_(live, live)] / np.outer(sd, sd)
+    c, piv, rank, _ = dpstrf(corr, tol=tol.INNOVATION_DROP, lower=1)
+    unit = np.tril(c)[np.argsort(piv), :rank]  # rows back in mode order
+    dropped = float(np.max(np.abs(corr - unit @ unit.T), initial=0.0))
+    if not dropped <= tol.INNOVATION_DROP:
+        raise CovarianceNotPSDError("innovation covariance is not positive semidefinite: "
+                                    f"dropped residual {dropped:.3g} > {tol.INNOVATION_DROP:g}")
+    factor = np.zeros((len(d), rank), order="F")  # F.T is C-contiguous, for the draws
+    factor[live] = sd[:, None] * unit
+    return factor, dropped
 
 
 @dataclass(frozen=True)
@@ -115,8 +110,8 @@ class TrajectoryEnsemble:
     num_steps + 1, num_modes): the same rows whatever the count kept.
     channels holds the noise-weighted vertex traces v_k row-wise, and
     vertex values of the state are coeffs @ vertex_traces.
-    cholesky_jitter is the diagonal jitter, relative to each mode's
-    variance, that the innovation factor needed.
+    innovation_rank is r, the normals drawn per sample and step, and
+    innovation_dropped the correlation residual its factor left out.
     """
 
     times: np.ndarray
@@ -127,7 +122,8 @@ class TrajectoryEnsemble:
     vertices: tuple[str, ...]
     z0: np.ndarray
     seed: int
-    cholesky_jitter: float
+    innovation_rank: int
+    innovation_dropped: float
     num_samples: int
     moments: tuple[np.ndarray, np.ndarray]
 
@@ -167,10 +163,10 @@ def simulate(
     holds.  Samples run serially in blocks of BLOCK_SAMPLES, the last one
     possibly partial.  Block j, of b samples, starts at z0 and draws from
     default_rng(SeedSequence(seed, spawn_key=(j,))) one
-    standard_normal((b, k)) z per time step, setting
-    x <- decay * x + z @ chol.T with chol the innovation Cholesky factor;
-    d.sum(0) and d.T @ d of d = x - E x(t_i) are added to per-time sums,
-    block after block, which become the moments once divided by
+    standard_normal((b, r)) z per time step, setting
+    x <- decay * x + z @ F.T with F the k x r innovation factor;
+    ones(b) @ d and d.T @ d of d = x - E x(t_i) are added to per-time
+    sums, block after block, which become the moments once divided by
     num_samples.
     """
     _check_horizon(horizon)
@@ -188,8 +184,7 @@ def simulate(
     times = np.linspace(0.0, horizon, num_steps + 1)
     dt = horizon / num_steps
     decay = np.exp(-lambdas * dt)
-    chol, jitter = _innovation_cholesky(_covariance(lambdas, channels, dt))
-    chol_t = np.ascontiguousarray(chol.T)
+    factor, dropped = _innovation_factor(_covariance(lambdas, channels, dt))
     mean = _exact_mean(lambdas, z0, times)
 
     keep = num_samples if keep_paths is None else min(keep_paths, num_samples)
@@ -198,15 +193,19 @@ def simulate(
     # every path starts on the exact mean: the t = 0 moments stay exactly 0
     first = np.zeros((num_steps + 1, k))
     second = np.zeros((num_steps + 1, k, k))
+    ones = np.ones(BLOCK_SAMPLES)
     for j, lo in enumerate(range(0, num_samples, BLOCK_SAMPLES)):
         b = min(BLOCK_SAMPLES, num_samples - lo)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
         kept = coeffs[lo : lo + b]
         x = np.tile(z0, (b, 1))
+        # one set of step buffers per block: fresh ones per step page-fault at 50 modes
+        z, step, d = np.empty((b, factor.shape[1])), np.empty((b, k)), np.empty((b, k))
         for i in range(1, num_steps + 1):
-            x = decay * x + rng.standard_normal((b, k)) @ chol_t
-            d = x - mean[i]
-            first[i] += d.sum(axis=0)
+            x *= decay
+            x += np.matmul(rng.standard_normal(out=z), factor.T, out=step)
+            np.subtract(x, mean[i], out=d)
+            first[i] += ones[:b] @ d
             second[i] += d.T @ d
             kept[:, i] = x[: len(kept)]
     first /= num_samples
@@ -222,7 +221,8 @@ def simulate(
         vertices=tuple(eig.graph.vertices),
         z0=z0,
         seed=int(seed),
-        cholesky_jitter=jitter,
+        innovation_rank=factor.shape[1],
+        innovation_dropped=dropped,
         num_samples=int(num_samples),
         moments=(first, second),
     )

@@ -39,9 +39,9 @@ NOISE_SYMMETRY = 1e-12
 NOISE_EIG_FLOOR = -1e-12
 NOISE_SQRT_CHECK = 1e-10
 
-# Cholesky jitter escalation for per-step increment covariances
-JITTER_START = 1e-14
-JITTER_STOP = 1e-10
+# pivoted-Cholesky stop on the per-step innovation correlation matrix, and
+# the bound on the dropped residual max |corr - F F^T|
+INNOVATION_DROP = 1e-14
 
 
 def as_dict() -> dict:
@@ -59,6 +59,5 @@ def as_dict() -> dict:
         "noise_symmetry": NOISE_SYMMETRY,
         "noise_eig_floor": NOISE_EIG_FLOOR,
         "noise_sqrt_check": NOISE_SQRT_CHECK,
-        "jitter_start": JITTER_START,
-        "jitter_stop": JITTER_STOP,
+        "innovation_drop": INNOVATION_DROP,
     }

@@ -52,7 +52,7 @@ def test_spectrum_command(workdir, star_file, capsys):
     assert mode_out.read_text().splitlines()[0] == "edge,x,value"
     manifest = json.loads((workdir / "spectrum.csv.manifest.json").read_text())
     assert manifest["command"] == "spectrum"
-    assert len(manifest["tolerances"]) == 14
+    assert len(manifest["tolerances"]) == 13
     assert set(manifest["versions"]) == {"qgraph", "numpy", "scipy", "python"}
     assert manifest["config"]["mesh"] == 64
 
@@ -139,10 +139,12 @@ def test_simulate_command_and_reproducibility(workdir, interval_file, capsys):
     assert profile.read_text().splitlines()[0] == "alpha,K',partial_sum,slope"
     manifest = json.loads((workdir / "qgraph-simulate.manifest.json").read_text())
     assert "backend" not in manifest
-    assert manifest["cholesky_jitter"] == 0.0
+    assert "cholesky_jitter" not in manifest
+    assert manifest["innovation_rank"] == 6  # dt = 1/16 resolves all six directions
+    assert 0.0 <= manifest["innovation_dropped"] <= manifest["tolerances"]["innovation_drop"]
     assert manifest["rng"] == (
         "block j of 1024 samples: SeedSequence(seed, spawn_key=(j,)) + PCG64, "
-        "one standard_normal((samples, modes)) per step"
+        "one standard_normal((samples, innovation_rank)) per step"
     )
 
 
@@ -277,6 +279,18 @@ def test_numerical_failures_exit_3(workdir, star_file, capsys, argv):
     assert err.startswith("numerical failure:") and "Traceback" not in err
     assert out == "" and not (workdir / "report.json").exists()
     assert not list(workdir.glob("*.manifest.json"))
+
+
+def test_indefinite_innovation_exits_3(workdir, interval_file, capsys, monkeypatch):
+    """An innovation covariance the pivoted factor cannot reproduce is a
+    numerical failure, reported in one line."""
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    monkeypatch.setattr("qgraph.sim._covariance", lambda lam, ch, t: indefinite)
+    rc = main(["simulate", "--graph", interval_file, "--noise", "diag:v1=1", "--mesh", "8",
+               "--modes", "2", "--steps", "3", "--samples", "4", "--alphas", ""])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "not positive semidefinite" in err
 
 
 def test_undefined_statistics_are_written_as_null(workdir, interval_file, capsys):

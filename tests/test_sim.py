@@ -14,7 +14,7 @@ from qgraph.errors import (
     SpectrumTooCoarseError,
 )
 from qgraph.noise import NoiseModel
-from qgraph.sim import _innovation_cholesky
+from qgraph.sim import _innovation_factor
 
 PI2 = np.pi**2
 
@@ -159,17 +159,20 @@ def test_memory_independent_of_sample_count(interval_eig, monkeypatch):
     assert extra[1] <= extra[0] + 4096
 
 
-def test_block_replays_from_recipe(interval_eig, monkeypatch):
+def test_block_replays_from_recipe(star3_analytic, monkeypatch):
     """Every block, the partial last one too, replays from the documented
-    recipe, and so do the moments summed in block order."""
+    recipe, and so do the moments summed in block order; the factor drops
+    directions of modes that all carry variance, so truncation replays too."""
     monkeypatch.setattr(sim, "BLOCK_SAMPLES", 4)
-    nm = _interval_noise(interval_eig)
-    steps, k, n = 4, 3, 10  # blocks of 4, 4 and 2 samples
-    ens = qg.simulate(interval_eig, nm, [0.5, -0.25], 1.0, steps, n, seed=17, num_modes=k)
+    nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0})
+    steps, k, n = 4, 6, 10  # blocks of 4, 4 and 2 samples
+    ens = qg.simulate(star3_analytic, nm, [0.5, -0.25], 1.0, steps, n, seed=17, num_modes=k)
     dt = 1.0 / steps
     lam = ens.lambdas
     cov = (ens.channels @ ens.channels.T) * _eta(lam[:, None] + lam[None, :], dt)
-    chol, _ = _innovation_cholesky(0.5 * (cov + cov.T))
+    factor, _ = _innovation_factor(cov)
+    r = factor.shape[1]
+    assert np.all(np.diag(cov) > 0) and r == ens.innovation_rank < k
     decay = np.exp(-lam * dt)
     mean = ens.analytic_mean(ens.times)
     first, second = np.zeros((steps + 1, k)), np.zeros((steps + 1, k, k))
@@ -179,10 +182,10 @@ def test_block_replays_from_recipe(interval_eig, monkeypatch):
         x = np.tile(ens.z0, (b, 1))
         assert np.array_equal(ens.coeffs[lo : lo + b, 0], x)
         for i in range(1, steps + 1):
-            x = decay * x + rng.standard_normal((b, k)) @ chol.T
+            x = decay * x + rng.standard_normal((b, r)) @ factor.T
             assert np.array_equal(ens.coeffs[lo : lo + b, i], x)
             d = x - mean[i]
-            first[i] += d.sum(axis=0)
+            first[i] += np.ones(b) @ d
             second[i] += d.T @ d
     assert np.array_equal(ens.moments[0], first / n)
     assert np.array_equal(ens.moments[1], second / n)
@@ -331,46 +334,75 @@ def test_simulate_validation(interval_eig):
 
 def test_innovation_cholesky_rejects_negative():
     with pytest.raises(CovarianceNotPSDError):
-        _innovation_cholesky(np.array([[-1.0]]))
+        _innovation_factor(np.array([[-1.0]]))
     # a zero variance with a nonzero covariance is not PSD either
     with pytest.raises(CovarianceNotPSDError):
-        _innovation_cholesky(np.array([[1.0, 0.5], [0.5, 0.0]]))
+        _innovation_factor(np.array([[1.0, 0.5], [0.5, 0.0]]))
+    # positive variances, eigenvalue -1: the pivoted factor stops at rank 1
+    # and the dropped residual, |1 - 4| = 3, fails the check
+    with pytest.raises(CovarianceNotPSDError, match="dropped residual 3 > 1e-14"):
+        _innovation_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_innovation_cholesky_reports_jitter():
-    assert _innovation_cholesky(np.eye(2))[1] == 0.0
-    assert _innovation_cholesky(np.zeros((2, 2)))[1] == 0.0
-    # rank deficient: plain Cholesky fails, the first jitter step succeeds
-    chol, jitter = _innovation_cholesky(np.ones((2, 2)))
-    assert jitter == tol.JITTER_START
-    np.testing.assert_allclose(chol @ chol.T, np.ones((2, 2)), atol=1e-6)
-    # the jitter is relative to each mode's own variance, and a mode
-    # without variance keeps an exactly zero row
+def test_innovation_factor_reports_rank_and_dropped():
+    for cov, rank in ((np.eye(2), 2), (np.zeros((2, 2)), 0), (np.ones((2, 2)), 1)):
+        factor, dropped = _innovation_factor(cov)
+        assert factor.shape == (2, rank) and dropped == 0.0
+        assert np.array_equal(factor @ factor.T, cov)
+    # the factor is scaled to each mode's own variance, a mode without
+    # variance keeps an exactly zero row, and the rows stay in mode order
     cov = np.diag([1e100, 1.0, 1.0, 0.0])
     cov[1:3, 1:3] = 1.0
-    chol, jitter = _innovation_cholesky(cov)
-    assert jitter == tol.JITTER_START
-    np.testing.assert_allclose(chol @ chol.T, cov, rtol=1e-6, atol=1e-6)
-    assert not np.any(chol[3]) and not np.any(chol[:, 3])
+    factor, dropped = _innovation_factor(cov)
+    assert factor.shape == (4, 2) and dropped == 0.0
+    np.testing.assert_allclose(factor @ factor.T, cov, rtol=1e-15)
+    assert not np.any(factor[3])
 
 
-def test_ensemble_carries_cholesky_jitter(interval_eig, star3_analytic):
+def test_ensemble_carries_innovation_rank(interval_eig, star3_analytic):
     ens = qg.simulate(interval_eig, _interval_noise(interval_eig), [], 1.0, 4, 2, num_modes=4)
-    assert ens.cholesky_jitter == 0.0
-    # one noisy leaf leaves quiet modes: the factor needs a jitter
+    assert ens.innovation_rank == 4 and ens.innovation_dropped <= tol.INNOVATION_DROP
+    # one noisy leaf: the innovation has fewer directions than modes
     nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0})
     ens = qg.simulate(star3_analytic, nm, [], 1.0, 4, 2, num_modes=10)
-    assert tol.JITTER_START <= ens.cholesky_jitter <= tol.JITTER_STOP
+    assert 0 < ens.innovation_rank < 10
+    assert 0.0 <= ens.innovation_dropped <= tol.INNOVATION_DROP
+    # no noise at all: rank 0, and every path follows the exact mean
+    quiet = NoiseModel.from_diagonal(interval_eig.graph, {})
+    ens = qg.simulate(interval_eig, quiet, [0.5], 1.0, 4, 3, num_modes=4)
+    assert ens.innovation_rank == 0 and ens.innovation_dropped == 0.0
+    assert np.array_equal(ens.coeffs, np.broadcast_to(ens.analytic_mean(ens.times), (3, 5, 4)))
+
+
+def test_simulate_draws_rank_normals_per_sample_step(star3_analytic, monkeypatch):
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            z = self._rng.standard_normal(*args, **kwargs)
+            drawn.append(z.size)
+            return z
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    monkeypatch.setattr(sim, "BLOCK_SAMPLES", 8)
+    nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0})
+    ens = qg.simulate(star3_analytic, nm, [], 1.0, 5, 20, seed=3, num_modes=10)
+    assert ens.innovation_rank < 10
+    assert len(drawn) == 3 * 5 and sum(drawn) == 20 * 5 * ens.innovation_rank
 
 
 def test_long_horizon_ensemble_matches_the_law():
     """At T = 1e50 the kernel mode's variance (growing like T) exceeds the
-    others by 50 decades; a jitter scaled to it would swamp them."""
+    others by 50 decades; a factor of the unscaled covariance would lose them."""
     g = qg.star_graph([1.0, 1.0, 1.0])
     eig = qg.solve_spectrum(g, 16, 4)
     nm = NoiseModel.from_diagonal(g, {"v1": 1.0})
     ens = qg.simulate(eig, nm, [], 1e50, 4, 2000, seed=42)
-    assert ens.cholesky_jitter > 0.0
+    assert ens.innovation_rank < ens.num_modes
     assert qg.verify_covariance(ens).passed()
 
 
