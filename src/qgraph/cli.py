@@ -72,9 +72,10 @@ def _floats(text: str) -> list[float]:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # serialized first: a non-finite value raises ValueError and leaves no file
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_manifest(args: argparse.Namespace, extra: dict) -> None:
@@ -131,13 +132,7 @@ def _cmd_spectrum(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMode
 
 
 def _cmd_feller(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
-    verdict = decide_feller(
-        graph,
-        noise,
-        elements_per_edge=args.mesh,
-        num_modes=args.modes,
-        max_order=args.max_order,
-    )
+    verdict = decide_feller(graph, noise, elements_per_edge=args.mesh, num_modes=args.modes)
     print(f"verdict: {verdict.verdict}")
     print(f"rule: {verdict.rule}")
     print(f"detail: {verdict.detail}")
@@ -220,14 +215,12 @@ def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMode
         keep_paths=args.csv_samples if args.out else 0,
     )
     print(f"sampled {ens.num_samples} paths of {ens.num_modes} modes ({args.steps} steps)")
-    extra: dict = {"innovation_rank": ens.innovation_rank,
-                   "innovation_dropped": ens.innovation_dropped, "rng": RNG_RECIPE}
-    if not args.no_verify:
-        report = verify_covariance(ens)
-        print(f"covariance check over {len(report.times)} grid times: "
-              f"max |z| = {report.max_cov_z:.3g}, mean max |z| = {report.max_mean_z:.3g}, "
-              f"within 3 SE: {100 * report.frac_within_3se:.1f}%")
-        extra["covariance_check"] = report.to_json()
+    report = verify_covariance(ens)
+    print(f"covariance check over {len(report.times)} grid times: "
+          f"max |z| = {report.max_cov_z:.3g}, mean max |z| = {report.max_mean_z:.3g}, "
+          f"within 3 SE: {100 * report.frac_within_3se:.1f}%")
+    extra = {"innovation_rank": ens.innovation_rank, "innovation_dropped": ens.innovation_dropped,
+             "rng": RNG_RECIPE, "covariance_check": report.to_json()}
     if entries:
         for entry in entries:
             status = "convergent" if entry.convergent else "divergent"
@@ -261,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--noise", required=True,
                     help="noise spec: diag:v1=1,v2=1 or a JSON file")
-    sp.add_argument("--max-order", type=int, default=64,
-                    help="odd-ratio search depth for star geometries (default 64)")
     sp.add_argument("--out", default=None, help="write verdict JSON here")
     sp.set_defaults(func=_cmd_feller)
 
@@ -301,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=200)
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--no-verify", action="store_true",
-                    help="skip the empirical-vs-exact covariance check")
     sp.add_argument("--alphas", default="0.0,0.2,0.3",
                     help="smoothness levels for the regularity profile "
                          "(default 0.0,0.2,0.3; empty string disables)")

@@ -87,6 +87,13 @@ def _eta(mu: np.ndarray, t) -> np.ndarray:
     return np.where(mu > 0, -np.expm1(-safe * t) / safe, t)
 
 
+def _decay(lambdas: np.ndarray, t) -> np.ndarray:
+    """exp(-lambda t); broadcasts over t.  At a huge horizon -lambda t
+    overflows to -inf, where the decay is exactly 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-lambdas * t)
+
+
 # -- the exact Gaussian law of the mode coefficients, shared with sim -------
 
 def _modes_in_play(eig: EigenSystem, num_modes: int | None, least: int = 1) -> int:
@@ -125,6 +132,19 @@ def _covariance(lambdas: np.ndarray, channels: np.ndarray, t) -> np.ndarray:
     return cov
 
 
+def _variance_sums(lambdas: np.ndarray, channels: np.ndarray, t, weights=1.0):
+    """Weighted mode variances weights_k Var X_k(t), the diagonal of
+    _covariance, and their partial sums over k, both along the last axis;
+    an array of times, or of weights, adds leading axes."""
+    var = np.diagonal(_covariance(lambdas, channels, t), axis1=-2, axis2=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = weights * var
+        sums = np.cumsum(terms, axis=-1)
+    if not np.all(np.isfinite(sums)):  # finite sums mean finite terms too
+        raise ValueError("noise intensity and horizon too large: the variance sum overflows")
+    return terms, sums
+
+
 def solve_null_control(
     eig: EigenSystem,
     noise: NoiseModel,
@@ -148,7 +168,7 @@ def solve_null_control(
     z0 = _initial_coeffs(z0_coeffs, k_total)
     lambdas = eig.lambdas[:k_total]
     channels = _channels(eig, noise, k_total)
-    b = np.exp(-lambdas * horizon) * z0
+    b = _decay(lambdas, horizon) * z0
     gram = _covariance(lambdas, channels, horizon)
 
     # scaled spectral pseudo-inverse

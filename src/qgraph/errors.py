@@ -4,6 +4,26 @@ Two broad families matter for the command line tool: input/validation
 problems (exit code 2) and numerical failures (exit code 3).
 """
 
+__all__ = [
+    "QGraphError",
+    "QGraphValidationError",
+    "QGraphNumericalError",
+    "InvalidGraphError",
+    "NotATreeError",
+    "SameVertexError",
+    "UnknownVertexError",
+    "OmitNotBoundaryError",
+    "InfeasiblePathUnionError",
+    "InvalidPathUnionError",
+    "NotPSDError",
+    "AsymmetricMatrixError",
+    "ConvergenceFailureError",
+    "SolveFailureError",
+    "CovarianceNotPSDError",
+    "SpectralGapAmbiguousError",
+    "SpectrumTooCoarseError",
+]
+
 
 class QGraphError(Exception):
     """Base class for all package errors."""

@@ -155,13 +155,14 @@ def hautus_obstruction(eig: EigenSystem, noise: NoiseModel) -> Witness | None:
     return None
 
 
-def _odd_ratio_orders(la: float, lb: float, max_order: int) -> tuple[int, int] | None:
-    """Smallest (na, nb) with la/lb = (2 na + 1)/(2 nb + 1), if any."""
+def _odd_ratio_orders(la: float, lb: float) -> tuple[int, int] | None:
+    """Smallest (na, nb) with la/lb = (2 na + 1)/(2 nb + 1), if any, with
+    both orders at most RATIONAL_MAX_ORDER."""
     ratio = la / lb
-    for nb in range(max_order + 1):
+    for nb in range(tol.RATIONAL_MAX_ORDER + 1):
         target = ratio * (2 * nb + 1)
         na2 = round((target - 1.0) / 2.0)
-        if na2 < 0 or na2 > max_order:
+        if na2 < 0 or na2 > tol.RATIONAL_MAX_ORDER:
             continue
         cand = 2 * na2 + 1
         if abs(cand - target) <= tol.RATIONAL_RATIO * abs(target):
@@ -169,9 +170,7 @@ def _odd_ratio_orders(la: float, lb: float, max_order: int) -> tuple[int, int] |
     return None
 
 
-def rational_star_scan(
-    graph: MetricGraph, noise: NoiseModel, max_order: int = 64
-) -> Witness | None:
+def rational_star_scan(graph: MetricGraph, noise: NoiseModel) -> Witness | None:
     """Arithmetic search for two-edge eigenfunctions a mesh cannot see.
 
     Applies to Neumann stars with unit diffusion and zero potential.  A
@@ -199,7 +198,7 @@ def rational_star_scan(
         for bi in range(ai + 1, len(quiet_edges)):
             a, va = quiet_edges[ai]
             b, vb = quiet_edges[bi]
-            orders = _odd_ratio_orders(lengths[a], lengths[b], max_order)
+            orders = _odd_ratio_orders(lengths[a], lengths[b])
             if orders is None:
                 continue
             mode = _pair_mode(lengths, a, b, orders[0], orders[1])
@@ -226,7 +225,6 @@ def decide_feller(
     eig: EigenSystem | None = None,
     elements_per_edge: int = 256,
     num_modes: int = 50,
-    max_order: int = 64,
 ) -> FellerVerdict:
     """Combine the sufficient rule, the spectral scan, and the star scan.
 
@@ -257,7 +255,7 @@ def decide_feller(
             checked_clusters=checked,
         )
 
-    star_witness = rational_star_scan(graph, noise, max_order=max_order)
+    star_witness = rational_star_scan(graph, noise)
     if star_witness is not None:
         na, nb = star_witness.mode_orders
         return FellerVerdict(

@@ -30,8 +30,10 @@ from .control import (
     _channels,
     _check_horizon,
     _covariance,
+    _decay,
     _initial_coeffs,
     _modes_in_play,
+    _variance_sums,
 )
 from .errors import (
     CovarianceNotPSDError,
@@ -68,7 +70,7 @@ RNG_RECIPE = (
 
 
 def _exact_mean(lambdas: np.ndarray, z0: np.ndarray, t) -> np.ndarray:
-    return np.exp(-lambdas * np.asarray(t, dtype=float)[..., None]) * z0
+    return _decay(lambdas, np.asarray(t, dtype=float)[..., None]) * z0
 
 
 def _innovation_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -183,7 +185,7 @@ def simulate(
 
     times = np.linspace(0.0, horizon, num_steps + 1)
     dt = horizon / num_steps
-    decay = np.exp(-lambdas * dt)
+    decay = _decay(lambdas, dt)
     factor, dropped = _innovation_factor(_covariance(lambdas, channels, dt))
     mean = _exact_mean(lambdas, z0, times)
 
@@ -201,13 +203,16 @@ def simulate(
         x = np.tile(z0, (b, 1))
         # one set of step buffers per block: fresh ones per step page-fault at 50 modes
         z, step, d = np.empty((b, factor.shape[1])), np.empty((b, k)), np.empty((b, k))
-        for i in range(1, num_steps + 1):
-            x *= decay
-            x += np.matmul(rng.standard_normal(out=z), factor.T, out=step)
-            np.subtract(x, mean[i], out=d)
-            first[i] += ones[:b] @ d
-            second[i] += d.T @ d
-            kept[:, i] = x[: len(kept)]
+        with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked below
+            for i in range(1, num_steps + 1):
+                x *= decay
+                x += np.matmul(rng.standard_normal(out=z), factor.T, out=step)
+                np.subtract(x, mean[i], out=d)
+                first[i] += ones[:b] @ d
+                second[i] += d.T @ d
+                kept[:, i] = x[: len(kept)]
+    if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
+        raise ValueError("noise intensity and horizon too large: the sampled moments overflow")
     first /= num_samples
     second /= num_samples
     first.flags.writeable = second.flags.writeable = False  # shared by every reader
@@ -249,8 +254,9 @@ class CovarianceReport:
     empirical_final: np.ndarray
     analytic_final: np.ndarray
 
-    def passed(self, z_max: float = 5.0) -> bool:
-        return bool(self.max_cov_z <= z_max and self.max_mean_z <= z_max and self.zero_entries_ok)
+    def passed(self) -> bool:
+        """Every deviation within 5 standard errors, and the zero entries zero."""
+        return bool(self.max_cov_z <= 5.0 and self.max_mean_z <= 5.0 and self.zero_entries_ok)
 
     def to_json(self) -> dict:
         return {
@@ -263,39 +269,46 @@ class CovarianceReport:
         }
 
 
-def verify_covariance(ens: TrajectoryEnsemble, t_index: int | None = None) -> CovarianceReport:
+def verify_covariance(ens: TrajectoryEnsemble) -> CovarianceReport:
     """Check the sampled ensemble against the exact Gaussian law.
 
     Covariances and means of the mode coefficients are compared at every
-    grid time (or a single one when t_index is given) and the worst
-    standardized deviation is reported.
+    grid time and the worst standardized deviation is reported.  Beside
+    the moments it holds two arrays of their size: the exact covariances,
+    overwritten by z, and the standard errors.
     """
-    indices = np.arange(len(ens.times)) if t_index is None else [range(len(ens.times))[t_index]]
     s = ens.num_samples
-    mean_dev, emp = (m[indices] for m in ens.moments)
-    ana = ens.analytic_covariance(ens.times[indices])
-    var = np.diagonal(ana, axis1=1, axis2=2)
+    mean_dev, emp = ens.moments
+    ana = ens.analytic_covariance(ens.times)
+    analytic_final = ana[-1].copy()
+    var = np.diagonal(ana, axis1=1, axis2=2).copy()
     sd = np.sqrt(var)
     # sqrt(var_k var_l + ana^2), formed without squaring: no overflow at any scale
-    se = np.hypot(sd[:, :, None] * sd[:, None, :], ana) / np.sqrt(s)
+    se = np.multiply(sd[:, :, None], sd[:, None, :])
+    np.hypot(se, ana, out=se)
+    se /= np.sqrt(s)
 
     live = se > 0
-    z = np.divide(np.abs(emp - ana), se, out=np.zeros_like(se), where=live)
+    z = np.subtract(emp, ana, out=ana)
+    np.abs(z, out=z)
+    np.divide(z, se, out=z, where=live)
+    np.copyto(z, 0.0, where=~live)
     mean_se = np.sqrt(var / s)
     dlive = mean_se > 0  # like se: a variance that underflows here counts as zero
     mean_z = np.divide(np.abs(mean_dev), mean_se, out=np.zeros_like(var), where=dlive)
     zero_ok = np.all(np.abs(emp[~live]) <= 1e-12) and np.all(np.abs(mean_dev[~dlive]) <= 1e-12)
+    num_live = np.count_nonzero(live)
 
     return CovarianceReport(
-        times=ens.times[indices],
+        times=ens.times,
         num_samples=s,
         max_cov_z=float(z.max()),
         max_cov_z_per_time=z.max(axis=(1, 2)),
-        frac_within_3se=float(np.mean(z[live] <= 3.0)) if live.any() else 1.0,
+        frac_within_3se=np.count_nonzero(live & (z <= 3.0)) / num_live if num_live else 1.0,
         max_mean_z=float(mean_z.max()),
         zero_entries_ok=bool(zero_ok),
         empirical_final=emp[-1],
-        analytic_final=ana[-1],
+        analytic_final=analytic_final,
     )
 
 
@@ -345,15 +358,15 @@ def regularity_profile(
         raise ValueError("alphas must be finite")
     k_total = _modes_in_play(eig, num_modes, least=2)
     lam = np.asarray(eig.lambdas[:k_total], dtype=float)
-    var = np.diagonal(_covariance(lam, _channels(eig, noise, k_total), horizon))
+    channels = _channels(eig, noise, k_total)
 
     out = []
     for alpha in alphas:
         with np.errstate(over="ignore", invalid="ignore"):
-            inc = (1.0 + lam) ** (2.0 * alpha) * var
-        if not np.all(np.isfinite(inc)):
+            weights = (1.0 + lam) ** (2.0 * alpha)
+        if not np.all(np.isfinite(weights)):
             raise ValueError(f"alphas too large: the weights overflow at alpha = {alpha:g}")
-        sums = np.cumsum(inc)
+        inc, sums = _variance_sums(lam, channels, horizon, weights)
         ks = np.arange(max(1, k_total // 2), k_total)
         pos = inc[ks] > 0
         if np.count_nonzero(pos) >= 2:
@@ -432,8 +445,8 @@ def invariant_measure_check(
 
     lam = np.asarray(eig.lambdas[:k_total], dtype=float)
     channels = _channels(eig, noise, k_total)
-    terms = np.diagonal(_covariance(lam, channels, horizons), axis1=1, axis2=2)
-    partial = tuple(tuple(float(x) for x in np.cumsum(row)) for row in terms)
+    terms, sums = _variance_sums(lam, channels, horizons)
+    partial = tuple(tuple(float(x) for x in row) for row in sums)
     kernel_terms = tuple(float(x) for x in terms[:, 0])
 
     lam0 = float(lam[0])
@@ -463,13 +476,12 @@ def invariant_measure_check(
     )
 
 
-def ensemble_to_csv(ens: TrajectoryEnsemble, path, max_samples: int | None = None) -> None:
+def ensemble_to_csv(ens: TrajectoryEnsemble, path) -> None:
     """Long-format mode coefficients of the kept paths: one row per (sample, time, mode)."""
-    count = len(ens.coeffs) if max_samples is None else min(max_samples, len(ens.coeffs))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "time", "mode", "value"])
-        for s in range(count):
+        for s in range(len(ens.coeffs)):
             for i, t in enumerate(ens.times):
                 for k in range(ens.num_modes):
                     writer.writerow([s, repr(float(t)), k, repr(float(ens.coeffs[s, i, k]))])

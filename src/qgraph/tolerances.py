@@ -22,6 +22,10 @@ TRACE_ZERO = 1e-6
 # relative tolerance for the odd-integer length-ratio condition on stars
 RATIONAL_RATIO = 1e-12
 
+# odd-ratio search depth on stars: orders na, nb <= this, so a ratio that
+# needs a deeper order leaves the verdict Unknown
+RATIONAL_MAX_ORDER = 64
+
 # spectral gap below which lambda_0 counts as zero
 SPECTRAL_GAP = 1e-8
 
@@ -52,6 +56,7 @@ def as_dict() -> dict:
         "cluster_gap": CLUSTER_GAP,
         "trace_zero": TRACE_ZERO,
         "rational_ratio": RATIONAL_RATIO,
+        "rational_max_order": RATIONAL_MAX_ORDER,
         "spectral_gap": SPECTRAL_GAP,
         "trusted_lambda_h2": TRUSTED_LAMBDA_H2,
         "gram_truncation": GRAM_TRUNCATION,

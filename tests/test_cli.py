@@ -52,7 +52,8 @@ def test_spectrum_command(workdir, star_file, capsys):
     assert mode_out.read_text().splitlines()[0] == "edge,x,value"
     manifest = json.loads((workdir / "spectrum.csv.manifest.json").read_text())
     assert manifest["command"] == "spectrum"
-    assert len(manifest["tolerances"]) == 13
+    assert len(manifest["tolerances"]) == 14
+    assert manifest["tolerances"]["rational_max_order"] == 64
     assert set(manifest["versions"]) == {"qgraph", "numpy", "scipy", "python"}
     assert manifest["config"]["mesh"] == 64
 
@@ -177,7 +178,7 @@ def test_simulate_reproducible_on_ten_edge_star(workdir, capsys):
     argv = [
         "simulate", "--graph", str(star10), "--noise", "diag:v1=1,v2=0.5",
         "--mesh", "256", "--modes", "30", "--steps", "8", "--samples", "300",
-        "--seed", "11", "--alphas", "", "--no-verify",
+        "--seed", "11", "--alphas", "",
     ]
     assert main(argv + ["--summary-out", "a.csv"]) == 0
     assert main(argv + ["--summary-out", "b.csv"]) == 0
@@ -240,15 +241,26 @@ def malformed_files(workdir):
      "--samples", "10", "--steps", "4"],
     ["spectrum", "--graph", "interval.json", "--mode-out", "4:m.csv"],
     ["spectrum", "--graph", "interval.json", "--mode-out=-1:m.csv"],
+    # finite input whose variance partial sums or sampled moments overflow
+    ["invariant", "--graph", "interval.json", "--noise", "diag:v1=5e307", "--mesh", "16",
+     "--modes", "8", "--horizons", "3.5", "--out", "inv.json"],
+    ["simulate", "--graph", "interval.json", "--noise", "diag:v1=5e307", "--mesh", "16",
+     "--modes", "8", "--horizon", "3.5", "--alphas", "0", "--profile-out", "prof.csv",
+     "--samples", "50", "--steps", "4"],
+    ["simulate", "--graph", "interval.json", "--noise", "diag:v1=5e307", "--mesh", "16",
+     "--modes", "8", "--horizon", "3.5", "--alphas", "", "--summary-out", "summary.csv",
+     "--samples", "50", "--steps", "4"],
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed_files,
                                                capsys, argv):
-    rc = main(argv + ["--mesh", "16", "--modes", "4"])
+    before = set(workdir.iterdir())
+    # defaults first, so that a mesh or mode count in argv wins
+    rc = main(argv[:1] + ["--mesh", "16", "--modes", "4"] + argv[1:])
     assert rc == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
     # rejected before any work is reported or written
-    assert out == "" and not (workdir / "m.csv").exists()
+    assert out == "" and set(workdir.iterdir()) == before
 
 
 def test_arpack_failure_exits_3(workdir, capsys):
@@ -345,19 +357,6 @@ def test_runs_in_one_process_do_not_leak(workdir, interval_file, capsys):
     assert "noise" not in after and "noise" not in fresh
     assert sim["noise"] == {"type": "diagonal", "q": {"v1": 1.0}}
     assert "seed" in sim["config"] and "seed" not in after["config"]
-
-
-def test_simulate_no_verify_skips_check(workdir, interval_file, capsys):
-    rc = main([
-        "simulate", "--graph", interval_file, "--noise", "diag:v1=1",
-        "--mesh", "32", "--modes", "4", "--steps", "8", "--samples", "20",
-        "--no-verify", "--alphas", "",
-    ])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "covariance check" not in text
-    manifest = json.loads((workdir / "qgraph-simulate.manifest.json").read_text())
-    assert "covariance_check" not in manifest
 
 
 def test_validation_exit_codes(workdir, interval_file, capsys):

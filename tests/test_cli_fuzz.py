@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import qgraph as qg
 from qgraph.cli import main
 
-EDGE_CASES = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300])
+EDGE_CASES = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300,
+                              1e307, 5e307])
 TEMPLATES = {
     "interval": qg.interval_graph(),
     "path": qg.path_graph([0.5, 1.0]),

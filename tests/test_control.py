@@ -63,6 +63,9 @@ def test_moment_rhs_is_decayed_state(interval_eig):
         res.moment_rhs, np.exp(-interval_eig.lambdas[:3] * 2.0) * z0, rtol=1e-12
     )
     np.testing.assert_allclose(res.uncontrolled_norm, np.linalg.norm(res.moment_rhs))
+    # -lambda T overflows to -inf: every mode but the kernel decays to exactly 0
+    res = solve_null_control(interval_eig, nm, z0, 1e307, num_modes=3)
+    assert res.moment_rhs.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_control_reconstructs_moments(interval_eig):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qgraph as qg
+from qgraph import tolerances as tol
 from qgraph.feller import hautus_obstruction, rational_star_scan, sufficient_tree_rule
 from qgraph.noise import NoiseModel
 
@@ -198,13 +199,15 @@ def test_rational_scan_prefers_lowest_eigenvalue():
     np.testing.assert_allclose(w.eigenvalue, min(mus))
 
 
-def test_rational_scan_respects_max_order():
+def test_rational_scan_respects_max_order(monkeypatch):
     g = qg.star_graph([5.0, 1.0, 1.0])
     nm = NoiseModel.from_diagonal(g, {"v3": 1.0})
     # ratio 5:1 needs orders (2, 0); capping at 1 hides it, but the
     # equal-length quiet pair (e2, e3)... is not quiet here, so: None
-    assert rational_star_scan(g, nm, max_order=1) is None
-    w = rational_star_scan(g, nm, max_order=8)
+    monkeypatch.setattr(tol, "RATIONAL_MAX_ORDER", 1)
+    assert rational_star_scan(g, nm) is None
+    monkeypatch.setattr(tol, "RATIONAL_MAX_ORDER", 8)
+    w = rational_star_scan(g, nm)
     assert w is not None and w.edge_pair == ("e1", "e2")
 
 

@@ -1,0 +1,24 @@
+import inspect
+
+import qgraph as qg
+from qgraph import control, errors, feller, graphs, noise, sim, spectral, treepaths
+
+MODULES = (graphs, spectral, noise, feller, control, treepaths, sim, errors)
+
+
+def test_package_exports_are_the_modules_lists():
+    """qgraph.__all__ is the modules' __all__ lists joined, each name bound to
+    its module's object, and every public class or function a module defines
+    is in its module's list."""
+    assert qg.__all__ == ["__version__"] + [name for m in MODULES for name in m.__all__]
+    assert len(set(qg.__all__)) == len(qg.__all__)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(qg, name) is getattr(module, name)
+        defined = {
+            name for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isclass(obj) or inspect.isfunction(obj))
+            and obj.__module__ == module.__name__
+        }
+        assert defined <= set(module.__all__), module.__name__

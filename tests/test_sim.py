@@ -31,6 +31,9 @@ def test_no_noise_is_exact_decay(interval_eig):
         expect = np.exp(-interval_eig.lambdas[:4] * t) * z0
         for s in range(5):
             np.testing.assert_allclose(ens.coeffs[s, i], expect, atol=1e-14)
+    # -lambda dt overflows to -inf: every mode but the kernel decays to exactly 0
+    ens = qg.simulate(interval_eig, nm, z0, 1e308, 3, 2, seed=7, num_modes=4)
+    assert ens.coeffs[:, 1:].tolist() == [[[1.0, 0.0, 0.0, 0.0]] * 3] * 2
 
 
 def test_kernel_mode_variance_grows_linearly(interval_eig):
@@ -142,6 +145,20 @@ def test_moment_pass_bounded_by_budget(interval_eig, monkeypatch):
         assert peak <= 2 * budget_bytes + 64 * 1024
 
 
+def test_covariance_check_bounded_by_moments(interval_eig):
+    """The check needs about two arrays of the second moment's size, not five."""
+    nm = _interval_noise(interval_eig)
+    ens = qg.simulate(interval_eig, nm, [0.3], 1.0, 400, 20, seed=1, num_modes=12,
+                      keep_paths=0)
+    tracemalloc.start()
+    try:
+        qg.verify_covariance(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * ens.moments[1].nbytes
+
+
 def test_memory_independent_of_sample_count(interval_eig, monkeypatch):
     """With no path kept, memory beyond the moments does not grow with the blocks."""
     nm = _interval_noise(interval_eig)
@@ -216,14 +233,17 @@ def test_verify_covariance_full_grid(interval_eig):
 
 
 def test_verify_covariance_single_time(interval_eig):
+    """One grid time, read from the full-grid report: the start and the horizon."""
     nm = _interval_noise(interval_eig)
     ens = qg.simulate(interval_eig, nm, np.zeros(3), 1.0, 10, 3000, seed=37, num_modes=3)
-    report = qg.verify_covariance(ens, t_index=-1)
-    assert len(report.times) == 1
-    np.testing.assert_allclose(report.times[0], 1.0)
+    report = qg.verify_covariance(ens)
+    assert report.max_cov_z_per_time[0] == 0.0
+    np.testing.assert_allclose(report.times[-1], 1.0)
     np.testing.assert_allclose(
         report.analytic_final, ens.analytic_covariance(1.0), rtol=1e-12
     )
+    cov_z, _ = _per_time_reference(ens, [len(ens.times) - 1])
+    np.testing.assert_allclose(report.max_cov_z_per_time[-1], cov_z[0], rtol=1e-12)
 
 
 def _per_time_reference(ens, indices):
@@ -250,16 +270,13 @@ def test_verify_covariance_matches_per_time_reference(star3_analytic):
     nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0})
     z0 = [0.8, 0.0, -0.4, 0.3]
     ens = qg.simulate(star3_analytic, nm, z0, 1.0, 12, 1500, seed=41, num_modes=6)
-    full = range(len(ens.times))
-    for t_index, indices in ((None, list(full)[1:]), (-1, [full[-1]])):
-        report = qg.verify_covariance(ens, t_index=t_index)
-        cov_z, mean_z = _per_time_reference(ens, indices)
-        per_time = report.max_cov_z_per_time[-len(indices):]
-        np.testing.assert_allclose(per_time, cov_z, rtol=1e-12)
-        np.testing.assert_allclose(report.max_mean_z, mean_z.max(), rtol=1e-12)
-        assert report.zero_entries_ok
+    report = qg.verify_covariance(ens)
+    cov_z, mean_z = _per_time_reference(ens, range(1, len(ens.times)))
+    np.testing.assert_allclose(report.max_cov_z_per_time[1:], cov_z, rtol=1e-12)
+    np.testing.assert_allclose(report.max_mean_z, mean_z.max(), rtol=1e-12)
+    assert report.zero_entries_ok
     # t = 0 sits on the exact law: nothing is live, nothing deviates
-    assert qg.verify_covariance(ens, t_index=0).max_cov_z == 0.0
+    assert report.max_cov_z_per_time[0] == 0.0
 
 
 def test_verify_covariance_is_scale_free():
@@ -506,9 +523,10 @@ def test_invariant_untrusted_bottom_raises():
 
 def test_ensemble_csv(tmp_path, interval_eig):
     nm = _interval_noise(interval_eig)
-    ens = qg.simulate(interval_eig, nm, [0.1, 0.0], 1.0, 2, 3, seed=9, num_modes=2)
+    ens = qg.simulate(interval_eig, nm, [0.1, 0.0], 1.0, 2, 3, seed=9, num_modes=2,
+                      keep_paths=2)
     path = tmp_path / "ens.csv"
-    qg.ensemble_to_csv(ens, path, max_samples=2)
+    qg.ensemble_to_csv(ens, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["sample", "time", "mode", "value"]
