@@ -94,13 +94,18 @@ class FellerVerdict:
 def sufficient_tree_rule(graph: MetricGraph, noise: NoiseModel) -> str | None:
     """Detail string when the tree sufficiency criterion applies, else None.
 
-    Requirements: the graph is a tree with unit diffusion, the noise is
-    diagonal, and every boundary vertex except at most one carries
-    positive intensity.
+    Requirements: the graph is a tree with unit diffusion and one uniform
+    constant potential p, the noise is diagonal, and every boundary
+    vertex except at most one carries positive intensity.  The shift
+    w = e^(pt) z maps controls to controls, so p = 0 covers any uniform
+    p; no argument here covers a potential that varies.
     """
     if classify(graph) is not GraphClass.TREE:
         return None
     if any(e.diffusion != Coefficient.const(1.0) for e in graph.edges):
+        return None
+    levels = {p for e in graph.edges for p in e.potential.values}
+    if len(levels) != 1:
         return None
     if not noise.is_diagonal:
         return None
@@ -109,10 +114,12 @@ def sufficient_tree_rule(graph: MetricGraph, noise: NoiseModel) -> str | None:
     if len(quiet) > 1:
         return None
     active = [v for v in boundary if v not in quiet]
+    (p,) = levels
     return (
         f"tree with unit diffusion, diagonal noise active at "
         f"{len(active)}/{len(boundary)} boundary vertices"
         + (f" (quiet: {quiet[0]})" if quiet else "")
+        + (f"; uniform potential {p:g}, shifted to 0 by e^(pt)" if p else "")
     )
 
 

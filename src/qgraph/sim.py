@@ -13,14 +13,21 @@ convolution — which matters because the analytic star family overlaps
 on shared edges.  Each step draws r <= k normals per sample through a
 pivoted-Cholesky factor of the innovation's numerical rank.  Samples run
 in blocks of BLOCK_SAMPLES, block j on its own RNG stream, a pure function
-of (seed, j); the moments about the exact mean, which the covariance check
-and the summary read, are summed while sampling, so memory does not grow
-with the sample count.  Only the leading paths asked for are kept.
+of (seed, j); the blocks run on one thread per CPU the process may use
+(numpy's generator and BLAS release the GIL).  The moments about the exact
+mean, which the covariance check and the summary read, are summed while
+sampling, block after block in block order, so the bits do not depend on
+the core count and memory does not grow with the sample count.  Only the
+leading paths asked for are kept.
 """
 from __future__ import annotations
 
 import csv
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.linalg.lapack import dpstrf
@@ -67,6 +74,14 @@ RNG_RECIPE = (
     f"block j of {BLOCK_SAMPLES} samples: SeedSequence(seed, spawn_key=(j,)) + PCG64, "
     "one standard_normal((samples, innovation_rank)) per step"
 )
+
+
+def _workers() -> int:
+    """Threads simulate runs its blocks on: the CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _exact_mean(lambdas: np.ndarray, z0: np.ndarray, t) -> np.ndarray:
@@ -162,14 +177,16 @@ def simulate(
     Reproducibility contract: results are a pure function of
     (eigensystem, noise, z0, horizon, num_steps, num_samples, seed);
     keep_paths (default all) only sets how many leading paths coeffs
-    holds.  Samples run serially in blocks of BLOCK_SAMPLES, the last one
-    possibly partial.  Block j, of b samples, starts at z0 and draws from
+    holds.  Samples run in blocks of BLOCK_SAMPLES, the last one possibly
+    partial.  Block j, of b samples, starts at z0 and draws from
     default_rng(SeedSequence(seed, spawn_key=(j,))) one
     standard_normal((b, r)) z per time step, setting
-    x <- decay * x + z @ F.T with F the k x r innovation factor;
-    ones(b) @ d and d.T @ d of d = x - E x(t_i) are added to per-time
-    sums, block after block, which become the moments once divided by
-    num_samples.
+    x <- decay * x + z @ F.T with F the k x r innovation factor; it
+    returns the per-time sums ones(b) @ d and d.T @ d of
+    d = x - E x(t_i), and writes its kept rows into coeffs.  The blocks
+    run on a thread pool, one worker per available CPU and at most one
+    block in flight per worker; the sums are added to the totals in block
+    order, which become the moments once divided by num_samples.
     """
     _check_horizon(horizon)
     if num_steps < 1:
@@ -192,25 +209,42 @@ def simulate(
     keep = num_samples if keep_paths is None else min(keep_paths, num_samples)
     coeffs = np.empty((keep, num_steps + 1, k))
     coeffs[:, 0] = z0
-    # every path starts on the exact mean: the t = 0 moments stay exactly 0
-    first = np.zeros((num_steps + 1, k))
-    second = np.zeros((num_steps + 1, k, k))
     ones = np.ones(BLOCK_SAMPLES)
-    for j, lo in enumerate(range(0, num_samples, BLOCK_SAMPLES)):
+
+    def block(j: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sample block j from its own stream; its kept rows go to coeffs."""
         b = min(BLOCK_SAMPLES, num_samples - lo)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
         kept = coeffs[lo : lo + b]
         x = np.tile(z0, (b, 1))
         # one set of step buffers per block: fresh ones per step page-fault at 50 modes
         z, step, d = np.empty((b, factor.shape[1])), np.empty((b, k)), np.empty((b, k))
+        # every path starts on the exact mean: the t = 0 sums stay exactly 0
+        first_j, second_j = np.zeros((num_steps + 1, k)), np.zeros((num_steps + 1, k, k))
+        # errstate is context-local: a pool thread needs its own
         with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked below
             for i in range(1, num_steps + 1):
                 x *= decay
                 x += np.matmul(rng.standard_normal(out=z), factor.T, out=step)
                 np.subtract(x, mean[i], out=d)
-                first[i] += ones[:b] @ d
-                second[i] += d.T @ d
+                np.matmul(ones[:b], d, out=first_j[i])
+                np.matmul(d.T, d, out=second_j[i])
                 kept[:, i] = x[: len(kept)]
+        return first_j, second_j
+
+    first = np.zeros((num_steps + 1, k))
+    second = np.zeros((num_steps + 1, k, k))
+    workers = _workers()
+    blocks = enumerate(range(0, num_samples, BLOCK_SAMPLES))
+    with ThreadPoolExecutor(workers) as pool, np.errstate(over="ignore", invalid="ignore"):
+        pending = deque(pool.submit(block, j, lo) for j, lo in islice(blocks, workers))
+        while pending:
+            # in block order, whichever finished first: the same bits at any worker count
+            first_j, second_j = pending.popleft().result()
+            first += first_j
+            second += second_j
+            del first_j, second_j  # freed before the next block starts
+            pending.extend(pool.submit(block, j, lo) for j, lo in islice(blocks, 1))
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
         raise ValueError("noise intensity and horizon too large: the sampled moments overflow")
     first /= num_samples
@@ -478,13 +512,15 @@ def invariant_measure_check(
 
 def ensemble_to_csv(ens: TrajectoryEnsemble, path) -> None:
     """Long-format mode coefficients of the kept paths: one row per (sample, time, mode)."""
+    times = [repr(t) for t in ens.times.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "time", "mode", "value"])
-        for s in range(len(ens.coeffs)):
-            for i, t in enumerate(ens.times):
-                for k in range(ens.num_modes):
-                    writer.writerow([s, repr(float(t)), k, repr(float(ens.coeffs[s, i, k]))])
+        fh.write("sample,time,mode,value\r\n")
+        for s, rows in enumerate(ens.coeffs.tolist()):
+            fh.write("".join(
+                f"{s},{t},{k},{v!r}\r\n"
+                for t, row in zip(times, rows)
+                for k, v in enumerate(row)
+            ))
 
 
 def summary_to_csv(ens: TrajectoryEnsemble, path) -> None:
@@ -498,14 +534,14 @@ def summary_to_csv(ens: TrajectoryEnsemble, path) -> None:
     mean = ens.analytic_mean(ens.times) + first
     spread = np.maximum(np.diagonal(second, axis1=1, axis2=2) - first**2, 0.0)
     var = n / max(n - 1, 1) * spread
+    times = [repr(t) for t in ens.times.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "mode", "mean", "variance"])
-        for i, t in enumerate(ens.times):
-            for k in range(ens.num_modes):
-                writer.writerow(
-                    [repr(float(t)), k, repr(float(mean[i, k])), repr(float(var[i, k]))]
-                )
+        fh.write("time,mode,mean,variance\r\n")
+        fh.write("".join(
+            f"{t},{k},{m!r},{v!r}\r\n"
+            for t, means, variances in zip(times, mean.tolist(), var.tolist())
+            for k, (m, v) in enumerate(zip(means, variances))
+        ))
 
 
 def profile_to_csv(entries: list[ProfileEntry], path) -> None:

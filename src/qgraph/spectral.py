@@ -15,6 +15,7 @@ whose lengths have an odd-integer ratio.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -503,25 +504,31 @@ def _pair_mode(lengths, a: int, b: int, na: int, nb: int) -> AnalyticMode:
 # -- exports -------------------------------------------------------------------
 
 def spectrum_to_csv(eig: EigenSystem, path) -> None:
+    traces = eig.vertex_traces.tolist()
+    lambdas = eig.lambdas.tolist()
+    trusted = eig.trusted.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["k", "lambda", "cluster_id", "trusted"] + [
-            f"trace_{v}" for v in eig.graph.vertices
-        ]
-        writer.writerow(header)
-        for k in range(eig.num_modes):
-            ci = eig.cluster_of_mode(k)
-            row = [k, repr(float(eig.lambdas[k])), ci, int(bool(eig.trusted[k]))]
-            row += [repr(float(t)) for t in eig.vertex_traces[k]]
-            writer.writerow(row)
+        # vertex ids may need quoting; every other field is a number
+        csv.writer(fh).writerow(
+            ["k", "lambda", "cluster_id", "trusted"] + [f"trace_{v}" for v in eig.graph.vertices]
+        )
+        fh.write("".join(
+            f"{k},{lambdas[k]!r},{ci},{int(trusted[k])}"
+            + "".join(f",{t!r}" for t in traces[k]) + "\r\n"
+            for ci, (a, b) in enumerate(eig.clusters)
+            for k in range(a, b)
+        ))
 
 
 def mode_to_csv(eig: EigenSystem, k: int, path) -> None:
     values = eig.edge_values(k)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edge", "x", "value"])
+        fh.write("edge,x,value\r\n")
         for j, e in enumerate(eig.graph.edges):
-            coords = eig.layout.edge_coords(j)
-            for x, val in zip(coords, values[e.id]):
-                writer.writerow([e.id, repr(float(x)), repr(float(val))])
+            edge = io.StringIO()
+            csv.writer(edge, lineterminator="").writerow([e.id, ""])  # the id as csv quotes it
+            prefix = edge.getvalue()
+            fh.write("".join(
+                f"{prefix}{x!r},{v!r}\r\n"
+                for x, v in zip(eig.layout.edge_coords(j).tolist(), values[e.id].tolist())
+            ))

@@ -36,6 +36,21 @@ def test_sufficient_rule_declines(star3):
     assert sufficient_tree_rule(star3, NoiseModel.from_matrix(star3, q)) is None
 
 
+@pytest.mark.parametrize("p, rule", [
+    (0.5, "thm-main"),  # uniform: the shift e^(pt) reduces it to p = 0
+    ([0.5, 0.0, 0.0], "unknown"),
+    ([qg.Coefficient.cell_samples([0.2, 0.9]), 0.0, 0.0], "unknown"),
+])
+def test_tree_rule_needs_uniform_potential(p, rule):
+    star = qg.star_graph([1.0, 1.0, 1.0], p=p)
+    nm = NoiseModel.from_diagonal(star, {"v1": 1.0, "v2": 1.0})
+    v = qg.decide_feller(star, nm, elements_per_edge=64, num_modes=12)
+    assert v.rule == rule
+    assert (sufficient_tree_rule(star, nm) is None) == (rule != "thm-main")
+    if rule == "thm-main":
+        assert v.verdict == "StrongFeller" and "uniform potential 0.5" in v.detail
+
+
 def test_hautus_finds_antisymmetric_witness(star3_analytic):
     nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0})  # v2, v3 quiet
     w = hautus_obstruction(star3_analytic, nm)

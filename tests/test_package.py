@@ -22,3 +22,13 @@ def test_package_exports_are_the_modules_lists():
             and obj.__module__ == module.__name__
         }
         assert defined <= set(module.__all__), module.__name__
+
+
+def test_no_module_reads_the_environment():
+    """qgraph reads no environment variables: no module names os.environ or getenv."""
+    from pathlib import Path
+
+    src = Path(qg.__file__).parent
+    readers = [p.name for p in sorted(src.glob("*.py"))
+               if any(word in p.read_text("utf-8") for word in ("environ", "getenv"))]
+    assert readers == []

@@ -115,6 +115,7 @@ def test_block_buffers_bounded_by_budget(interval_eig, monkeypatch):
     with the sample count: it stays within a few blocks' worth of paths."""
     nm = _interval_noise(interval_eig)
     monkeypatch.setattr(sim, "BLOCK_SAMPLES", 10)
+    monkeypatch.setattr(sim, "_workers", lambda: 2)  # one block in flight per worker
     budget_bytes = 8 * sim.BLOCK_SAMPLES * 9 * 4  # one block of paths
     for samples in (200, 2000):
         tracemalloc.start()
@@ -163,6 +164,8 @@ def test_memory_independent_of_sample_count(interval_eig, monkeypatch):
     """With no path kept, memory beyond the moments does not grow with the blocks."""
     nm = _interval_noise(interval_eig)
     monkeypatch.setattr(sim, "BLOCK_SAMPLES", 50)
+    # one worker: the blocks in flight, hence the peak, do not depend on thread timing
+    monkeypatch.setattr(sim, "_workers", lambda: 1)
     extra = []
     for samples in (100, 1000):  # 2 and 20 blocks
         tracemalloc.start()
@@ -206,6 +209,33 @@ def test_block_replays_from_recipe(star3_analytic, monkeypatch):
             second[i] += d.T @ d
     assert np.array_equal(ens.moments[0], first / n)
     assert np.array_equal(ens.moments[1], second / n)
+
+
+def test_same_bits_at_any_worker_count(star3_analytic, monkeypatch):
+    """Blocks may finish in any order on any number of threads: the moments
+    add in block order and each block writes only its own kept rows."""
+    monkeypatch.setattr(sim, "BLOCK_SAMPLES", 4)
+    nm = NoiseModel.from_diagonal(star3_analytic.graph, {"v1": 1.0, "v2": 0.5})
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sim, "_workers", lambda w=workers: w)
+        # blocks of 4, 4 and 2 samples; the 7 kept rows span the first two
+        runs.append(qg.simulate(star3_analytic, nm, [0.5, -0.25, 0.1], 1.0, 6, 10, seed=29,
+                                num_modes=8, keep_paths=7))
+    one = runs[0]
+    assert one.coeffs.shape == (7, 7, 8)
+    for ens in runs[1:]:
+        assert np.array_equal(ens.coeffs, one.coeffs)
+        assert all(np.array_equal(a, b) for a, b in zip(ens.moments, one.moments))
+
+
+def test_workers_are_the_usable_cpus(monkeypatch):
+    assert sim._workers() >= 1
+    monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+    assert sim._workers() == 1
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 6)
+    assert sim._workers() == 6
 
 
 def test_parseval_energy(interval_eig):
@@ -569,6 +599,40 @@ def test_summary_csv_single_sample(tmp_path, interval_eig):
     mean, var = _summary(ens, tmp_path / "one.csv")
     np.testing.assert_allclose(mean, ens.coeffs[0], rtol=1e-14)
     assert np.all(var == 0.0)
+
+
+def _reference_ensemble_csv(ens, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample", "time", "mode", "value"])
+        for s in range(len(ens.coeffs)):
+            for i, t in enumerate(ens.times):
+                for k in range(ens.num_modes):
+                    writer.writerow([s, repr(float(t)), k, repr(float(ens.coeffs[s, i, k]))])
+
+
+def _reference_summary_csv(ens, path):
+    first, second = ens.moments
+    n = ens.num_samples
+    mean = ens.analytic_mean(ens.times) + first
+    var = n / max(n - 1, 1) * np.maximum(np.diagonal(second, axis1=1, axis2=2) - first**2, 0.0)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "mode", "mean", "variance"])
+        for i, t in enumerate(ens.times):
+            for k in range(ens.num_modes):
+                writer.writerow([repr(float(t)), k, repr(float(mean[i, k])), repr(float(var[i, k]))])
+
+
+def test_csv_writers_match_csv_module(tmp_path, interval_eig):
+    """The ensemble and summary writers give csv.writer's bytes."""
+    ens = qg.simulate(interval_eig, _interval_noise(interval_eig), [0.4, -1e-300, 0.0], 0.3, 7, 9,
+                      seed=2, num_modes=5, keep_paths=3)
+    for writer, reference in ((qg.ensemble_to_csv, _reference_ensemble_csv),
+                              (qg.summary_to_csv, _reference_summary_csv)):
+        writer(ens, tmp_path / "new.csv")
+        reference(ens, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_profile_csv(tmp_path):

@@ -391,6 +391,61 @@ def test_mode_csv(tmp_path, star3_eig):
     assert edges == {"e1", "e2", "e3"}
 
 
+def test_ten_star_clusters_match_p1_values():
+    """The unit 10-star at mesh 256: clusters of 1, 9, 1, 9, ... at the P1
+    values of the exact k^2 pi^2 (simple) and (k + 1/2)^2 pi^2 (9-fold)."""
+    eig = qg.solve_spectrum(qg.star_graph([1.0] * 10), 256, 50)
+    assert [b - a for a, b in eig.clusters] == [1, 9] * 5
+    exact = np.array([(k / 2) ** 2 * PI2 for k in range(10) for _ in range(1 + 8 * (k % 2))])
+    h = 1.0 / 256
+    p1 = 6.0 / h**2 * (1.0 - np.cos(np.sqrt(exact) * h)) / (2.0 + np.cos(np.sqrt(exact) * h))
+    assert np.all(np.abs(eig.lambdas - p1) <= 1e-6 * np.maximum(exact, 1.0))
+
+
+def _reference_spectrum_csv(eig, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "lambda", "cluster_id", "trusted"]
+                        + [f"trace_{v}" for v in eig.graph.vertices])
+        for k in range(eig.num_modes):
+            row = [k, repr(float(eig.lambdas[k])), eig.cluster_of_mode(k),
+                   int(bool(eig.trusted[k]))]
+            writer.writerow(row + [repr(float(t)) for t in eig.vertex_traces[k]])
+
+
+def _reference_mode_csv(eig, k, path):
+    values = eig.edge_values(k)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["edge", "x", "value"])
+        for j, e in enumerate(eig.graph.edges):
+            for x, val in zip(eig.layout.edge_coords(j), values[e.id]):
+                writer.writerow([e.id, repr(float(x)), repr(float(val))])
+
+
+def test_csv_writers_match_csv_module(tmp_path, star3_analytic):
+    """The spectrum and mode writers give csv.writer's bytes, quoting included."""
+    c1, c0 = qg.Coefficient.const(1.0), qg.Coefficient.const(0.0)
+    g = qg.MetricGraph(
+        vertices=("x,y", 'q"v', "w"),
+        edges=(qg.Edge("a,b", "x,y", 'q"v', 1.0, c1, c0),
+               qg.Edge('say "hi"', 'q"v', "w", 0.7, c1, c0),
+               qg.Edge("e3", "w", "x,y", 1.3, c1, c0)),
+    )
+    written = []
+    for eig in (qg.solve_spectrum(g, 16, 8), star3_analytic):
+        for writer, reference, args in (
+            (qg.spectrum_to_csv, _reference_spectrum_csv, ()),
+            (qg.mode_to_csv, _reference_mode_csv, (3,)),
+        ):
+            writer(eig, *args, tmp_path / "new.csv")
+            reference(eig, *args, tmp_path / "ref.csv")
+            written.append((tmp_path / "new.csv").read_bytes())
+            assert written[-1] == (tmp_path / "ref.csv").read_bytes()
+    assert b',"trace_x,y","trace_q""v",' in written[0]
+    assert b'\r\n"a,b",0.0,' in written[1] and b'\r\n"say ""hi""",0.0,' in written[1]
+
+
 def test_mode_index_out_of_range(tmp_path, star3_eig):
     for k in (-1, star3_eig.num_modes):
         with pytest.raises(ValueError, match="mode index"):
