@@ -55,7 +55,10 @@ def _parse_z0(text: str) -> list[float]:
         key, sep, val = item.partition("=")
         if not sep:
             raise ValueError(f"bad z0 entry {item!r}, expected INDEX=VALUE")
-        entries[int(key)] = float(val)
+        k = int(key)
+        if k in entries:
+            raise ValueError(f"repeated z0 index {k}")
+        entries[k] = float(val)
     if not entries:
         return []
     out = [0.0] * (max(entries) + 1)

@@ -1,24 +1,25 @@
 """Deciding the strong Feller property of the vertex-noise semigroup.
 
 Three mechanisms are implemented.  A sufficient rule covers trees with
-unit diffusion and diagonal noise active at all boundary vertices save
-at most one.  A spectral obstruction finds an eigenspace whose vertex
-traces all fall inside the kernel of the noise square root (a Hautus
-failure), which rules the property out.  For Neumann stars with quiet
-boundary ends, eigenfunctions supported on just two edges exist exactly
-when the edge lengths are in an odd-odd ratio, and those escape any
-finite mesh, so a dedicated arithmetic scan covers them.  Anything not
-settled by these returns Unknown rather than a guess.
+unit diffusion, one uniform constant potential, and diagonal noise
+active at all boundary vertices save at most one.  A spectral
+obstruction finds an eigenspace whose vertex traces all fall inside the
+kernel of the noise square root (a Hautus failure), which rules the
+property out.  For Neumann stars with quiet boundary ends,
+eigenfunctions supported on just two edges exist exactly when the edge
+lengths are in an odd-odd ratio, and those escape any finite mesh, so a
+dedicated arithmetic scan covers them.  Anything not settled by these
+returns Unknown rather than a guess.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances as tol
 from .errors import InvalidGraphError, SpectrumTooCoarseError
-from .graphs import Coefficient, GraphClass, MetricGraph, classify, star_center
+from .graphs import Coefficient, MetricGraph, star_center
 from .noise import NoiseModel
 from .spectral import EigenSystem, _pair_mode, solve_spectrum
 
@@ -78,7 +79,6 @@ class FellerVerdict:
     detail: str
     witness: Witness | None = None
     checked_clusters: int = 0
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -87,7 +87,6 @@ class FellerVerdict:
             "detail": self.detail,
             "witness": None if self.witness is None else self.witness.to_json(),
             "checked_clusters": int(self.checked_clusters),
-            **self.extra,
         }
 
 
@@ -100,7 +99,7 @@ def sufficient_tree_rule(graph: MetricGraph, noise: NoiseModel) -> str | None:
     w = e^(pt) z maps controls to controls, so p = 0 covers any uniform
     p; no argument here covers a potential that varies.
     """
-    if classify(graph) is not GraphClass.TREE:
+    if not graph.is_tree:
         return None
     if any(e.diffusion != Coefficient.const(1.0) for e in graph.edges):
         return None
@@ -110,7 +109,7 @@ def sufficient_tree_rule(graph: MetricGraph, noise: NoiseModel) -> str | None:
     if not noise.is_diagonal:
         return None
     boundary = graph.boundary_vertices
-    quiet = [v for v in boundary if noise.q_at(v) == 0.0]
+    quiet = [v for v in boundary if noise.is_quiet(v)]
     if len(quiet) > 1:
         return None
     active = [v for v in boundary if v not in quiet]

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -30,9 +30,7 @@ __all__ = [
     "Coefficient",
     "Edge",
     "MetricGraph",
-    "GraphClass",
     "validate",
-    "classify",
     "unique_path",
     "graph_to_dict",
     "graph_from_dict",
@@ -82,17 +80,8 @@ class Coefficient:
     def is_constant(self) -> bool:
         return self.interpolation == "constant"
 
-    @property
-    def constant_value(self) -> float:
-        if not self.is_constant:
-            raise ValueError("coefficient is not constant")
-        return self.values[0]
-
     def minimum(self) -> float:
         return min(self.values)
-
-    def maximum(self) -> float:
-        return max(self.values)
 
     def at(self, x, length: float):
         """Evaluate at coordinates x (scalar or array) on [0, length]."""
@@ -113,18 +102,29 @@ class Coefficient:
         return {"samples": list(self.values), "grid": "uniform"}
 
 
+def _json_float(raw, what: str) -> float:
+    """A JSON number as a float.  Booleans and strings are not numbers, and
+    an integer too large for a float is out of range (TypeError and
+    ValueError, which the JSON readers report as invalid input)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"{what} must be a JSON number, got {raw!r:.40}")
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range for a float") from None
+
+
 def _coefficient_from_json(raw, sampled_kind: str, default: float) -> Coefficient:
     if raw is None:
         return Coefficient.const(default)
-    if isinstance(raw, (int, float)):
-        return Coefficient.const(float(raw))
     if isinstance(raw, dict) and "samples" in raw:
         if raw.get("grid", "uniform") != "uniform":
             raise InvalidGraphError([f"unsupported coefficient grid {raw.get('grid')!r}"])
+        samples = [_json_float(v, "coefficient sample") for v in raw["samples"]]
         if sampled_kind == "linear":
-            return Coefficient.linear_samples(raw["samples"])
-        return Coefficient.cell_samples(raw["samples"])
-    raise InvalidGraphError([f"cannot parse coefficient {raw!r}"])
+            return Coefficient.linear_samples(samples)
+        return Coefficient.cell_samples(samples)
+    return Coefficient.const(_json_float(raw, "coefficient"))
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,6 @@ class Edge:
     length: float
     diffusion: Coefficient = Coefficient.const(1.0)
     potential: Coefficient = Coefficient.const(0.0)
-
-
-class GraphClass(Enum):
-    TREE = "Tree"
-    HAS_LOOP = "HasLoop"
-    GENERAL_WITH_CYCLE = "GeneralWithCycle"
 
 
 @dataclass(frozen=True)
@@ -166,6 +160,12 @@ class MetricGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @property
+    def is_tree(self) -> bool:
+        """A connected graph, as every MetricGraph is, is a tree exactly
+        when it has one edge fewer than vertices."""
+        return self.m == self.n - 1
+
     @cached_property
     def vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
@@ -175,21 +175,12 @@ class MetricGraph:
         return {e.id: i for i, e in enumerate(self.edges)}
 
     @cached_property
-    def incidence(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Per-vertex ordered list of (edge id, endpoint in {tail, head}).
-
-        A self-loop contributes both its endpoints, so it shows up twice.
-        """
-        inc: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            if e.tail in inc:
-                inc[e.tail].append((e.id, "tail"))
-            if e.head in inc:
-                inc[e.head].append((e.id, "head"))
-        return {v: tuple(slots) for v, slots in inc.items()}
+    def _endpoint_counts(self) -> Counter:
+        return Counter(x for e in self.edges for x in (e.tail, e.head))
 
     def degree(self, v: str) -> int:
-        return len(self.incidence[v])
+        """Edge endpoints at v: a self-loop counts twice."""
+        return self._endpoint_counts[v]
 
     @cached_property
     def boundary_vertices(self) -> tuple[str, ...]:
@@ -210,7 +201,7 @@ class MetricGraph:
         return self.edges[self.edge_index[edge_id]]
 
 
-# -- validation and classification ------------------------------------------
+# -- validation and paths ----------------------------------------------------
 
 def validate(graph: MetricGraph) -> list[str]:
     """Structural checks. Returns a list of violations, empty when valid.
@@ -277,47 +268,9 @@ def _breadth_first(graph: MetricGraph, root: str):
     return parent, parent_edge, children, order
 
 
-def classify(graph: MetricGraph) -> GraphClass:
-    """Tree / HasLoop / GeneralWithCycle.
-
-    HasLoop means there is a cycle all of whose vertices, except possibly
-    one attachment point, have degree two; such a cycle carries modes
-    that vanish at every vertex.  Detection contracts maximal chains of
-    degree-two vertices and looks for a self-loop in the result.  The
-    graph was validated when it was built, so a connected graph with
-    m = n - 1 edges is a tree.
-    """
-    if graph.m == graph.n - 1:
-        return GraphClass.TREE
-    if any(e.tail == e.head for e in graph.edges):
-        return GraphClass.HAS_LOOP
-    degrees = {v: graph.degree(v) for v in graph.vertices}
-    hubs = [v for v in graph.vertices if degrees[v] != 2]
-    if not hubs:
-        # connected, every vertex degree two, m = n: a single cycle
-        return GraphClass.HAS_LOOP
-    # walk chains of degree-2 vertices between hubs; a chain returning to
-    # its own hub is a contracted self-loop
-    for h in hubs:
-        for edge_id, endpoint in graph.incidence[h]:
-            e = graph.edge(edge_id)
-            cur = e.head if endpoint == "tail" else e.tail
-            prev_slot = (edge_id, "head" if endpoint == "tail" else "tail")
-            while degrees[cur] == 2:
-                s0, s1 = graph.incidence[cur]
-                nxt = s1 if s0 == prev_slot else s0
-                ne = graph.edge(nxt[0])
-                cur2 = ne.head if nxt[1] == "tail" else ne.tail
-                prev_slot = (nxt[0], "head" if nxt[1] == "tail" else "tail")
-                cur = cur2
-            if cur == h:
-                return GraphClass.HAS_LOOP
-    return GraphClass.GENERAL_WITH_CYCLE
-
-
 def unique_path(graph: MetricGraph, v: str, w: str) -> tuple[str, ...]:
     """The unique v-w path in a tree, as (v, e, ..., w) alternating ids."""
-    if classify(graph) is not GraphClass.TREE:
+    if not graph.is_tree:
         raise NotATreeError("unique_path requires a tree")
     for x in (v, w):
         if x not in graph.vertex_index:
@@ -361,7 +314,7 @@ def graph_from_dict(data: dict) -> MetricGraph:
                     id=str(raw["id"]),
                     tail=str(raw["tail"]),
                     head=str(raw["head"]),
-                    length=float(raw["length"]),
+                    length=_json_float(raw["length"], "length"),
                     diffusion=_coefficient_from_json(raw.get("c"), "linear", 1.0),
                     potential=_coefficient_from_json(raw.get("p"), "cells", 0.0),
                 )
@@ -396,13 +349,8 @@ def _coeff_arg(value, count: int) -> list[Coefficient]:
 
 
 def interval_graph(length: float = 1.0, c=1.0, p=0.0) -> MetricGraph:
-    """A single edge from v0 to v1."""
-    cs = _coeff_arg(c, 1)
-    ps = _coeff_arg(p, 1)
-    return MetricGraph(
-        vertices=("v0", "v1"),
-        edges=(Edge("e1", "v0", "v1", float(length), cs[0], ps[0]),),
-    )
+    """A single edge e1 from v0 to v1."""
+    return path_graph([length], c, p)
 
 
 def path_graph(lengths, c=1.0, p=0.0) -> MetricGraph:
@@ -451,9 +399,8 @@ def lasso_graph(loop_length: float = 1.0, tail_length: float = 0.8, c=1.0, p=0.0
 def star_center(graph: MetricGraph) -> str | None:
     """The center vertex if the graph is a star with >= 2 edges, else None.
 
-    A tree with a vertex on every edge is a star, and the graph is a tree
-    when m = n - 1, since it was checked to be connected when built.
+    A star is a tree with one vertex on every edge.
     """
-    if graph.m < 2 or graph.n != graph.m + 1:
+    if graph.m < 2 or not graph.is_tree:
         return None
     return next((v for v in graph.vertices if graph.degree(v) == graph.m), None)

@@ -20,7 +20,7 @@ from .errors import (
     QGraphValidationError,
     UnknownVertexError,
 )
-from .graphs import MetricGraph
+from .graphs import MetricGraph, _json_float
 
 __all__ = ["NoiseModel", "parse_noise"]
 
@@ -84,24 +84,6 @@ class NoiseModel:
         off = self.q - np.diag(np.diag(self.q))
         return not np.any(off)
 
-    @cached_property
-    def diagonal(self) -> dict[str, float] | None:
-        """Per-vertex intensities when Q is diagonal, else None."""
-        if not self.is_diagonal:
-            return None
-        return {v: float(self.q[i, i]) for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def is_zero(self) -> bool:
-        return not np.any(self.q)
-
-    def q_at(self, vertex: str) -> float:
-        try:
-            i = self.vertices.index(vertex)
-        except ValueError:
-            raise UnknownVertexError(f"unknown vertex: {vertex!r}") from None
-        return float(self.q[i, i])
-
     def is_quiet(self, vertex: str) -> bool:
         """True when the forcing never touches this vertex (zero row of Q)."""
         try:
@@ -140,7 +122,10 @@ def parse_noise(spec: str, graph: MetricGraph) -> NoiseModel:
                 name, _, val = item.partition("=")
                 if not _:
                     raise ValueError(f"bad noise entry {item!r}, expected vertex=value")
-                q[name.strip()] = float(val)
+                name = name.strip()
+                if name in q:
+                    raise QGraphValidationError(f"repeated noise entry for vertex {name!r}")
+                q[name] = float(val)
         return NoiseModel.from_diagonal(graph, q)
     with open(spec, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -151,10 +136,12 @@ def parse_noise(spec: str, graph: MetricGraph) -> NoiseModel:
         raise ValueError(f"unknown noise type {kind!r}")
     try:
         if kind == "diagonal":
-            q = {k: float(v) for k, v in data["q"].items()}
+            q = {k: _json_float(v, f"noise intensity at {k!r}") for k, v in data["q"].items()}
         else:
-            matrix = np.asarray(data["matrix"], dtype=float)
-    except (KeyError, TypeError, AttributeError) as exc:
+            matrix = np.asarray(
+                [[_json_float(x, "noise matrix entry") for x in row] for row in data["matrix"]]
+            )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise QGraphValidationError(f"malformed {kind} noise data: {exc!r}") from exc
     if kind == "diagonal":
         return NoiseModel.from_diagonal(graph, q)

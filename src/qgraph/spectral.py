@@ -200,10 +200,6 @@ class EigenSystem:
         a, b = self.clusters[ci]
         return float(np.mean(self.lambdas[a:b]))
 
-    def cluster_multiplicity(self, ci: int) -> int:
-        a, b = self.clusters[ci]
-        return b - a
-
     def trace_matrix(self, ci: int) -> np.ndarray:
         """n_vertices x multiplicity matrix of traces for one cluster."""
         a, b = self.clusters[ci]
@@ -220,12 +216,6 @@ class EigenSystem:
                 continue
             out.append(ci)
         return out
-
-    def cluster_of_mode(self, k: int) -> int:
-        for ci, (a, b) in enumerate(self.clusters):
-            if a <= k < b:
-                return ci
-        raise IndexError(k)
 
     def edge_values(self, k: int) -> dict[str, np.ndarray]:
         """Nodal values of mode k along each edge, tail to head."""
@@ -259,9 +249,12 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     modes orthogonal to the graph's symmetric subspace.  A lambda_0
     below -EIG_RESIDUAL rho, with rho = max K_ii/M_ii the operator's
     stiffness scale, is rejected; above it, negative roundoff is clamped
-    to zero.  Clusters are re-orthonormalized symmetrically, then every
-    pair must pass the residual and mass-orthonormality certificates
-    (EIG_RESIDUAL and ORTHONORMALITY), else ConvergenceFailureError.
+    to zero.  The count of eigenvalues below the last cluster is
+    certified by the inertia of K - sigma M, with sigma in the gap below
+    that cluster.  Clusters are re-orthonormalized symmetrically, then
+    every pair must pass the residual and mass-orthonormality
+    certificates (EIG_RESIDUAL and ORTHONORMALITY).  Any failed
+    certificate raises ConvergenceFailureError.
     Accuracy guidance: keep num_modes well below the dof count (one
     order of magnitude).
     """
@@ -295,6 +288,25 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     w = np.maximum(w, 0.0)
 
     clusters = _cluster_ranges(w)
+
+    # count certificate: by Sylvester's law of inertia, K - sigma M with sigma
+    # in the gap below the last cluster has one negative pivot per eigenvalue
+    # under sigma, and the solve must have found every one of them
+    last = clusters[-1][0]
+    if last:
+        sigma = 0.5 * (w[last - 1] + w[last])
+        try:
+            lu = spla.splu((op.stiffness - sigma * op.mass).tocsc(), diag_pivot_thresh=0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:  # an exactly singular factor
+            raise ConvergenceFailureError(f"inertia factorization failed: {exc}") from exc
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise ConvergenceFailureError("inertia factorization pivoted off the diagonal")
+        below = int(np.count_nonzero(lu.U.diagonal() < 0))
+        if below != last:
+            raise ConvergenceFailureError(
+                f"{below} eigenvalues lie below {sigma:.6g} but the solve found {last}"
+            )
 
     # symmetric re-orthonormalization inside each cluster (mass inner product)
     for a, b in clusters:
@@ -349,8 +361,6 @@ class AnalyticMode:
 
     eigenvalue: float
     amplitudes: np.ndarray
-    sign: int | None = None
-    orders: tuple[int, int] | None = None
 
 
 def _star_system_from_modes(
@@ -471,9 +481,9 @@ def star_pair_modes(n_edges: int, length: float, k: int) -> list[AnalyticMode]:
 
     The equal-length case of the two-edge modes: mode j carries cos
     profiles with amplitude +1/sqrt(length) on the first edge and
-    -1/sqrt(length) on edge j + 1 (sign -1, orders (k, k)); each is
-    normalized but the family is not orthogonal (any two share the
-    first edge, inner product 1/2).  Traces vanish at the center exactly.
+    -1/sqrt(length) on edge j + 1; each is normalized but the family is
+    not orthogonal (any two share the first edge, inner product 1/2).
+    Traces vanish at the center exactly.
     """
     if n_edges < 2:
         raise ValueError("a star needs at least two edges")
@@ -498,7 +508,7 @@ def _pair_mode(lengths, a: int, b: int, na: int, nb: int) -> AnalyticMode:
     amps = np.zeros(n)
     amps[a] = r
     amps[b] = sign * r
-    return AnalyticMode(eigenvalue=mu, amplitudes=amps, sign=sign, orders=(na, nb))
+    return AnalyticMode(eigenvalue=mu, amplitudes=amps)
 
 
 # -- exports -------------------------------------------------------------------

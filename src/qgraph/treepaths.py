@@ -17,7 +17,7 @@ from .errors import (
     NotATreeError,
     OmitNotBoundaryError,
 )
-from .graphs import GraphClass, MetricGraph, _breadth_first, classify
+from .graphs import MetricGraph, _breadth_first
 
 __all__ = [
     "DirectedPath",
@@ -27,7 +27,6 @@ __all__ = [
     "st_active_set",
     "verify_tf",
     "path_union_to_dict",
-    "path_union_from_dict",
 ]
 
 
@@ -73,7 +72,7 @@ def path_union(tree: MetricGraph, omit: str | None = None) -> PathUnion:
     let the path whose source has the smallest id keep climbing while
     the others finish there.  The result is deterministic.
     """
-    if classify(tree) is not GraphClass.TREE:
+    if not tree.is_tree:
         raise NotATreeError("path_union requires a tree")
     boundary = tree.boundary_vertices
     if omit is not None and omit not in boundary:
@@ -286,12 +285,3 @@ def path_union_to_dict(pu: PathUnion) -> dict:
             seq.append(p.vertices[i + 1])
         seqs.append(seq)
     return {"paths": seqs, "sources": sorted(pu.source_set)}
-
-
-def path_union_from_dict(data: dict) -> PathUnion:
-    paths = []
-    for seq in data["paths"]:
-        verts = tuple(seq[0::2])
-        eids = tuple(seq[1::2])
-        paths.append(DirectedPath(verts, eids))
-    return PathUnion(tuple(paths), frozenset(data["sources"]))

@@ -207,13 +207,25 @@ def malformed_files(workdir):
     nan_coefficient = qg.graph_to_dict(qg.interval_graph())
     nan_coefficient["edges"][0]["c"] = {"samples": [1.0, float("nan"), 1.0]}
     overflowing = qg.graph_to_dict(qg.interval_graph(length=1e300, p=1e300))
+    # numeric fields must be JSON numbers: not booleans, not strings
+    not_numbers = {}
+    for name, key, value in [("bool_length", "length", True), ("string_length", "length", "1.0"),
+                             ("bool_c", "c", True), ("string_p", "p", "0"),
+                             ("string_sample", "c", {"samples": [1.0, "2", 1.0]}),
+                             ("huge_int_length", "length", 10**400)]:
+        not_numbers[f"{name}.json"] = qg.graph_to_dict(qg.interval_graph())
+        not_numbers[f"{name}.json"]["edges"][0][key] = value
     payloads = {
+        **not_numbers,
         "inf_length.json": inf_length,
         "overflowing.json": overflowing,
         "nan_coefficient.json": nan_coefficient,
         "noise_without_q.json": {"type": "diagonal"},
         "noise_list.json": [1.0, 0.0],
         "noise_nan_matrix.json": {"type": "full", "matrix": [[float("nan"), 0.0], [0.0, 1.0]]},
+        "noise_bool_q.json": {"type": "diagonal", "q": {"v1": True}},
+        "noise_bool_matrix.json": {"type": "full", "matrix": [[True, 0.0], [0.0, 1.0]]},
+        "noise_string_matrix.json": {"type": "full", "matrix": [["1", 0.0], [0.0, 1.0]]},
     }
     for name, payload in payloads.items():
         (workdir / name).write_text(json.dumps(payload))
@@ -250,6 +262,19 @@ def malformed_files(workdir):
     ["simulate", "--graph", "interval.json", "--noise", "diag:v1=5e307", "--mesh", "16",
      "--modes", "8", "--horizon", "3.5", "--alphas", "", "--summary-out", "summary.csv",
      "--samples", "50", "--steps", "4"],
+    # repeated entries
+    ["invariant", "--graph", "interval.json", "--noise", "diag:v1=1,v1=0,v0=1"],
+    ["control", "--graph", "interval.json", "--noise", "diag:v1=1", "--z0", "1=1,1=2"],
+    # numeric fields that are not JSON numbers
+    ["spectrum", "--graph", "bool_length.json"],
+    ["spectrum", "--graph", "string_length.json"],
+    ["spectrum", "--graph", "bool_c.json"],
+    ["spectrum", "--graph", "string_p.json"],
+    ["spectrum", "--graph", "string_sample.json"],
+    ["spectrum", "--graph", "huge_int_length.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_bool_q.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_bool_matrix.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_string_matrix.json"],
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed_files,
                                                capsys, argv):

@@ -31,6 +31,15 @@ def _floats(values) -> str:
     return ",".join(repr(x) for x in values)
 
 
+def _entries(draw, pairs, repeat) -> str:
+    """KEY=VALUE items with distinct keys; when repeat draws True, the first
+    item is given twice."""
+    items = draw(st.lists(pairs, max_size=3, unique_by=lambda kv: kv[0]))
+    if items and draw(repeat):
+        items.append(items[0])
+    return ",".join(f"{k}={x!r}" for k, x in items)
+
+
 @st.composite
 def runs(draw):
     """(graph dict, noise spec or JSON payload, argv without paths)."""
@@ -42,15 +51,16 @@ def runs(draw):
     graph = qg.graph_to_dict(TEMPLATES[draw(st.sampled_from(sorted(TEMPLATES)))])
     edge = draw(st.sampled_from(graph["edges"]))
     for key in ("length", "c", "p"):
-        unusual = st.one_of(EDGE_CASES, st.floats(1e-3, 1e3))
+        unusual = st.one_of(EDGE_CASES, st.floats(1e-3, 1e3), st.booleans(),
+                            st.sampled_from(["1.0", "0", "nan"]))
         edge[key] = draw(pick(key, st.just(edge[key]), unusual))
 
     vertices = graph["vertices"]
     if draw(st.booleans()):
         names = pick("noise", st.sampled_from(vertices), st.sampled_from(vertices + ["v9"]))
         values = pick("noise", st.floats(0.0, 10.0), EDGE_CASES)
-        items = draw(st.lists(st.tuples(names, values), max_size=3))
-        noise = "diag:" + ",".join(f"{v}={x!r}" for v, x in items)
+        noise = "diag:" + _entries(draw, st.tuples(names, values),
+                                   pick("noise", st.just(False), st.booleans()))
     else:
         n = len(vertices)
         size = draw(pick("noise", st.just(n), st.sampled_from([n - 1, n + 1])))
@@ -72,7 +82,7 @@ def runs(draw):
         argv += ["--horizon", repr(horizon)]
         pairs = st.tuples(pick("z0", st.integers(0, 2), st.integers(-1, 50)),
                           pick("z0", st.floats(-10.0, 10.0), EDGE_CASES))
-        argv += ["--z0", ",".join(f"{k}={x!r}" for k, x in draw(st.lists(pairs, max_size=3)))]
+        argv += ["--z0", _entries(draw, pairs, pick("z0", st.just(False), st.booleans()))]
     if command == "control":
         argv += ["--grid", "5"]
     if command == "invariant":

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgraph as qg
-from qgraph import GraphClass
 from qgraph.graphs import Coefficient, Edge, MetricGraph
 
 
@@ -26,6 +25,7 @@ def test_interval_and_path_builders():
     ig = qg.interval_graph(2.5)
     assert ig.n == 2 and ig.m == 1
     assert ig.edges[0].length == 2.5
+    assert ig == qg.path_graph([2.5])
     pg = qg.path_graph([1.0, 1.0, 1.0])
     assert pg.vertices == ("v0", "v1", "v2", "v3")
     assert pg.boundary_vertices == ("v0", "v3")
@@ -106,13 +106,13 @@ def test_load_graph_rejects_invalid_json(tmp_path):
 
 
 def test_classify_basic_shapes(star3):
-    assert qg.classify(star3) is GraphClass.TREE
-    assert qg.classify(qg.path_graph([1, 1])) is GraphClass.TREE
-    assert qg.classify(qg.lasso_graph()) is GraphClass.HAS_LOOP
+    assert star3.is_tree
+    assert qg.path_graph([1, 1]).is_tree
+    assert not qg.lasso_graph().is_tree
 
 
 def test_classify_pure_cycle_is_loop():
-    # triangle: every vertex degree 2, contracts to a loop
+    # triangle: every vertex degree 2
     c1 = Coefficient.const(1.0)
     c0 = Coefficient.const(0.0)
     g = MetricGraph(
@@ -123,11 +123,11 @@ def test_classify_pure_cycle_is_loop():
             Edge("e3", "c", "a", 1.0, c1, c0),
         ),
     )
-    assert qg.classify(g) is GraphClass.HAS_LOOP
+    assert not g.is_tree
 
 
 def test_classify_cycle_with_pendant_is_loop():
-    """A cycle of degree-2 vertices hanging off a hub contracts to a self-loop."""
+    """A cycle of degree-2 vertices hanging off a hub."""
     c1 = Coefficient.const(1.0)
     c0 = Coefficient.const(0.0)
     g = MetricGraph(
@@ -139,12 +139,11 @@ def test_classify_cycle_with_pendant_is_loop():
             Edge("e4", "h", "t", 1.0, c1, c0),
         ),
     )
-    assert qg.classify(g) is GraphClass.HAS_LOOP
+    assert not g.is_tree
 
 
 def test_classify_theta_is_general():
-    # two hubs joined by three internally-subdivided strands: cycles exist
-    # but none is vertex-free after contraction
+    # two hubs joined by three internally-subdivided strands
     c1 = Coefficient.const(1.0)
     c0 = Coefficient.const(0.0)
     g = MetricGraph(
@@ -158,7 +157,7 @@ def test_classify_theta_is_general():
             Edge("c2", "m3", "y", 1.0, c1, c0),
         ),
     )
-    assert qg.classify(g) is GraphClass.GENERAL_WITH_CYCLE
+    assert not g.is_tree
 
 
 def test_unique_path_on_path_graph():
@@ -187,8 +186,7 @@ def test_roundtrip_dict(star3):
     assert len(g2.edges) == len(star3.edges)
     for a, b in zip(star3.edges, g2.edges):
         assert (a.id, a.tail, a.head, a.length) == (b.id, b.tail, b.head, b.length)
-        assert a.diffusion.constant_value == b.diffusion.constant_value
-        assert a.potential.constant_value == b.potential.constant_value
+        assert (a.diffusion, a.potential) == (b.diffusion, b.potential)
 
 
 def test_roundtrip_file(tmp_path, star3):
@@ -219,7 +217,7 @@ def test_sampled_coefficient_roundtrip(tmp_path):
     assert not e.diffusion.is_constant
     np.testing.assert_allclose(e.diffusion.at(0.5, 1.0), 2.0)
     np.testing.assert_allclose(e.diffusion.at(0.25, 1.0), 1.5)
-    assert e.potential.constant_value == 0.25
+    assert e.potential == Coefficient.const(0.25)
     # and back out again
     d2 = qg.graph_to_dict(g)
     assert d2["edges"][0]["c"]["samples"] == [1.0, 2.0, 3.0]
@@ -228,7 +226,6 @@ def test_sampled_coefficient_roundtrip(tmp_path):
 def test_coefficient_extremes():
     c = Coefficient.linear_samples([2.0, 0.5, 1.0])
     assert c.minimum() == 0.5
-    assert c.maximum() == 2.0
     k = Coefficient.const(3.0)
     assert k.is_constant and k.at(0.77, 1.0) == 3.0
 
@@ -278,7 +275,7 @@ def test_prufer_trees_classify_and_roundtrip(prufer):
     prufer = [x % (len(prufer) + 2) for x in prufer]
     g = _random_tree_graph(prufer)
     assert qg.validate(g) == []
-    assert qg.classify(g) is GraphClass.TREE
+    assert g.is_tree
     assert qg.graph_to_dict(qg.graph_from_dict(qg.graph_to_dict(g))) == qg.graph_to_dict(g)
 
 
@@ -304,6 +301,28 @@ def test_unique_path_matches_networkx(prufer, data):
     path = qg.unique_path(g, v, w)
     assert list(path[0::2]) == nx.shortest_path(nxg, v, w)
     assert [nxg[a][b]["id"] for a, b in zip(path[0:-1:2], path[2::2])] == list(path[1::2])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=7), max_size=6),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=2),
+)
+def test_is_tree_matches_networkx(prufer, extra):
+    """A random tree plus zero to two extra edges, self-loops and parallel
+    edges included."""
+    import networkx as nx
+
+    tree = _random_tree_graph([x % (len(prufer) + 2) for x in prufer])
+    c1, c0 = Coefficient.const(1.0), Coefficient.const(0.0)
+    g = MetricGraph(tree.vertices, tree.edges + tuple(
+        Edge(f"x{k}", f"n{i % tree.n}", f"n{j % tree.n}", 1.0, c1, c0)
+        for k, (i, j) in enumerate(extra)
+    ))
+    nxg = nx.MultiGraph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from((e.tail, e.head) for e in g.edges)
+    assert g.is_tree == nx.is_tree(nxg)
 
 
 @settings(max_examples=60, deadline=None)
