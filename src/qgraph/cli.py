@@ -3,14 +3,14 @@
 Every subcommand runs the same protocol, owned by `main`: parse the
 arguments (the parser is built once per process), load `--graph`,
 parse `--noise` when the subcommand takes one, call the handler
-`_cmd_<name>(args, graph, noise)`, which does its own work and returns
-its manifest extras, add the noise record to them, and write the
-manifest JSON.  The manifest records the resolved configuration, the
-numerical tolerances in force, and library versions, so results can be
-traced and reproduced byte for byte; a failed run writes none.
-Exceptions become exit codes: 0 success, 2 invalid input (graph,
-noise, or request), 3 numerical failure (including linear-algebra
-errors), never a traceback.
+`_cmd_<name>(args, graph, noise)`, which parses its string arguments
+before any eigensolve and returns its manifest extras, add the noise
+record to them, and write the manifest JSON.  The manifest records the
+resolved configuration, the numerical tolerances in force, and library
+versions, so results can be traced and reproduced byte for byte; a
+failed run writes none.  Exceptions become exit codes: 0 success, 2
+invalid input (graph, noise, or request), 3 numerical failure
+(including linear-algebra errors), never a traceback.
 """
 from __future__ import annotations
 
@@ -145,8 +145,8 @@ def _cmd_feller(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel 
 
 
 def _cmd_control(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
-    eig = solve_spectrum(graph, args.mesh, args.modes)
     z0 = _parse_z0(args.z0)
+    eig = solve_spectrum(graph, args.mesh, args.modes)
     result = solve_null_control(eig, noise, z0, args.horizon, grid_points=args.grid)
     d = result.diagnostics
     print(f"control L2 norm: {result.control_norm:.10g}")
@@ -187,8 +187,9 @@ def _cmd_st_active(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMod
 
 
 def _cmd_invariant(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
+    horizons = _floats(args.horizons)
     eig = solve_spectrum(graph, args.mesh, args.modes)
-    report = invariant_measure_check(eig, noise, horizons=_floats(args.horizons))
+    report = invariant_measure_check(eig, noise, horizons=horizons)
     print(f"invariant measure exists: {'Yes' if report.exists else 'No'}")
     print(f"rule: {report.rule}")
     print(f"lambda_0 = {report.lambda0:.10g}")
@@ -200,10 +201,10 @@ def _cmd_invariant(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMod
 
 
 def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
-    eig = solve_spectrum(graph, args.mesh, args.modes)
     z0 = _parse_z0(args.z0)
-    # the profile is exact and cheap: checking its input first wastes no sampling
     alphas = _floats(args.alphas)
+    eig = solve_spectrum(graph, args.mesh, args.modes)
+    # the profile is exact and cheap: checking its input first wastes no sampling
     entries = []
     if alphas:
         entries = regularity_profile(eig, noise, args.horizon, alphas, num_modes=args.modes)

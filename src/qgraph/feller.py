@@ -207,13 +207,13 @@ def rational_star_scan(graph: MetricGraph, noise: NoiseModel) -> Witness | None:
             orders = _odd_ratio_orders(lengths[a], lengths[b])
             if orders is None:
                 continue
-            mode = _pair_mode(lengths, a, b, orders[0], orders[1])
+            mu, amp_a, amp_b = _pair_mode(lengths[a], lengths[b], *orders)
             traces = np.zeros(graph.n)
-            traces[graph.vertex_index[va]] = mode.amplitudes[a]
-            traces[graph.vertex_index[vb]] = mode.amplitudes[b]
+            traces[graph.vertex_index[va]] = amp_a
+            traces[graph.vertex_index[vb]] = amp_b
             residual = float(np.linalg.norm(noise.q_sqrt @ traces))
             cand = Witness(
-                eigenvalue=mode.eigenvalue,
+                eigenvalue=mu,
                 multiplicity=1,
                 traces=traces,
                 residual=residual,

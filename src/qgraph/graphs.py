@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     InvalidGraphError,
     NotATreeError,
+    QGraphValidationError,
     SameVertexError,
     UnknownVertexError,
 )
@@ -112,6 +113,23 @@ def _json_float(raw, what: str) -> float:
         return float(raw)
     except OverflowError:
         raise ValueError(f"{what} is out of range for a float") from None
+
+
+def _json_str(raw, what: str) -> str:
+    """A JSON string, as vertex and edge ids must be (TypeError otherwise)."""
+    if not isinstance(raw, str):
+        raise TypeError(f"{what} must be a JSON string, got {raw!r:.40}")
+    return raw
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """object_pairs_hook for json.load: a key given twice is an error, where
+    json alone would keep the last value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise QGraphValidationError(f"repeated JSON key {key!r}")
+    return out
 
 
 def _coefficient_from_json(raw, sampled_kind: str, default: float) -> Coefficient:
@@ -306,14 +324,14 @@ def graph_to_dict(graph: MetricGraph) -> dict:
 
 def graph_from_dict(data: dict) -> MetricGraph:
     try:
-        vertices = tuple(str(v) for v in data["vertices"])
+        vertices = tuple(_json_str(v, "vertex id") for v in data["vertices"])
         edges = []
         for raw in data["edges"]:
             edges.append(
                 Edge(
-                    id=str(raw["id"]),
-                    tail=str(raw["tail"]),
-                    head=str(raw["head"]),
+                    id=_json_str(raw["id"], "edge id"),
+                    tail=_json_str(raw["tail"], "edge tail"),
+                    head=_json_str(raw["head"], "edge head"),
                     length=_json_float(raw["length"], "length"),
                     diffusion=_coefficient_from_json(raw.get("c"), "linear", 1.0),
                     potential=_coefficient_from_json(raw.get("p"), "cells", 0.0),
@@ -326,7 +344,7 @@ def graph_from_dict(data: dict) -> MetricGraph:
 
 def load_graph(path) -> MetricGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+        return graph_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def save_graph(graph: MetricGraph, path) -> None:

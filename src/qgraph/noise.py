@@ -20,7 +20,7 @@ from .errors import (
     QGraphValidationError,
     UnknownVertexError,
 )
-from .graphs import MetricGraph, _json_float
+from .graphs import MetricGraph, _json_float, _unique_keys
 
 __all__ = ["NoiseModel", "parse_noise"]
 
@@ -128,7 +128,7 @@ def parse_noise(spec: str, graph: MetricGraph) -> NoiseModel:
                 q[name] = float(val)
         return NoiseModel.from_diagonal(graph, q)
     with open(spec, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise QGraphValidationError(f"noise file must hold a JSON object, got {data!r:.40}")
     kind = data.get("type")

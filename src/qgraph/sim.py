@@ -330,7 +330,8 @@ def verify_covariance(ens: TrajectoryEnsemble) -> CovarianceReport:
     mean_se = np.sqrt(var / s)
     dlive = mean_se > 0  # like se: a variance that underflows here counts as zero
     mean_z = np.divide(np.abs(mean_dev), mean_se, out=np.zeros_like(var), where=dlive)
-    zero_ok = np.all(np.abs(emp[~live]) <= 1e-12) and np.all(np.abs(mean_dev[~dlive]) <= 1e-12)
+    zero_ok = (np.all(np.abs(emp[~live]) <= tol.ZERO_MOMENT)
+               and np.all(np.abs(mean_dev[~dlive]) <= tol.ZERO_MOMENT))
     num_live = np.count_nonzero(live)
 
     return CovarianceReport(

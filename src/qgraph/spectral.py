@@ -8,9 +8,9 @@ the Kirchhoff condition natural, so eigenpairs of the generalized
 problem  stiffness f = lambda mass f  approximate the spectrum of the
 (negated) operator: 0 <= lambda_0 <= lambda_1 <= ...
 
-An exact analytic backend covers equilateral Neumann stars and the
-single interval, including the cosine families supported on edge pairs
-whose lengths have an odd-integer ratio.
+The exact spectra of the equilateral Neumann star and of the interval are
+written in closed form, amplitude * cos(sqrt(lambda) x) on each edge; on
+the star, odd clusters hold the two-edge modes of _pair_mode.
 """
 from __future__ import annotations
 
@@ -32,13 +32,11 @@ __all__ = [
     "MeshLayout",
     "DiscreteOperator",
     "EigenSystem",
-    "AnalyticMode",
     "assemble",
     "eigensolve",
     "solve_spectrum",
     "star_analytic",
     "interval_analytic",
-    "star_pair_modes",
     "spectrum_to_csv",
     "mode_to_csv",
 ]
@@ -355,47 +353,20 @@ def solve_spectrum(graph: MetricGraph, elements_per_edge: int, num_modes: int) -
 # -- analytic backends --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalyticMode:
-    """A cosine mode on a star: per-edge amplitudes of cos(sqrt(mu) x)."""
-
-    eigenvalue: float
-    amplitudes: np.ndarray
-
-
-def _star_system_from_modes(
-    graph: MetricGraph,
-    length: float,
-    modes: list[tuple[float, np.ndarray]],
-    clusters: tuple[tuple[int, int], ...],
-    elements_per_edge: int,
-    source: str,
-) -> EigenSystem:
-    """Sample cosine modes with given per-edge amplitudes on a mesh."""
+def _cosine_system(graph, lambdas, amplitudes, clusters, zero_center, elements_per_edge,
+                   source) -> EigenSystem:
+    """Sample amplitudes[k, j] cos(sqrt(lambdas[k]) x) on every edge j, with x
+    measured from the tail.  The modes listed in zero_center vanish at
+    vertex 0, so their trace there is set to exactly zero."""
     layout = _build_layout(graph, elements_per_edge)
-    num = len(modes)
-    vectors = np.zeros((num, layout.total_dof))
-    for k, (mu, amps) in enumerate(modes):
-        root = np.sqrt(max(mu, 0.0))
-        for j in range(graph.m):
-            x = layout.edge_coords(j)
-            vals = amps[j] * np.cos(root * x)
-            idx = layout.edge_dofs(j)
-            vectors[k, idx] = vals
-        # pin exact zeros at the center for the antisymmetric families
-        mu_ell = root * length / np.pi
-        if abs(mu_ell - (round(mu_ell - 0.5) + 0.5)) < 1e-12 and mu > 0:
-            vectors[k, 0] = 0.0
-    lambdas = np.array([m[0] for m in modes])
-    return EigenSystem(
-        graph=graph,
-        layout=layout,
-        lambdas=lambdas,
-        vectors=vectors,
-        clusters=clusters,
-        trusted=np.ones(num, dtype=bool),
-        source=source,
-    )
+    roots = np.sqrt(lambdas)
+    vectors = np.zeros((len(lambdas), layout.total_dof))
+    for j in range(graph.m):
+        x = layout.edge_coords(j)
+        vectors[:, layout.edge_dofs(j)] = amplitudes[:, j, None] * np.cos(np.outer(roots, x))
+    vectors[zero_center, 0] = 0.0
+    return EigenSystem(graph=graph, layout=layout, lambdas=np.array(lambdas), vectors=vectors,
+                       clusters=clusters, trusted=np.ones(len(lambdas), dtype=bool), source=source)
 
 
 def star_analytic(
@@ -406,15 +377,14 @@ def star_analytic(
 ) -> EigenSystem:
     """Exact spectrum of the equilateral Neumann star (c = 1, p = 0).
 
-    Distinct eigenvalues alternate between simple fully symmetric modes
-    at (k pi / length)^2 and ((k + 1/2) pi / length)^2 families of
-    multiplicity n_edges - 1 vanishing at the center; the constant mode
-    sits at zero.  Multiple eigenvalues carry the edge-pair family of
-    star_pair_modes: the j-th member has amplitude 1/sqrt(length) on the
-    first edge and the negative of that on edge j + 1.  Each member is
-    normalized but the family is not orthogonal (any two share the first
-    edge, inner product 1/2), so cluster computations downstream must
-    not assume orthonormality of this basis.
+    Cluster c sits at (c pi / (2 length))^2.  An even c holds one
+    symmetric mode, the same cosine on every edge (the constant at c = 0).
+    An odd c = 2k + 1 holds the n_edges - 1 pair modes _pair_mode(length,
+    length, k, k): the j-th is 1/sqrt(length) cos on the first edge, its
+    negative on edge j + 1, and zero at the center and elsewhere.  Each
+    member is normalized but the family is not orthogonal (any two share
+    the first edge, inner product 1/2), so cluster computations downstream
+    must not assume orthonormality of this basis.
     """
     if n_edges < 2:
         raise ValueError("a star needs at least two edges")
@@ -423,36 +393,25 @@ def star_analytic(
     graph = star_graph([length] * n_edges)
     ell = float(length)
 
-    sym_amp = np.sqrt(2.0 / (n_edges * ell))
-
-    modes: list[tuple[float, np.ndarray]] = []
-    clusters: list[tuple[int, int]] = []
-
-    # cluster 0: the constant mode
-    const_amp = np.full(n_edges, 1.0 / np.sqrt(n_edges * ell))
-    modes.append((0.0, const_amp))
-    clusters.append((0, 1))
-
-    emitted = 1
-    j_anti = 0
-    j_sym = 1
-    while emitted < num_clusters:
-        family = star_pair_modes(n_edges, ell, j_anti)
-        mu_s = (j_sym * np.pi / ell) ** 2
-        start = len(modes)
-        if mu_s < family[0].eigenvalue:
-            modes.append((mu_s, np.full(n_edges, sym_amp)))
-            clusters.append((start, start + 1))
-            j_sym += 1
+    lambdas, amplitudes, clusters, zero_center = [], [], [], []
+    for c in range(num_clusters):
+        start = len(lambdas)
+        if c % 2 == 0:
+            amp = np.sqrt(2.0 / (n_edges * ell)) if c else 1.0 / np.sqrt(n_edges * ell)
+            lambdas.append((c // 2 * np.pi / ell) ** 2)
+            amplitudes.append(np.full(n_edges, amp))
         else:
-            modes.extend((m.eigenvalue, m.amplitudes) for m in family)
-            clusters.append((start, start + len(family)))
-            j_anti += 1
-        emitted += 1
+            mu, amp_a, amp_b = _pair_mode(ell, ell, c // 2, c // 2)
+            for j in range(1, n_edges):
+                amps = np.zeros(n_edges)
+                amps[0], amps[j] = amp_a, amp_b
+                lambdas.append(mu)
+                amplitudes.append(amps)
+            zero_center.extend(range(start, len(lambdas)))
+        clusters.append((start, len(lambdas)))
 
-    return _star_system_from_modes(
-        graph, ell, modes, tuple(clusters), elements_per_edge, "analytic-star"
-    )
+    return _cosine_system(graph, lambdas, np.array(amplitudes), tuple(clusters), zero_center,
+                          elements_per_edge, "analytic-star")
 
 
 def interval_analytic(
@@ -461,54 +420,28 @@ def interval_analytic(
     elements_per_edge: int = 64,
 ) -> EigenSystem:
     """Neumann modes of a single edge: lambda_k = (k pi / length)^2."""
-    graph = interval_graph(length)
     ell = float(length)
-    modes: list[tuple[float, np.ndarray]] = []
-    for k in range(num_modes):
-        if k == 0:
-            amp = np.array([1.0 / np.sqrt(ell)])
-        else:
-            amp = np.array([np.sqrt(2.0 / ell)])
-        modes.append(((k * np.pi / ell) ** 2, amp))
+    lambdas = [(k * np.pi / ell) ** 2 for k in range(num_modes)]
+    amplitudes = np.full((num_modes, 1), np.sqrt(2.0 / ell))
+    amplitudes[:1] = 1.0 / np.sqrt(ell)  # the constant mode
     clusters = tuple((k, k + 1) for k in range(num_modes))
-    return _star_system_from_modes(
-        graph, ell, modes, clusters, elements_per_edge, "analytic-interval"
-    )
+    return _cosine_system(interval_graph(length), lambdas, amplitudes, clusters, [],
+                          elements_per_edge, "analytic-interval")
 
 
-def star_pair_modes(n_edges: int, length: float, k: int) -> list[AnalyticMode]:
-    """The raw edge-difference family at ((k + 1/2) pi / length)^2.
+def _pair_mode(la: float, lb: float, na: int, nb: int) -> tuple[float, float, float]:
+    """Eigenvalue and amplitudes of a Neumann star mode supported on two edges.
 
-    The equal-length case of the two-edge modes: mode j carries cos
-    profiles with amplitude +1/sqrt(length) on the first edge and
-    -1/sqrt(length) on edge j + 1; each is normalized but the family is
-    not orthogonal (any two share the first edge, inner product 1/2).
-    Traces vanish at the center exactly.
+    The caller guarantees la / lb = (2 na + 1)/(2 nb + 1); then
+    mu = ((nb + 1/2) pi / lb)^2 is an eigenvalue whose eigenfunction is
+    amp cos(sqrt(mu) x) on the two edges, measured from each edge's
+    boundary end, and zero elsewhere.  It vanishes at the center, and the
+    amplitudes have opposite signs when na and nb share parity, so the
+    derivatives balance there.  Returns (mu, amp_a, amp_b), normalized.
     """
-    if n_edges < 2:
-        raise ValueError("a star needs at least two edges")
-    return [_pair_mode([length] * n_edges, 0, j, k, k) for j in range(1, n_edges)]
-
-
-def _pair_mode(lengths, a: int, b: int, na: int, nb: int) -> AnalyticMode:
-    """Eigenfunction of a Neumann star supported on edges a and b.
-
-    The caller guarantees lengths[a] / lengths[b] = (2 na + 1)/(2 nb + 1);
-    then mu = ((nb + 1/2) pi / lengths[b])^2 is an eigenvalue with a cosine
-    profile on the two edges (opposite signs when na and nb share parity),
-    measured from each edge's boundary end.  Its traces vanish except at
-    those two ends, where each equals the edge's amplitude.
-    """
-    ells = [float(x) for x in lengths]
-    la, lb = ells[a], ells[b]
     mu = ((nb + 0.5) * np.pi / lb) ** 2
-    sign = -1 if (na - nb) % 2 == 0 else 1
     r = 1.0 / np.sqrt(0.5 * (la + lb))
-    n = len(ells)
-    amps = np.zeros(n)
-    amps[a] = r
-    amps[b] = sign * r
-    return AnalyticMode(eigenvalue=mu, amplitudes=amps)
+    return mu, r, (-r if (na - nb) % 2 == 0 else r)
 
 
 # -- exports -------------------------------------------------------------------

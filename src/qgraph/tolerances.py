@@ -43,6 +43,10 @@ NOISE_SYMMETRY = 1e-12
 NOISE_EIG_FLOOR = -1e-12
 NOISE_SQRT_CHECK = 1e-10
 
+# sampled moments with zero exact standard error must be this small, or the
+# covariance check reports zero_entries_ok false
+ZERO_MOMENT = 1e-12
+
 # pivoted-Cholesky stop on the per-step innovation correlation matrix, and
 # the bound on the dropped residual max |corr - F F^T|
 INNOVATION_DROP = 1e-14
@@ -64,5 +68,6 @@ def as_dict() -> dict:
         "noise_symmetry": NOISE_SYMMETRY,
         "noise_eig_floor": NOISE_EIG_FLOOR,
         "noise_sqrt_check": NOISE_SQRT_CHECK,
+        "zero_moment": ZERO_MOMENT,
         "innovation_drop": INNOVATION_DROP,
     }

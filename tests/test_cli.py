@@ -52,7 +52,7 @@ def test_spectrum_command(workdir, star_file, capsys):
     assert mode_out.read_text().splitlines()[0] == "edge,x,value"
     manifest = json.loads((workdir / "spectrum.csv.manifest.json").read_text())
     assert manifest["command"] == "spectrum"
-    assert len(manifest["tolerances"]) == 14
+    assert len(manifest["tolerances"]) == 15
     assert manifest["tolerances"]["rational_max_order"] == 64
     assert set(manifest["versions"]) == {"qgraph", "numpy", "scipy", "python"}
     assert manifest["config"]["mesh"] == 64
@@ -227,8 +227,25 @@ def malformed_files(workdir):
         "noise_bool_matrix.json": {"type": "full", "matrix": [[True, 0.0], [0.0, 1.0]]},
         "noise_string_matrix.json": {"type": "full", "matrix": [["1", 0.0], [0.0, 1.0]]},
     }
+    # ids must be JSON strings: a number, a boolean or null is not coerced
+    for name, index, value in [("int_vertex", 1, 1), ("bool_vertex", 1, True),
+                               ("null_edge_id", None, None)]:
+        data = qg.graph_to_dict(qg.interval_graph())
+        if index is None:
+            data["edges"][0]["id"] = value
+        else:
+            data["vertices"][index] = data["edges"][0]["head"] = value
+        payloads[f"{name}.json"] = data
     for name, payload in payloads.items():
         (workdir / name).write_text(json.dumps(payload))
+    # a key given twice, which json alone would resolve to its last value
+    (workdir / "repeated_length.json").write_text(
+        '{"vertices": ["v0", "v1"], "edges": [{"id": "e1", "tail": "v0", "head": "v1", '
+        '"length": 1.0, "length": 2.0}]}'
+    )
+    (workdir / "noise_repeated_q.json").write_text(
+        '{"type": "diagonal", "q": {"v1": 1.0, "v1": 0.0}}'
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -275,6 +292,12 @@ def malformed_files(workdir):
     ["invariant", "--graph", "interval.json", "--noise", "noise_bool_q.json"],
     ["invariant", "--graph", "interval.json", "--noise", "noise_bool_matrix.json"],
     ["invariant", "--graph", "interval.json", "--noise", "noise_string_matrix.json"],
+    # ids that are not JSON strings, and repeated keys
+    ["spectrum", "--graph", "int_vertex.json"],
+    ["spectrum", "--graph", "bool_vertex.json"],
+    ["spectrum", "--graph", "null_edge_id.json"],
+    ["spectrum", "--graph", "repeated_length.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_repeated_q.json"],
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed_files,
                                                capsys, argv):
@@ -286,6 +309,23 @@ def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed
     assert err.startswith("error:") and len(err.splitlines()) == 1
     # rejected before any work is reported or written
     assert out == "" and set(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["control", "--noise", "diag:v1=1", "--z0", "1:1"],
+    ["simulate", "--noise", "diag:v1=1", "--z0", "x=1"],
+    ["simulate", "--noise", "diag:v1=1", "--alphas", "0,a"],
+    ["invariant", "--noise", "diag:v1=1", "--horizons", "1,T"],
+], ids=lambda argv: " ".join(argv[3:]))
+def test_string_arguments_are_parsed_before_the_eigensolve(workdir, interval_file, capsys,
+                                                           monkeypatch, argv):
+    def no_solve(*args):
+        raise AssertionError("eigensolve reached before the arguments were parsed")
+
+    monkeypatch.setattr("qgraph.cli.solve_spectrum", no_solve)
+    assert main(argv[:1] + ["--graph", interval_file] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_arpack_failure_exits_3(workdir, capsys):

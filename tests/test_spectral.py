@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 import qgraph as qg
 from qgraph.cli import main
-from qgraph.spectral import assemble, eigensolve, star_pair_modes
+from qgraph.spectral import _pair_mode, assemble, eigensolve
 
 PI2 = np.pi**2
 
@@ -328,13 +328,51 @@ def test_star_analytic_family_overlap_is_half():
 
 
 def test_star_pair_modes_scale_invariance():
+    """Cluster 3 of the 4-star holds the k = 1 pair modes; each one's leaf
+    traces are its edge amplitudes, since x = 0 is the leaf end."""
     for ell in (0.5, 1.0, 2.0):
-        modes = star_pair_modes(4, ell, k=1)
-        assert len(modes) == 3
-        for j, m in enumerate(modes):
-            np.testing.assert_allclose(m.eigenvalue, (1.5 * np.pi / ell) ** 2)
-            np.testing.assert_allclose(m.amplitudes[0], np.sqrt(1 / ell))
-            np.testing.assert_allclose(m.amplitudes[j + 1], -np.sqrt(1 / ell))
+        eig = qg.star_analytic(4, ell, num_clusters=4)
+        a, b = eig.clusters[3]
+        assert b - a == 3
+        for j in range(3):
+            np.testing.assert_allclose(eig.lambdas[a + j], (1.5 * np.pi / ell) ** 2)
+            traces = eig.vertex_traces[a + j]  # (vc, v1, v2, v3, v4)
+            np.testing.assert_allclose(traces[1], np.sqrt(1 / ell))
+            np.testing.assert_allclose(traces[j + 2], -np.sqrt(1 / ell))
+
+
+@pytest.mark.parametrize("n_edges", [2, 3, 4, 5, 6])
+def test_star_analytic_closed_form(n_edges):
+    """Cluster c sits at (c pi / 2 ell)^2 with multiplicity 1 for even c and
+    n - 1 for odd c; the center trace is exactly zero on odd clusters only."""
+    for ell in (0.37, 1.0, 2.5):
+        eig = qg.star_analytic(n_edges, ell, num_clusters=40)
+        assert [b - a for a, b in eig.clusters] == [1, n_edges - 1] * 20
+        for c, (a, b) in enumerate(eig.clusters):
+            exact = (c * np.pi / (2 * ell)) ** 2
+            assert np.all(np.abs(eig.lambdas[a:b] - exact) <= 1e-15 * exact)
+            center = eig.vertex_traces[a:b, 0]
+            assert np.all(center == 0.0) if c % 2 else np.all(center != 0.0)
+
+
+def test_pair_mode_is_a_normalized_eigenfunction():
+    """On a two-edge star with lengths (2 na + 1) s and (2 nb + 1) s, the
+    mode amp cos(sqrt(mu) x) vanishes at the center, its derivatives
+    balance there, it has unit norm, and the amplitudes have opposite
+    signs exactly when na - nb is even."""
+    for s in (0.3, 1.0):
+        for na in range(9):
+            for nb in range(9):
+                la, lb = (2 * na + 1) * s, (2 * nb + 1) * s
+                mu, amp_a, amp_b = _pair_mode(la, lb, na, nb)
+                k = np.sqrt(mu)
+                for amp, ell in ((amp_a, la), (amp_b, lb)):
+                    assert abs(amp * np.cos(k * ell)) <= 1e-12 * abs(amp)
+                # Kirchhoff: the derivatives leaving the center sum to zero
+                flux = amp_a * np.sin(k * la) + amp_b * np.sin(k * lb)
+                assert abs(flux) <= 1e-12 * abs(amp_a)
+                assert 0.5 * (amp_a**2 * la + amp_b**2 * lb) == pytest.approx(1.0, rel=1e-14)
+                assert (amp_a * amp_b < 0) == ((na - nb) % 2 == 0)
 
 
 def test_star_analytic_n2_matches_interval():
