@@ -172,13 +172,13 @@ def solve_null_control(
     gram = _covariance(lambdas, channels, horizon)
 
     # scaled spectral pseudo-inverse
-    diag = np.diag(gram).copy()
-    scale = np.where(diag > 0, 1.0 / np.sqrt(np.maximum(diag, 1e-300)), 1.0)
+    diag = np.diag(gram)
+    scale = np.divide(1.0, np.sqrt(diag), out=np.ones_like(diag), where=diag > 0)
     gs = gram * scale[:, None] * scale[None, :]
     w, u = np.linalg.eigh(gs)
     w = np.maximum(w, 0.0)
     wmax = w[-1] if len(w) else 0.0
-    keep = w > tol.GRAM_TRUNCATION * max(wmax, 1e-300)
+    keep = w > tol.GRAM_TRUNCATION * wmax
     rank = int(np.count_nonzero(keep))
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]

@@ -2,24 +2,26 @@
 
 Three mechanisms are implemented.  A sufficient rule covers trees with
 unit diffusion, one uniform constant potential, and diagonal noise
-active at all boundary vertices save at most one.  A spectral
-obstruction finds an eigenspace whose vertex traces all fall inside the
-kernel of the noise square root (a Hautus failure), which rules the
-property out.  For Neumann stars with quiet boundary ends,
-eigenfunctions supported on just two edges exist exactly when the edge
-lengths are in an odd-odd ratio, and those escape any finite mesh, so a
-dedicated arithmetic scan covers them.  Anything not settled by these
+active at all boundary vertices save at most one.  Two scans look for
+an eigenfunction whose noise-weighted vertex traces vanish, which rules
+the property out, and both put the question to one test, _invisible.
+The spectral scan (Hautus) tries every trusted eigenvalue cluster of a
+computed eigensystem.  The pendant-pair scan tries every two pendant
+edges with unit diffusion and zero potential that meet at one vertex:
+when their lengths are in an odd-odd ratio, a cosine mode lives on the
+pair alone and escapes any finite mesh.  Anything not settled by these
 returns Unknown rather than a guess.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import tolerances as tol
 from .errors import InvalidGraphError, SpectrumTooCoarseError
-from .graphs import Coefficient, MetricGraph, star_center
+from .graphs import Coefficient, MetricGraph
 from .noise import NoiseModel
 from .spectral import EigenSystem, _pair_mode, solve_spectrum
 
@@ -122,15 +124,26 @@ def sufficient_tree_rule(graph: MetricGraph, noise: NoiseModel) -> str | None:
     )
 
 
+def _invisible(noise: NoiseModel, traces: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """The unit combination c of the columns of an n x d trace block that
+    the noise sees least, with its residual ||Q^(1/2) T c||, or None when
+    that residual exceeds TRACE_ZERO.
+
+    The SVD is full: with more columns than vertices, the null directions
+    of Q^(1/2) T are rows of vt that a reduced SVD leaves out.
+    """
+    w_mat = noise.q_sqrt @ traces
+    coeff = np.linalg.svd(w_mat)[2][-1]
+    residual = float(np.linalg.norm(w_mat @ coeff))
+    return None if residual > tol.TRACE_ZERO else (coeff, residual)
+
+
 def hautus_obstruction(eig: EigenSystem, noise: NoiseModel) -> Witness | None:
     """Scan trusted eigenvalue clusters for a noise-invisible direction.
 
-    For each complete trusted cluster, form W = Q^(1/2) T where T holds
-    the cluster's vertex traces columnwise.  A (near-)singular W means
-    some combination of the eigenfunctions has vanishing noise-weighted
-    traces; the minimizing right singular vector is the witness.  The
-    candidate is accepted only if the achieved residual itself is below
-    the trace tolerance.
+    For each complete trusted cluster, the columns of T hold its vertex
+    traces; the first cluster with a combination c of residual
+    ||Q^(1/2) T c|| <= TRACE_ZERO gives the witness.
     """
     if tuple(eig.graph.vertices) != tuple(noise.vertices):
         raise InvalidGraphError(["noise model and eigensystem use different vertex sets"])
@@ -138,25 +151,18 @@ def hautus_obstruction(eig: EigenSystem, noise: NoiseModel) -> Witness | None:
     if not usable:
         raise SpectrumTooCoarseError("no complete trusted eigenvalue clusters")
     for ci in usable:
-        t_mat = eig.trace_matrix(ci)
-        w_mat = noise.q_sqrt @ t_mat
-        u, s, vt = np.linalg.svd(w_mat, full_matrices=False)
-        smax = s[0] if len(s) else 0.0
-        if s[-1] > tol.TRACE_ZERO * max(1.0, smax):
+        found = _invisible(noise, eig.trace_matrix(ci))
+        if found is None:
             continue
-        coeff = vt[-1]
-        residual = float(np.linalg.norm(w_mat @ coeff))
-        if residual > tol.TRACE_ZERO:
-            continue
+        coeff, residual = found
         a, b = eig.clusters[ci]
-        traces = eig.vertex_traces[a:b].T @ coeff
         return Witness(
             eigenvalue=eig.cluster_eigenvalue(ci),
             multiplicity=b - a,
-            traces=traces,
+            traces=eig.vertex_traces[a:b].T @ coeff,
             residual=residual,
             cluster_index=ci,
-            coefficients=coeff.copy(),
+            coefficients=coeff,
         )
     return None
 
@@ -179,49 +185,45 @@ def _odd_ratio_orders(la: float, lb: float) -> tuple[int, int] | None:
 def rational_star_scan(graph: MetricGraph, noise: NoiseModel) -> Witness | None:
     """Arithmetic search for two-edge eigenfunctions a mesh cannot see.
 
-    Applies to Neumann stars with unit diffusion and zero potential.  A
-    cosine eigenfunction supported on edges a and b with zero center
-    trace exists iff the lengths satisfy an odd-odd integer ratio; its
-    only nonzero traces sit at the two boundary ends, so if the noise is
-    quiet there the mode is a genuine obstruction at any resolution.
+    Looks at every two pendant edges a and b, each with unit diffusion
+    and zero potential, that meet at a common vertex u: a two-edge star
+    inside the graph.  When la / lb is an odd-odd integer ratio, the
+    cosine mode of _pair_mode on a and b, zero elsewhere, vanishes at u
+    with balanced derivatives, so it is an eigenfunction whatever else
+    meets u.  Its only nonzero traces sit at the two leaves; a mode the
+    noise cannot see there is a genuine obstruction at any resolution.
+    Returns the lowest such eigenvalue's witness.
     """
-    center = star_center(graph)
-    if center is None:
-        return None
     unit, zero = Coefficient.const(1.0), Coefficient.const(0.0)
-    if any(e.diffusion != unit or e.potential != zero for e in graph.edges):
-        return None
-    quiet_edges = []
+    pendant = []  # (edge index, leaf, the other end)
     for j, e in enumerate(graph.edges):
-        boundary_end = e.tail if e.head == center else e.head
-        if noise.is_quiet(boundary_end):
-            quiet_edges.append((j, boundary_end))
-    if len(quiet_edges) < 2:
-        return None
-    lengths = [e.length for e in graph.edges]
+        if e.diffusion == unit and e.potential == zero:
+            for leaf, u in ((e.tail, e.head), (e.head, e.tail)):
+                if graph.degree(leaf) == 1:
+                    pendant.append((j, leaf, u))
+                    break
     best: Witness | None = None
-    for ai in range(len(quiet_edges)):
-        for bi in range(ai + 1, len(quiet_edges)):
-            a, va = quiet_edges[ai]
-            b, vb = quiet_edges[bi]
-            orders = _odd_ratio_orders(lengths[a], lengths[b])
-            if orders is None:
-                continue
-            mu, amp_a, amp_b = _pair_mode(lengths[a], lengths[b], *orders)
-            traces = np.zeros(graph.n)
-            traces[graph.vertex_index[va]] = amp_a
-            traces[graph.vertex_index[vb]] = amp_b
-            residual = float(np.linalg.norm(noise.q_sqrt @ traces))
-            cand = Witness(
+    for (a, va, u), (b, vb, ub) in combinations(pendant, 2):
+        if u != ub:
+            continue
+        la, lb = graph.edges[a].length, graph.edges[b].length
+        orders = _odd_ratio_orders(la, lb)
+        if orders is None:
+            continue
+        mu, amp_a, amp_b = _pair_mode(la, lb, *orders)
+        traces = np.zeros(graph.n)
+        traces[graph.vertex_index[va]] = amp_a
+        traces[graph.vertex_index[vb]] = amp_b
+        found = _invisible(noise, traces[:, None])
+        if found is not None and (best is None or mu < best.eigenvalue):
+            best = Witness(
                 eigenvalue=mu,
                 multiplicity=1,
                 traces=traces,
-                residual=residual,
+                residual=found[1],
                 mode_orders=orders,
                 edge_pair=(graph.edges[a].id, graph.edges[b].id),
             )
-            if best is None or cand.eigenvalue < best.eigenvalue:
-                best = cand
     return best
 
 
@@ -232,11 +234,12 @@ def decide_feller(
     elements_per_edge: int = 256,
     num_modes: int = 50,
 ) -> FellerVerdict:
-    """Combine the sufficient rule, the spectral scan, and the star scan.
+    """Combine the sufficient rule, the spectral scan, and the pendant-pair scan.
 
     The sufficient rule fires first; otherwise an eigensystem (computed
-    here unless supplied) is scanned for Hautus failures, then star
-    geometry is checked arithmetically.  Verdicts never guess: graphs
+    here unless supplied) is scanned for Hautus failures, then the
+    pendant-edge pairs are checked arithmetically (rule rational-star,
+    since each pair is a two-edge star).  Verdicts never guess: graphs
     outside all three mechanisms come back Unknown.
     """
     detail = sufficient_tree_rule(graph, noise)

@@ -41,7 +41,6 @@ __all__ = [
     "path_graph",
     "star_graph",
     "lasso_graph",
-    "star_center",
 ]
 
 
@@ -413,12 +412,3 @@ def lasso_graph(loop_length: float = 1.0, tail_length: float = 0.8, c=1.0, p=0.0
         ),
     )
 
-
-def star_center(graph: MetricGraph) -> str | None:
-    """The center vertex if the graph is a star with >= 2 edges, else None.
-
-    A star is a tree with one vertex on every edge.
-    """
-    if graph.m < 2 or not graph.is_tree:
-        return None
-    return next((v for v in graph.vertices if graph.degree(v) == graph.m), None)

@@ -16,14 +16,14 @@ ORTHONORMALITY = 1e-8
 # relative gap below which two eigenvalues are placed in the same cluster
 CLUSTER_GAP = 1e-6
 
-# vertex-trace magnitudes treated as zero (Hautus tests, witnesses)
+# noise-weighted trace residuals treated as zero (both Feller scans' witnesses)
 TRACE_ZERO = 1e-6
 
-# relative tolerance for the odd-integer length-ratio condition on stars
+# relative tolerance for the odd-integer length ratio of a pendant-edge pair
 RATIONAL_RATIO = 1e-12
 
-# odd-ratio search depth on stars: orders na, nb <= this, so a ratio that
-# needs a deeper order leaves the verdict Unknown
+# odd-ratio search depth on pendant-edge pairs: orders na, nb <= this, so a
+# ratio that needs a deeper order leaves the verdict Unknown
 RATIONAL_MAX_ORDER = 64
 
 # spectral gap below which lambda_0 counts as zero
@@ -53,21 +53,6 @@ INNOVATION_DROP = 1e-14
 
 
 def as_dict() -> dict:
-    """All thresholds keyed by name, for run manifests."""
-    return {
-        "eig_residual": EIG_RESIDUAL,
-        "orthonormality": ORTHONORMALITY,
-        "cluster_gap": CLUSTER_GAP,
-        "trace_zero": TRACE_ZERO,
-        "rational_ratio": RATIONAL_RATIO,
-        "rational_max_order": RATIONAL_MAX_ORDER,
-        "spectral_gap": SPECTRAL_GAP,
-        "trusted_lambda_h2": TRUSTED_LAMBDA_H2,
-        "gram_truncation": GRAM_TRUNCATION,
-        "control_residual": CONTROL_RESIDUAL,
-        "noise_symmetry": NOISE_SYMMETRY,
-        "noise_eig_floor": NOISE_EIG_FLOOR,
-        "noise_sqrt_check": NOISE_SQRT_CHECK,
-        "zero_moment": ZERO_MOMENT,
-        "innovation_drop": INNOVATION_DROP,
-    }
+    """All thresholds keyed by name, for run manifests: every upper-case
+    constant above, in lower case."""
+    return {name.lower(): value for name, value in globals().items() if name.isupper()}

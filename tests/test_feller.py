@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgraph as qg
 from qgraph import tolerances as tol
 from qgraph.feller import hautus_obstruction, rational_star_scan, sufficient_tree_rule
+from qgraph.graphs import Coefficient, Edge, MetricGraph
 from qgraph.noise import NoiseModel
+from qgraph.spectral import assemble
 
 PI2 = np.pi**2
 
@@ -258,6 +262,7 @@ def test_rational_scan_needs_two_quiet_ends(star3):
 
 
 def test_rational_scan_inapplicable_off_stars():
+    """No two pendant edges meet on the 3-path; on the star none has p = 0."""
     g = qg.path_graph([1.0, 1.0, 1.0])
     assert rational_star_scan(g, NoiseModel.zero(g)) is None
     g2 = qg.star_graph([1.0, 1.0, 1.0], p=0.5)
@@ -272,3 +277,115 @@ def test_verdict_json_round_trip(star3_analytic):
     assert d["rule"] == "hautus"
     assert set(d["witness"]) >= {"cluster", "coeffs", "eigenvalue", "traces", "residual"}
     assert isinstance(d["checked_clusters"], int)
+
+
+# -- witnesses on any graph ----------------------------------------------------
+
+
+def _fork():
+    """Pendant edges of lengths 1 and 3 at u, then u - w, and two leaves
+    at w; the noise sits at the two far leaves."""
+    g = MetricGraph(
+        ("l1", "l2", "u", "w", "m1", "m2"),
+        (Edge("a", "l1", "u", 1.0), Edge("b", "l2", "u", 3.0), Edge("s", "u", "w", 0.7),
+         Edge("c", "w", "m1", 1.3), Edge("d", "w", "m2", 0.9)),
+    )
+    return g, NoiseModel.from_diagonal(g, {"m1": 1.0, "m2": 1.0})
+
+
+def _circle():
+    g = MetricGraph(("v0",), (Edge("loop", "v0", "v0", 1.0),))
+    return g, NoiseModel.from_diagonal(g, {"v0": 1.0})
+
+
+def _star_with_potential():
+    g = qg.star_graph([3.0, 1.0, 1.0], p=[0.0, 0.0, 0.5])
+    return g, NoiseModel.from_diagonal(g, {"v3": 1.0})
+
+
+def _two_star_full_noise():
+    g = qg.star_graph([3.0, 1.0])
+    return g, NoiseModel.from_matrix(g, [[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+
+
+@pytest.mark.parametrize("case, rule", [
+    # a 2-member cluster on one vertex: only the full SVD holds its null direction
+    (_circle, "hautus"),
+    # the 1:3 pair at u; the 13:9 pair at w is seen by the noise
+    (_fork, "rational-star"),
+    # the third edge's potential does not touch the pair e1, e2
+    (_star_with_potential, "rational-star"),
+    # neither leaf is quiet, but Q^(1/2) annihilates the same-sign traces
+    (_two_star_full_noise, "rational-star"),
+], ids=["circle", "fork", "star-potential", "two-star-full-noise"])
+def test_witness_on_any_graph(case, rule):
+    g, nm = case()
+    v = qg.decide_feller(g, nm, elements_per_edge=64, num_modes=16)
+    assert (v.verdict, v.rule) == ("NotStrongFeller", rule)
+    assert v.witness.residual <= tol.TRACE_ZERO
+    assert np.linalg.norm(nm.q_sqrt @ v.witness.traces) <= tol.TRACE_ZERO
+
+
+def test_fork_witness_is_an_eigenfunction():
+    """The P1 interpolant of the fork's pair mode on a mesh of 512 cells per
+    edge has a Rayleigh quotient within mu^2 h^2 / 12 of mu = pi^2 / 4."""
+    g, nm = _fork()
+    w = rational_star_scan(g, nm)
+    assert (w.edge_pair, w.mode_orders) == (("a", "b"), (0, 1))
+    mu = w.eigenvalue
+    np.testing.assert_allclose(mu, PI2 / 4)
+    op = assemble(g, 512)
+    f = np.zeros(op.layout.total_dof)
+    for j, e in enumerate(g.edges):
+        if e.id in w.edge_pair:  # x = 0 at the tail, here the leaf
+            amp = w.traces[g.vertex_index[e.tail]]
+            f[op.layout.edge_dofs(j)] = amp * np.cos(np.sqrt(mu) * op.layout.edge_coords(j))
+    rayleigh = (f @ (op.stiffness @ f)) / (f @ (op.mass @ f))
+    assert abs(rayleigh - mu) <= mu**2 * op.layout.h_max**2 / 12
+
+
+@st.composite
+def _base_graphs(draw):
+    """A random tree or lasso with sampled c and p, and one of its vertices."""
+    length = st.floats(0.3, 2.0)
+    coeffs = st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 1.0))
+
+    def edge(eid, tail, head):
+        c, p = draw(coeffs)
+        return Edge(eid, tail, head, draw(length), Coefficient.const(c), Coefficient.const(p))
+
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        vertices = [f"n{i}" for i in range(n)]
+        edges = [edge(f"t{i}", f"n{draw(st.integers(0, i - 1))}", f"n{i}") for i in range(1, n)]
+    else:
+        vertices = ["n0", "n1"]
+        edges = [edge("loop", "n0", "n0"), edge("tail", "n0", "n1")]
+    return vertices, edges, draw(st.sampled_from(vertices))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(base=_base_graphs(), orders=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       scale=st.floats(0.2, 2.0), odd=st.booleans(), flip=st.booleans())
+def test_planted_pendant_pair(base, orders, scale, odd, flip):
+    """Two pendant edges planted at one vertex of a random tree or lasso,
+    with quiet leaves and noise at every other vertex: an odd length ratio
+    gives a witness the noise cannot see, a ratio of sqrt 2 none."""
+    vertices, edges, u = base
+    na, nb = orders
+    la, lb = (scale * (2 * na + 1), scale * (2 * nb + 1)) if odd else (scale, scale * np.sqrt(2))
+    pair = [Edge("pa", "qa", u, la), Edge("pb", "qb", u, lb)]
+    if flip:  # the chart may start at either end
+        pair = [Edge(e.id, e.head, e.tail, e.length) for e in pair]
+    g = MetricGraph(tuple(vertices) + ("qa", "qb"), tuple(edges + pair))
+    nm = NoiseModel.from_diagonal(g, {v: 1.0 + i for i, v in enumerate(vertices)})
+    w = rational_star_scan(g, nm)
+    if not odd:
+        assert w is None
+        return
+    assert w is not None and w.edge_pair == ("pa", "pb")
+    assert w.residual <= tol.TRACE_ZERO
+    ma, mb = w.mode_orders
+    assert (2 * ma + 1) * (2 * nb + 1) == (2 * mb + 1) * (2 * na + 1)
+    np.testing.assert_allclose(w.eigenvalue, ((mb + 0.5) * np.pi / lb) ** 2)
+    assert np.count_nonzero(w.traces) == 2

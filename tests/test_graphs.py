@@ -230,14 +230,6 @@ def test_coefficient_extremes():
     assert k.is_constant and k.at(0.77, 1.0) == 3.0
 
 
-def test_star_center(star3):
-    assert qg.star_center(star3) == "vc"
-    assert qg.star_center(qg.path_graph([1, 1])) == "v1"  # a 2-star
-    assert qg.star_center(qg.interval_graph()) is None
-    assert qg.star_center(qg.lasso_graph()) is None
-    assert qg.star_center(qg.path_graph([1, 1, 1])) is None
-
-
 def _random_tree_graph(prufer):
     """Tree on n = len(prufer) + 2 vertices decoded from a Prüfer sequence."""
     n = len(prufer) + 2

@@ -392,6 +392,17 @@ def test_interval_analytic_traces(interval_eig):
         np.testing.assert_allclose(interval_eig.lambdas[k], k**2 * PI2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda m: assemble(qg.star_graph([1.0, 1.0, 1.0]), m),
+    lambda m: qg.star_analytic(3, 1.0, 2, elements_per_edge=m),
+    lambda m: qg.interval_analytic(1.0, 3, elements_per_edge=m),
+], ids=["assemble", "star_analytic", "interval_analytic"])
+@pytest.mark.parametrize("mesh", [0, 1])
+def test_every_layout_needs_two_elements_per_edge(build, mesh):
+    with pytest.raises(ValueError, match="at least 2"):
+        build(mesh)
+
+
 def test_analytic_matches_fem_interval():
     fem = qg.solve_spectrum(qg.interval_graph(1.0), 256, 6)
     ana = qg.interval_analytic(1.0, num_modes=6)
