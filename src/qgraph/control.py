@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import SolveFailureError
-from .noise import NoiseModel
+from .noise import NoiseModel, _check_vertices
 from .spectral import EigenSystem
 
 __all__ = ["ControlDiagnostics", "ControlResult", "solve_null_control", "control_to_csv"]
@@ -117,6 +117,7 @@ def _initial_coeffs(z0_coeffs, k: int) -> np.ndarray:
 
 def _channels(eig: EigenSystem, noise: NoiseModel, k: int) -> np.ndarray:
     """Channel vectors w_k of the first k modes, row-wise."""
+    _check_vertices(eig.graph, noise)
     return eig.vertex_traces[:k] @ noise.q_sqrt
 
 

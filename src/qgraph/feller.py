@@ -20,9 +20,9 @@ from itertools import combinations
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InvalidGraphError, SpectrumTooCoarseError
+from .errors import SpectrumTooCoarseError
 from .graphs import Coefficient, MetricGraph
-from .noise import NoiseModel
+from .noise import NoiseModel, _check_vertices
 from .spectral import EigenSystem, _pair_mode, solve_spectrum
 
 __all__ = [
@@ -101,6 +101,7 @@ def sufficient_tree_rule(graph: MetricGraph, noise: NoiseModel) -> str | None:
     w = e^(pt) z maps controls to controls, so p = 0 covers any uniform
     p; no argument here covers a potential that varies.
     """
+    _check_vertices(graph, noise)
     if not graph.is_tree:
         return None
     if any(e.diffusion != Coefficient.const(1.0) for e in graph.edges):
@@ -145,8 +146,7 @@ def hautus_obstruction(eig: EigenSystem, noise: NoiseModel) -> Witness | None:
     traces; the first cluster with a combination c of residual
     ||Q^(1/2) T c|| <= TRACE_ZERO gives the witness.
     """
-    if tuple(eig.graph.vertices) != tuple(noise.vertices):
-        raise InvalidGraphError(["noise model and eigensystem use different vertex sets"])
+    _check_vertices(eig.graph, noise)
     usable = eig.trusted_cluster_indices()
     if not usable:
         raise SpectrumTooCoarseError("no complete trusted eigenvalue clusters")
@@ -194,6 +194,7 @@ def rational_star_scan(graph: MetricGraph, noise: NoiseModel) -> Witness | None:
     noise cannot see there is a genuine obstruction at any resolution.
     Returns the lowest such eigenvalue's witness.
     """
+    _check_vertices(graph, noise)
     unit, zero = Coefficient.const(1.0), Coefficient.const(0.0)
     pendant = []  # (edge index, leaf, the other end)
     for j, e in enumerate(graph.edges):

@@ -16,6 +16,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import (
     AsymmetricMatrixError,
+    InvalidGraphError,
     NotPSDError,
     QGraphValidationError,
     UnknownVertexError,
@@ -103,6 +104,12 @@ class NoiseModel:
                 },
             }
         return {"type": "full", "matrix": self.q.tolist()}
+
+
+def _check_vertices(graph: MetricGraph, noise: NoiseModel) -> None:
+    """Reject a noise model built for a graph with other vertices."""
+    if tuple(graph.vertices) != tuple(noise.vertices):
+        raise InvalidGraphError(["noise model and graph use different vertex sets"])
 
 
 def parse_noise(spec: str, graph: MetricGraph) -> NoiseModel:

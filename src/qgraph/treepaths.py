@@ -6,9 +6,15 @@ exactly one outgoing edge.  Such decompositions exist precisely when the
 source set is the whole boundary or the boundary minus one vertex, and
 they are the combinatorial backbone of the boundary-noise smoothing
 argument: the active sets they generate are (sources, empty).
+
+verify_tf and st_active_set both read one count per vertex of the paths
+that start at it, run through it and finish at it.  Everything here
+takes trees only: any orientation of a tree is acyclic, so neither
+checker needs a cycle test.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -129,148 +135,89 @@ def path_union(tree: MetricGraph, omit: str | None = None) -> PathUnion:
     return PathUnion(tuple(paths), source_set)
 
 
-def _orientation(pu: PathUnion):
-    """Oriented edges of a path union: edge id -> (from, to)."""
-    oriented: dict[str, tuple[str, str]] = {}
-    for p in pu.paths:
-        for i, eid in enumerate(p.edges):
-            if eid in oriented:
-                raise InvalidPathUnionError(f"edge {eid!r} appears in more than one path")
-            oriented[eid] = (p.vertices[i], p.vertices[i + 1])
-    return oriented
+def _roles(pu: PathUnion) -> tuple[Counter, Counter, Counter]:
+    """Per vertex, how many paths start at it, run through it and finish at it."""
+    starts = Counter(p.start for p in pu.paths)
+    interior = Counter(v for p in pu.paths for v in p.interior)
+    return starts, interior, Counter(p.finish for p in pu.paths)
 
 
 def st_active_set(pu: PathUnion) -> STActiveSet:
     """Active sets of the orientation induced by a tree path union.
 
-    For decompositions built from boundary sources on a tree the answer
-    is always (source set, empty set): every non-sink vertex keeps a
-    single outgoing edge, so no per-vertex edge choices remain.
+    A vertex leaves by one edge per path it starts or runs through, and
+    the orientation's sources are the starts that no path enters.  For
+    decompositions built from boundary sources on a tree the answer is
+    always (source set, empty set): every non-sink vertex keeps a single
+    outgoing edge, so no per-vertex edge choices remain.
     """
-    oriented = _orientation(pu)
-    out_edges: dict[str, list[str]] = {}
-    in_edges: dict[str, list[str]] = {}
-    for eid, (u, w) in oriented.items():
-        out_edges.setdefault(u, []).append(eid)
-        in_edges.setdefault(w, []).append(eid)
-    for v, outs in out_edges.items():
-        if len(outs) != 1:
+    if any(len(p.vertices) != len(p.edges) + 1 or not p.edges for p in pu.paths):
+        raise InvalidPathUnionError("malformed path: it needs an edge and one vertex more than edges")
+    uses = Counter(eid for p in pu.paths for eid in p.edges)
+    reused = [eid for eid, n in uses.items() if n > 1]
+    if reused:
+        raise InvalidPathUnionError(f"edge {reused[0]!r} appears in more than one path")
+    starts, interior, finishes = _roles(pu)
+    for v in starts | interior:
+        if starts[v] + interior[v] != 1:
             raise InvalidPathUnionError(
-                f"vertex {v!r} has {len(outs)} outgoing edges; expected exactly one"
+                f"vertex {v!r} has {starts[v] + interior[v]} outgoing edges; expected exactly one"
             )
-    sources = frozenset(v for v in out_edges if v not in in_edges)
+    sources = frozenset(v for v in starts if not finishes[v] and not interior[v])
     if sources != pu.source_set:
         raise InvalidPathUnionError(
             f"orientation sources {sorted(sources)} differ from declared {sorted(pu.source_set)}"
         )
-    starts = frozenset(p.start for p in pu.paths)
-    if starts != pu.source_set:
+    if frozenset(starts) != pu.source_set:
         raise InvalidPathUnionError("declared source set does not match path starts")
     return STActiveSet(i_star=sources, j_star=frozenset())
 
 
 def verify_tf(pu: PathUnion, graph: MetricGraph) -> list[str]:
-    """Check the tangle-free conditions; returns violations, empty if none.
+    """Check the tangle-free conditions on a tree; returns violations, empty if none.
 
-    Checked: (1) every path is a simple walk whose edges exist and carry
-    the path's direction, with no edge reuse; (2) distinct paths meet
-    only where at least one of them starts or finishes; (3) no relay
-    tangles at vertices that both finish and start paths, or start more
-    than one, without independent through-edges; (4) the paths cover
-    every edge; and the induced orientation is acyclic.
+    Checked: (1) every path is a simple walk along existing edges, with
+    no edge reuse; (2) no vertex is interior to two paths; (3) a vertex
+    that starts two paths, or starts one and finishes one, has a path
+    running through it; (4) the paths cover every edge; and the declared
+    sources are the path starts.  Any orientation of a tree's edges is
+    acyclic, so no cycle check is needed; other graphs raise NotATreeError.
     """
+    if not graph.is_tree:
+        raise NotATreeError("verify_tf requires a tree")
     report: list[str] = []
-    oriented: dict[str, tuple[str, str]] = {}
-
+    used: set[str] = set()
     for p in pu.paths:
         if len(p.vertices) != len(p.edges) + 1 or not p.edges:
             report.append(f"malformed path {p.vertices}")
             continue
         if len(set(p.vertices)) != len(p.vertices):
             report.append(f"path {p.vertices} repeats a vertex")
-        for i, eid in enumerate(p.edges):
-            u, w = p.vertices[i], p.vertices[i + 1]
+        for eid, u, w in zip(p.edges, p.vertices, p.vertices[1:]):
             if eid not in graph.edge_index:
                 report.append(f"path uses unknown edge {eid!r}")
-                continue
-            e = graph.edge(eid)
-            if {e.tail, e.head} != {u, w} and not (e.tail == e.head == u == w):
+            elif {graph.edge(eid).tail, graph.edge(eid).head} != {u, w}:
                 report.append(f"edge {eid!r} does not join {u!r} and {w!r}")
-                continue
-            if eid in oriented:
+            elif eid in used:
                 report.append(f"edge reuse: {eid!r} traversed by more than one path")
-                continue
-            oriented[eid] = (u, w)
+            else:
+                used.add(eid)
 
-    # condition (2): interiors never meet another path's interior
-    for a in range(len(pu.paths)):
-        for b in range(a + 1, len(pu.paths)):
-            pa, pb = pu.paths[a], pu.paths[b]
-            shared = set(pa.vertices) & set(pb.vertices)
-            for v in shared:
-                if v in pa.interior and v in pb.interior:
-                    report.append(
-                        f"condition (2): vertex {v!r} is interior to two paths"
-                    )
-
-    # condition (3): relay tangles
-    start_count: dict[str, int] = {}
-    finish_count: dict[str, int] = {}
-    starting_edges = set()
-    finishing_edges = set()
-    for p in pu.paths:
-        if not p.edges:
-            continue
-        start_count[p.start] = start_count.get(p.start, 0) + 1
-        finish_count[p.finish] = finish_count.get(p.finish, 0) + 1
-        starting_edges.add(p.edges[0])
-        finishing_edges.add(p.edges[-1])
-    out_by_vertex: dict[str, set[str]] = {}
-    in_by_vertex: dict[str, set[str]] = {}
-    for eid, (u, w) in oriented.items():
-        out_by_vertex.setdefault(u, set()).add(eid)
-        in_by_vertex.setdefault(w, set()).add(eid)
-    for v, nstart in start_count.items():
-        tangled = nstart >= 2 or finish_count.get(v, 0) >= 1
-        if not tangled:
-            continue
-        has_through_in = bool(in_by_vertex.get(v, set()) - finishing_edges)
-        has_through_out = bool(out_by_vertex.get(v, set()) - starting_edges)
-        if not has_through_in or not has_through_out:
+    starts, interior, finishes = _roles(pu)
+    for v, n in interior.items():
+        if n > 1:
+            report.append(f"condition (2): vertex {v!r} is interior to {n} paths")
+    for v, n in starts.items():
+        if (n > 1 or finishes[v]) and not interior[v]:
             report.append(
-                f"condition (3): vertex {v!r} starts {nstart} path(s) and finishes "
-                f"{finish_count.get(v, 0)} without a non-finishing incoming edge and "
-                f"a non-starting outgoing edge"
+                f"condition (3): vertex {v!r} starts {n} path(s) and finishes "
+                f"{finishes[v]} with no path running through it"
             )
-
-    # condition (4): coverage
-    covered = set(oriented)
     for e in graph.edges:
-        if e.id not in covered:
+        if e.id not in used:
             report.append(f"condition (4): uncovered edge {e.id!r}")
-
-    # acyclicity of the induced orientation
-    indeg: dict[str, int] = {v: 0 for v in graph.vertices}
-    adj_out: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for eid, (u, w) in oriented.items():
-        if u in indeg and w in indeg:
-            indeg[w] += 1
-            adj_out[u].append(w)
-    queue = [v for v, d in indeg.items() if d == 0]
-    visited = 0
-    while queue:
-        u = queue.pop()
-        visited += 1
-        for w in adj_out[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if visited != len(indeg):
-        report.append("induced orientation contains a directed cycle")
-
-    if frozenset(p.start for p in pu.paths) != pu.source_set:
+    if frozenset(starts) != pu.source_set:
         report.append("source set does not match path starts")
-
     return report
 
 

@@ -126,3 +126,25 @@ def test_sqrt_matches_scipy_on_random_psd(star3, rng):
     np.testing.assert_allclose(nm.q_sqrt @ nm.q_sqrt, q, atol=1e-10)
     w = np.linalg.eigvalsh(nm.q_sqrt)
     np.testing.assert_allclose(np.sort(w**2), np.sort(np.linalg.eigvalsh(q)), atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def star_eig():
+    return qg.solve_spectrum(qg.star_graph([1.0, 1.0, 1.0]), 64, 8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda eig, nm: qg.simulate(eig, nm, [1.0], 1.0, 10, 10),
+    lambda eig, nm: qg.solve_null_control(eig, nm, [1.0], 1.0),
+    lambda eig, nm: qg.regularity_profile(eig, nm, 1.0, [0.0]),
+    lambda eig, nm: qg.invariant_measure_check(eig, nm),
+    lambda eig, nm: qg.hautus_obstruction(eig, nm),
+    lambda eig, nm: qg.rational_star_scan(eig.graph, nm),
+    lambda eig, nm: qg.sufficient_tree_rule(eig.graph, nm),
+], ids=["simulate", "control", "regularity", "invariant", "hautus", "rational-star", "tree-rule"])
+def test_noise_for_another_graph_is_rejected(star_eig, call):
+    """A noise model of a path with as many vertices as the star has the
+    right shape but other vertex names: every consumer refuses it."""
+    other = NoiseModel.from_diagonal(qg.path_graph([1.0, 1.0, 1.0]), {"v0": 1.0})
+    with pytest.raises(qg.InvalidGraphError, match="different vertex"):
+        call(star_eig, other)

@@ -5,7 +5,7 @@ set into directed paths, independent of the production code, so the
 "boundary minus at most one" law can be checked against all small trees
 rather than just the decompositions we happen to construct.
 """
-import itertools
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -129,6 +129,64 @@ def test_verify_tf_flags_uncovered_edge(star3):
     assert any("condition (4)" in r for r in report)
 
 
+_CATEGORIES = (
+    "malformed path", "repeats a vertex", "unknown edge", "does not join", "edge reuse",
+    "condition (2)", "condition (3)", "condition (4)", "source set does not match",
+)
+
+
+def _categories(report):
+    return {c for r in report for c in _CATEGORIES if c in r}
+
+
+_STAR3 = qg.star_graph([1.0, 1.0, 1.0])
+_PATH2 = qg.path_graph([1.0, 1.0])
+
+
+@pytest.mark.parametrize("graph, paths, sources, expected", [
+    pytest.param(_STAR3, [(("v1", "vc"), ("e1", "e2"))], {"v1"},
+                 {"malformed path", "condition (4)"}, id="malformed"),
+    pytest.param(_STAR3, [(("v1", "vc", "v1"), ("e1", "e1"))], {"v1"},
+                 {"repeats a vertex", "edge reuse", "condition (3)", "condition (4)"},
+                 id="repeat"),
+    pytest.param(_STAR3, [(("v1", "vc", "v2"), ("e1", "e2")), (("v3", "vc"), ("e9",))],
+                 {"v1", "v3"}, {"unknown edge", "condition (4)"}, id="unknown-edge"),
+    pytest.param(_STAR3, [(("v1", "vc", "v2"), ("e1", "e3")), (("v2", "vc"), ("e2",))],
+                 {"v1", "v2"}, {"does not join", "condition (3)", "condition (4)"},
+                 id="not-joined"),
+    pytest.param(_PATH2, [(("v0", "v1", "v2"), ("e1", "e2")), (("v0", "v1"), ("e1",))],
+                 {"v0"}, {"edge reuse", "condition (3)"}, id="edge-reuse"),
+    pytest.param(_PATH2, [(("v0", "v1", "v2"), ("e1", "e2"))], {"v0", "v2"},
+                 {"source set does not match"}, id="source-set"),
+])
+def test_verify_tf_flags_ill_formed_unions(graph, paths, sources, expected):
+    """Hand-made unions the exhaustive sweep never builds: each one reaches
+    a well-formedness check and reports exactly these categories."""
+    pu = PathUnion(tuple(DirectedPath(*p) for p in paths), frozenset(sources))
+    assert _categories(qg.verify_tf(pu, graph)) == expected
+
+
+def test_verify_tf_requires_a_tree():
+    tail = PathUnion((DirectedPath(("v1", "v0"), ("tail",)),), frozenset({"v1"}))
+    with pytest.raises(qg.NotATreeError):
+        qg.verify_tf(tail, qg.lasso_graph())
+
+
+@pytest.mark.parametrize("graph, paths, sources", [
+    pytest.param(_STAR3, [(("v1", "vc"), ("e1", "e2"))], {"v1"}, id="malformed"),
+    # each vertex leaves by one edge and the sources are the starts, but
+    # both paths run along e2 in opposite directions
+    pytest.param(qg.path_graph([1.0, 1.0, 1.0]),
+                 [(("v0", "v1", "v2"), ("e1", "e2")), (("v3", "v2", "v1"), ("e3", "e2"))],
+                 {"v0", "v3"}, id="edge-reuse"),
+])
+def test_st_active_set_rejects_ill_formed_unions(graph, paths, sources):
+    pu = PathUnion(tuple(DirectedPath(*p) for p in paths), frozenset(sources))
+    assert qg.verify_tf(pu, graph)
+    with pytest.raises(qg.InvalidPathUnionError):
+        qg.st_active_set(pu)
+
+
 def test_path_union_roundtrip(star3):
     pu = qg.path_union(star3, omit="v3")
     d = path_union_to_dict(pu)
@@ -190,34 +248,50 @@ def _edge_partitions_into_paths(g):
     yield from extend(all_edges, [], 0)
 
 
+def _accepted(pu):
+    try:
+        return qg.st_active_set(pu).i_star
+    except qg.InvalidPathUnionError:
+        return None
+
+
 def test_no_tf_union_misses_two_boundary_sources():
     """Exhaustive over all trees with at most 7 vertices.
 
-    Among edge partitions into directed paths whose starting vertices all
-    lie on the boundary (the only source sets the existence law speaks
-    about), the ones that pass the tangle-free check leave out at most
-    one boundary vertex; unions missing two never verify.  Unions with an
-    interior starting vertex are a different animal (they correspond to a
-    nonempty edge active set) and are excluded.
+    Every edge partition into directed paths is declared with its path
+    starts as sources.  Among those that pass the tangle-free check and
+    start only at boundary vertices (the only source sets the existence
+    law speaks about), each leaves out at most one boundary vertex;
+    unions missing two never verify.  Unions with an interior starting
+    vertex are a different animal (they correspond to a nonempty edge
+    active set) and are excluded.  st_active_set accepts exactly the
+    boundary-started verified unions, with I* their sources.
     """
-    checked_unions = 0
+    partitions = verified = checked_unions = 0
+    missing_counts = Counter()
     for n in range(2, 8):
         for tree in nx.nonisomorphic_trees(n):
             g = _graph_from_nx(tree)
             boundary = set(g.boundary_vertices)
             for paths in _edge_partitions_into_paths(g):
+                partitions += 1
                 sources = frozenset(p.start for p in paths)
-                if not sources <= boundary:
-                    continue
                 pu = PathUnion(paths, sources)
-                if qg.verify_tf(pu, g):
+                passes = not qg.verify_tf(pu, g)
+                verified += passes
+                if not (passes and sources <= boundary):
+                    assert _accepted(pu) is None, paths
                     continue
                 checked_unions += 1
                 missing = boundary - sources
                 assert len(missing) <= 1, (
                     f"TF union on {n}-vertex tree missing sources {missing}"
                 )
-    assert checked_unions > 50  # the sweep actually exercised verifying unions
+                missing_counts[len(missing)] += 1
+                assert _accepted(pu) == sources
+    assert (partitions, verified) == (9252, 2067)
+    assert checked_unions == 351
+    assert missing_counts == {0: 101, 1: 250}
 
 
 def test_brute_force_finds_the_constructed_unions(star3):
