@@ -131,7 +131,7 @@ def _cmd_spectrum(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMode
     show = min(eig.num_modes, 8)
     for k in range(show):
         print(f"  lambda_{k} = {eig.lambdas[k]:.10g}")
-    return {"h_max": eig.h_max, "num_clusters": len(eig.clusters)}
+    return {"h_max": eig.layout.h_max, "num_clusters": len(eig.clusters)}
 
 
 def _cmd_feller(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:

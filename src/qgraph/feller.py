@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from . import tolerances as tol
-from .errors import SpectrumTooCoarseError
+from .errors import InvalidGraphError, SpectrumTooCoarseError
 from .graphs import Coefficient, MetricGraph
 from .noise import NoiseModel, _check_vertices
 from .spectral import EigenSystem, _pair_mode, solve_spectrum
@@ -241,8 +241,12 @@ def decide_feller(
     here unless supplied) is scanned for Hautus failures, then the
     pendant-edge pairs are checked arithmetically (rule rational-star,
     since each pair is a two-edge star).  Verdicts never guess: graphs
-    outside all three mechanisms come back Unknown.
+    outside all three mechanisms come back Unknown.  A supplied eig must
+    have been solved on this graph (equal by value), or InvalidGraphError
+    is raised before any rule runs.
     """
+    if eig is not None and eig.graph != graph:
+        raise InvalidGraphError(["the eigensystem was solved on another graph"])
     detail = sufficient_tree_rule(graph, noise)
     if detail is not None:
         return FellerVerdict(verdict=VERDICT_STRONG, rule="thm-main", detail=detail)
@@ -286,7 +290,7 @@ def decide_feller(
         rule="unknown",
         detail=(
             f"no obstruction among {checked} trusted clusters "
-            f"(h_max = {eig.h_max:.4g}) and the sufficiency criterion does not apply"
+            f"(h_max = {eig.layout.h_max:.4g}) and the sufficiency criterion does not apply"
         ),
         checked_clusters=checked,
     )

@@ -6,7 +6,12 @@ derivatives.  Discretization is conforming P1 finite elements with one
 shared unknown per vertex, which imposes continuity exactly and leaves
 the Kirchhoff condition natural, so eigenpairs of the generalized
 problem  stiffness f = lambda mass f  approximate the spectrum of the
-(negated) operator: 0 <= lambda_0 <= lambda_1 <= ...
+(negated) operator: 0 <= lambda_0 <= lambda_1 <= ...  Every edge has the
+same element count, so the mesh is laid out once as two tables, each
+edge's node dofs and coordinates (MeshLayout.nodes, .coords), which
+assembly, the analytic systems and the exports index.  The eigensolve
+certifies its eigenvalue count and re-solves once with a wider Lanczos
+basis when the count falls short.
 
 The exact spectra of the equilateral Neumann star and of the interval are
 written in closed form, amplitude * cos(sqrt(lambda) x) on each edge; on
@@ -41,66 +46,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshLayout:
     """Global dof layout: vertex dofs first, then edge-interior nodes.
 
-    Edge j with N_j elements contributes N_j - 1 interior nodes; its
-    endpoint nodes are the shared vertex dofs, which is what glues the
-    edgewise P1 spaces into a continuous space on the graph.
+    Every edge has N = elements_per_edge elements.  Row j of nodes lists
+    the global dofs of its N + 1 nodes, tail to head: the tail vertex dof,
+    the edge's own N - 1 interior dofs, then the head vertex dof.  The
+    shared vertex dofs glue the edgewise P1 spaces into a continuous space
+    on the graph.  Row j of coords holds the same nodes' distances from
+    the tail, np.linspace(0, length_j, N + 1).  Both arrays are read-only.
     """
 
     n_vertices: int
-    elements_per_edge: tuple[int, ...]
-    lengths: tuple[float, ...]
-    tails: tuple[int, ...]
-    heads: tuple[int, ...]
-    interior_starts: tuple[int, ...]
-    total_dof: int
+    elements_per_edge: int
+    nodes: np.ndarray
+    coords: np.ndarray
 
-    def h(self, j: int) -> float:
-        return self.lengths[j] / self.elements_per_edge[j]
+    @property
+    def total_dof(self) -> int:
+        return self.n_vertices + len(self.nodes) * (self.elements_per_edge - 1)
 
     @property
     def h_max(self) -> float:
-        return max(self.h(j) for j in range(len(self.lengths)))
-
-    def edge_dofs(self, j: int) -> np.ndarray:
-        """Global indices of the N_j + 1 nodes along edge j, tail first."""
-        nel = self.elements_per_edge[j]
-        idx = np.empty(nel + 1, dtype=np.int64)
-        idx[0] = self.tails[j]
-        idx[-1] = self.heads[j]
-        start = self.interior_starts[j]
-        idx[1:-1] = np.arange(start, start + nel - 1)
-        return idx
-
-    def edge_coords(self, j: int) -> np.ndarray:
-        return np.linspace(0.0, self.lengths[j], self.elements_per_edge[j] + 1)
+        return float(np.max(self.coords[:, -1])) / self.elements_per_edge
 
 
 def _build_layout(graph: MetricGraph, elements_per_edge: int) -> MeshLayout:
     if elements_per_edge < 2:
         raise ValueError("elements_per_edge must be at least 2")
-    n = graph.n
-    tails = []
-    heads = []
-    starts = []
-    offset = n
-    for e in graph.edges:
-        tails.append(graph.vertex_index[e.tail])
-        heads.append(graph.vertex_index[e.head])
-        starts.append(offset)
-        offset += elements_per_edge - 1
-    return MeshLayout(
-        n_vertices=n,
-        elements_per_edge=tuple([elements_per_edge] * graph.m),
-        lengths=tuple(e.length for e in graph.edges),
-        tails=tuple(tails),
-        heads=tuple(heads),
-        interior_starts=tuple(starts),
-        total_dof=offset,
-    )
+    n, m, nel = graph.n, graph.m, elements_per_edge
+    nodes = np.empty((m, nel + 1), dtype=np.int64)
+    nodes[:, 0] = [graph.vertex_index[e.tail] for e in graph.edges]
+    nodes[:, -1] = [graph.vertex_index[e.head] for e in graph.edges]
+    nodes[:, 1:-1] = np.arange(n, n + m * (nel - 1)).reshape(m, nel - 1)
+    coords = np.linspace(0.0, [e.length for e in graph.edges], nel + 1, axis=1)
+    nodes.flags.writeable = coords.flags.writeable = False
+    return MeshLayout(n_vertices=n, elements_per_edge=nel, nodes=nodes, coords=coords)
 
 
 @dataclass(frozen=True)
@@ -122,43 +104,31 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
     constant on each element.
     """
     layout = _build_layout(graph, elements_per_edge)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    k_vals: list[np.ndarray] = []
-    m_vals: list[np.ndarray] = []
+    h = layout.coords[:, -1:] / layout.elements_per_edge  # one spacing per edge
+    mids = 0.5 * (layout.coords[:, :-1] + layout.coords[:, 1:])
+    c_mid = np.array([e.diffusion.at(x, e.length) for e, x in zip(graph.edges, mids)])
+    p_mid = np.array([e.potential.at(x, e.length) for e, x in zip(graph.edges, mids)])
 
-    for j, e in enumerate(graph.edges):
-        idx = layout.edge_dofs(j)
-        coords = layout.edge_coords(j)
-        h = layout.h(j)
-        mids = 0.5 * (coords[:-1] + coords[1:])
-        c_mid = e.diffusion.at(mids, e.length)
-        p_mid = e.potential.at(mids, e.length)
+    # stiffness: c-part from the midpoint rule (exact for constant c) plus
+    # the potential term; extreme scales may overflow, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_diag = c_mid / h + p_mid * h / 3.0
+        k_off = -c_mid / h + p_mid * h / 6.0
+    m_diag = np.broadcast_to(h / 3.0, k_diag.shape)
+    m_off = np.broadcast_to(h / 6.0, k_diag.shape)
 
-        # stiffness: c-part from the midpoint rule (exact for constant c) plus
-        # the potential term; extreme scales may overflow, checked below
-        with np.errstate(over="ignore", invalid="ignore"):
-            k_diag = c_mid / h + p_mid * h / 3.0
-            k_off = -c_mid / h + p_mid * h / 6.0
-
-        m00 = np.full_like(c_mid, h / 3.0)
-        m01 = np.full_like(c_mid, h / 6.0)
-
-        left = idx[:-1]
-        right = idx[1:]
-        rows.append(np.concatenate([left, right, left, right]))
-        cols.append(np.concatenate([left, right, right, left]))
-        k_vals.append(np.concatenate([k_diag, k_diag, k_off, k_off]))
-        m_vals.append(np.concatenate([m00, m00, m01, m01]))
-
-    k_all = np.concatenate(k_vals)
-    if not np.all(np.isfinite(k_all)):
+    # COO entries edge by edge: each element's two diagonal entries, then its
+    # two off-diagonal ones
+    left, right = layout.nodes[:, :-1], layout.nodes[:, 1:]
+    r = np.hstack([left, right, left, right]).ravel()
+    c = np.hstack([left, right, right, left]).ravel()
+    k_vals = np.hstack([k_diag, k_diag, k_off, k_off]).ravel()
+    if not np.all(np.isfinite(k_vals)):
         raise ValueError("lengths and coefficients out of range: the stiffness overflows")
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
+    m_vals = np.hstack([m_diag, m_diag, m_off, m_off]).ravel()
     shape = (layout.total_dof, layout.total_dof)
-    stiffness = sp.coo_matrix((k_all, (r, c)), shape=shape).tocsr()
-    mass = sp.coo_matrix((np.concatenate(m_vals), (r, c)), shape=shape).tocsr()
+    stiffness = sp.coo_matrix((k_vals, (r, c)), shape=shape).tocsr()
+    mass = sp.coo_matrix((m_vals, (r, c)), shape=shape).tocsr()
     return DiscreteOperator(graph=graph, layout=layout, stiffness=stiffness, mass=mass)
 
 
@@ -188,10 +158,6 @@ class EigenSystem:
     def vertex_traces(self) -> np.ndarray:
         return np.ascontiguousarray(self.vectors[:, : self.layout.n_vertices])
 
-    @property
-    def h_max(self) -> float:
-        return self.layout.h_max
-
     def cluster_eigenvalue(self, ci: int) -> float:
         a, b = self.clusters[ci]
         return float(np.mean(self.lambdas[a:b]))
@@ -217,10 +183,7 @@ class EigenSystem:
         """Nodal values of mode k along each edge, tail to head."""
         if not 0 <= k < self.num_modes:
             raise ValueError(f"mode index must lie in [0, {self.num_modes - 1}], got {k}")
-        out = {}
-        for j, e in enumerate(self.graph.edges):
-            out[e.id] = self.vectors[k, self.layout.edge_dofs(j)].copy()
-        return out
+        return {e.id: self.vectors[k, idx] for e, idx in zip(self.graph.edges, self.layout.nodes)}
 
 
 def _cluster_ranges(lambdas: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -232,6 +195,19 @@ def _cluster_ranges(lambdas: np.ndarray) -> tuple[tuple[int, int], ...]:
             start = k
     clusters.append((start, len(lambdas)))
     return tuple(clusters)
+
+
+def _count_below(op: DiscreteOperator, sigma: float) -> int:
+    """Eigenvalues below sigma, by Sylvester's law of inertia: K - sigma M
+    has one negative pivot per eigenvalue under sigma."""
+    try:
+        lu = spla.splu((op.stiffness - sigma * op.mass).tocsc(), diag_pivot_thresh=0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # an exactly singular factor
+        raise ConvergenceFailureError(f"inertia factorization failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ConvergenceFailureError("inertia factorization pivoted off the diagonal")
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
 def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
@@ -247,10 +223,11 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     stiffness scale, is rejected; above it, negative roundoff is clamped
     to zero.  The count of eigenvalues below the last cluster is
     certified by the inertia of K - sigma M, with sigma in the gap below
-    that cluster.  Every pair, as ARPACK returns it, must pass the
-    residual and mass-orthonormality certificates (EIG_RESIDUAL and
-    ORTHONORMALITY).  Any failed certificate raises
-    ConvergenceFailureError.
+    that cluster; a solve that misses some is repeated once, with 3k + 1
+    Lanczos vectors (k = num_modes), and fails if that one misses some
+    too.  Every pair, as ARPACK returns it, must pass the residual and
+    mass-orthonormality certificates (EIG_RESIDUAL and ORTHONORMALITY).
+    Any failed certificate raises ConvergenceFailureError.
     Accuracy guidance: keep num_modes well below the dof count (one
     order of magnitude).
     """
@@ -258,51 +235,40 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     if not 1 <= num_modes <= dof - 1:
         raise ValueError(f"num_modes must lie in [1, {dof - 1}]")
 
-    try:
-        w, v = spla.eigsh(
-            op.stiffness,
-            k=num_modes,
-            M=op.mass,
-            sigma=-1.0,
-            which="LM",
-            v0=np.random.default_rng(0).standard_normal(dof),
-        )
-    except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
-        raise ConvergenceFailureError(f"Lanczos iteration failed: {exc}") from exc
-    order = np.argsort(w)
-    w = w[order]
-    v = v[:, order]
-
     # the operator's own stiffness scale rho bounds both the roundoff of a
-    # zero mode, clamped here, and the residuals certified below
+    # zero mode, which is clamped, and the certified residuals
     with np.errstate(over="ignore", divide="ignore"):
         rho = float(np.max(op.stiffness.diagonal() / op.mass.diagonal()))
     if not 0 < rho < np.inf:
         raise ConvergenceFailureError(f"stiffness scale max K_ii/M_ii = {rho} out of range")
-    if w[0] < -tol.EIG_RESIDUAL * rho:
-        raise ConvergenceFailureError(f"spurious negative eigenvalue {w[0]}")
-    w = np.maximum(w, 0.0)
 
-    clusters = _cluster_ranges(w)
-
-    # count certificate: by Sylvester's law of inertia, K - sigma M with sigma
-    # in the gap below the last cluster has one negative pivot per eigenvalue
-    # under sigma, and the solve must have found every one of them
-    last = clusters[-1][0]
-    if last:
-        sigma = 0.5 * (w[last - 1] + w[last])
+    # ARPACK's default basis (2k + 1 Lanczos vectors, at least 20) can drop
+    # members of a wide cluster: a solve that fails the count certificate
+    # is repeated once, from the same start, with 3k + 1 vectors
+    v0 = np.random.default_rng(0).standard_normal(dof)
+    for ncv in (None, min(3 * num_modes + 1, dof)):
         try:
-            lu = spla.splu((op.stiffness - sigma * op.mass).tocsc(), diag_pivot_thresh=0,
-                           options={"SymmetricMode": True})
-        except RuntimeError as exc:  # an exactly singular factor
-            raise ConvergenceFailureError(f"inertia factorization failed: {exc}") from exc
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            raise ConvergenceFailureError("inertia factorization pivoted off the diagonal")
-        below = int(np.count_nonzero(lu.U.diagonal() < 0))
-        if below != last:
-            raise ConvergenceFailureError(
-                f"{below} eigenvalues lie below {sigma:.6g} but the solve found {last}"
-            )
+            w, v = spla.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0, which="LM",
+                              v0=v0, ncv=ncv)
+        except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
+            raise ConvergenceFailureError(f"Lanczos iteration failed: {exc}") from exc
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+        if w[0] < -tol.EIG_RESIDUAL * rho:
+            raise ConvergenceFailureError(f"spurious negative eigenvalue {w[0]}")
+        w = np.maximum(w, 0.0)
+        clusters = _cluster_ranges(w)
+        last = clusters[-1][0]
+        if not last:  # one cluster: nothing lies below it
+            break
+        sigma = 0.5 * (w[last - 1] + w[last])
+        below = _count_below(op, sigma)
+        if below == last:
+            break
+    else:
+        raise ConvergenceFailureError(
+            f"{below} eigenvalues lie below {sigma:.6g} but the solve found {last}"
+        )
 
     # certificates: residual norms in the inverse-mass metric against rho,
     # then mass orthonormality (by einsum: a threaded BLAS gemm wakes
@@ -348,9 +314,8 @@ def _cosine_system(graph, lambdas, amplitudes, clusters, zero_center, elements_p
     layout = _build_layout(graph, elements_per_edge)
     roots = np.sqrt(lambdas)
     vectors = np.zeros((len(lambdas), layout.total_dof))
-    for j in range(graph.m):
-        x = layout.edge_coords(j)
-        vectors[:, layout.edge_dofs(j)] = amplitudes[:, j, None] * np.cos(np.outer(roots, x))
+    for amp, idx, x in zip(amplitudes.T, layout.nodes, layout.coords):
+        vectors[:, idx] = amp[:, None] * np.cos(np.outer(roots, x))
     vectors[zero_center, 0] = 0.0
     return EigenSystem(graph=graph, layout=layout, lambdas=np.array(lambdas), vectors=vectors,
                        clusters=clusters, trusted=np.ones(len(lambdas), dtype=bool), source=source)
@@ -460,5 +425,5 @@ def mode_to_csv(eig: EigenSystem, k: int, path) -> None:
             prefix = edge.getvalue()
             fh.write("".join(
                 f"{prefix}{x!r},{v!r}\r\n"
-                for x, v in zip(eig.layout.edge_coords(j).tolist(), values[e.id].tolist())
+                for x, v in zip(eig.layout.coords[j].tolist(), values[e.id].tolist())
             ))

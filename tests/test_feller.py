@@ -164,6 +164,16 @@ def test_verdict_unknown_for_nonunit_diffusion_tree():
     assert v.verdict == "Unknown"
 
 
+def test_decide_feller_rejects_eig_of_another_graph():
+    """An eigensystem of the unit star says nothing about the 3:1:1 star:
+    its 2.4675 doublet would be a false Hautus witness."""
+    g = qg.star_graph([3.0, 1.0, 1.0])
+    nm = NoiseModel.from_diagonal(g, {"v1": 1.0})
+    eig = qg.solve_spectrum(qg.star_graph([1.0, 1.0, 1.0]), 64, 12)
+    with pytest.raises(qg.InvalidGraphError, match="another graph"):
+        qg.decide_feller(g, nm, eig=eig)
+
+
 def test_decide_feller_validates_graph():
     """No invalid graph reaches decide_feller: building one already raises."""
     from qgraph.graphs import Coefficient, Edge, MetricGraph
@@ -339,7 +349,7 @@ def test_fork_witness_is_an_eigenfunction():
     for j, e in enumerate(g.edges):
         if e.id in w.edge_pair:  # x = 0 at the tail, here the leaf
             amp = w.traces[g.vertex_index[e.tail]]
-            f[op.layout.edge_dofs(j)] = amp * np.cos(np.sqrt(mu) * op.layout.edge_coords(j))
+            f[op.layout.nodes[j]] = amp * np.cos(np.sqrt(mu) * op.layout.coords[j])
     rayleigh = (f @ (op.stiffness @ f)) / (f @ (op.mass @ f))
     assert abs(rayleigh - mu) <= mu**2 * op.layout.h_max**2 / 12
 

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import qgraph as qg
@@ -14,9 +15,7 @@ PI2 = np.pi**2
 def _path_order_permutation(op):
     """Permutation taking the vertex-first dof order to left-to-right order
     along a single edge (tail, interiors..., head)."""
-    lay = op.layout
-    dofs = lay.edge_dofs(0)
-    return np.asarray(dofs)
+    return op.layout.nodes[0]
 
 
 def test_assemble_interval_tridiag_two_elements():
@@ -51,6 +50,19 @@ def test_star_dof_count():
     assert op.layout.total_dof == 3 * (n - 1) + 4
 
 
+def test_layout_tables():
+    """Each edge's row of nodes runs tail, interiors, head; the loop's two
+    ends are one dof.  Both tables are read-only."""
+    lay = assemble(qg.lasso_graph(), 4).layout
+    assert lay.nodes.tolist() == [[0, 2, 3, 4, 0], [0, 5, 6, 7, 1]]
+    assert np.array_equal(lay.coords[0], np.linspace(0.0, 1.0, 5))
+    assert lay.total_dof == 8
+    with pytest.raises(ValueError):
+        lay.nodes[0, 1] = 1
+    with pytest.raises(ValueError):
+        lay.coords[0, 1] = 0.5
+
+
 def test_constant_potential_adds_mass():
     g0 = qg.star_graph([1.0, 0.7, 1.3], p=0.0)
     g1 = qg.star_graph([1.0, 0.7, 1.3], p=1.0)
@@ -73,7 +85,7 @@ def test_potential_quadrature_is_one_rule():
     op_p = assemble(qg.interval_graph(1.0, p=qg.Coefficient.cell_samples(values)), 8)
     op_0 = assemble(qg.interval_graph(1.0), 8)
     u = np.zeros(op_p.layout.total_dof)
-    u[op_p.layout.edge_dofs(0)] = op_p.layout.edge_coords(0)
+    u[op_p.layout.nodes[0]] = op_p.layout.coords[0]
     exact = sum(v * ((i + 1) ** 3 - i**3) / (3 * 4**3) for i, v in enumerate(values))
     assert u @ ((op_p.stiffness - op_0.stiffness) @ u) == pytest.approx(exact, rel=1e-14)
 
@@ -86,6 +98,45 @@ def test_assembled_matrices_symmetric_and_psd(star3):
     np.testing.assert_allclose(m, m.T, atol=1e-14)
     assert np.linalg.eigvalsh(m).min() > 0
     assert np.linalg.eigvalsh(k).min() > -1e-12
+
+
+def _reference_matrices(graph, nel):
+    """Element-by-element P1 assembly, one edge at a time, entries in the
+    same order as assemble: the reference its tables must reproduce."""
+    entries = []
+    offset = graph.n
+    for e in graph.edges:
+        idx = [graph.vertex_index[e.tail], *range(offset, offset + nel - 1),
+               graph.vertex_index[e.head]]
+        offset += nel - 1
+        x = np.linspace(0.0, e.length, nel + 1)
+        h = e.length / nel
+        mids = 0.5 * (x[:-1] + x[1:])
+        c, p = e.diffusion.at(mids, e.length), e.potential.at(mids, e.length)
+        kd, ko = c / h + p * h / 3.0, -c / h + p * h / 6.0
+        md, mo = np.full(nel, h / 3.0), np.full(nel, h / 6.0)
+        left, right = idx[:-1], idx[1:]
+        entries.append((left + right + left + right, left + right + right + left,
+                        np.concatenate([kd, kd, ko, ko]), np.concatenate([md, md, mo, mo])))
+    rows, cols, k, m = (np.concatenate(part) for part in zip(*entries))
+    return (sp.coo_matrix((k, (rows, cols)), shape=(offset, offset)).tocsr(),
+            sp.coo_matrix((m, (rows, cols)), shape=(offset, offset)).tocsr())
+
+
+@pytest.mark.parametrize("graph", [
+    qg.lasso_graph(),
+    qg.path_graph([1e-3, 2.0]),
+    qg.star_graph([3.0, 1.0, 1.0], p=1.0),
+    qg.path_graph([1.0, 0.6], c=[qg.Coefficient.linear_samples([1.0, 2.0, 1.5]), 0.7],
+                  p=[qg.Coefficient.cell_samples([0.5, 1.0, 0.25, 2.0]), 0.0]),
+], ids=["lasso", "tiny-edge", "star-p1", "sampled"])
+@pytest.mark.parametrize("nel", [2, 3, 16, 257])
+def test_assembly_matches_edgewise_reference(graph, nel):
+    """The table-driven assembly gives the edgewise loop's matrices bit for bit."""
+    op = assemble(graph, nel)
+    for got, ref in zip((op.stiffness, op.mass), _reference_matrices(graph, nel)):
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field))
 
 
 def test_interval_fem_eigenvalues():
@@ -212,12 +263,14 @@ def test_negative_eigenvalue_on_operator_scale_exits_3(tmp_path, monkeypatch, ca
 
 
 def test_missed_eigenvalue_exits_3(tmp_path, monkeypatch, capsys):
-    """With 60 Lanczos vectors (the default is 2k + 1 = 101) ARPACK drops a
-    member of a 9-fold cluster of the 10-star, and every pair it returns
-    still passes the residual and orthonormality certificates; the inertia
-    count below the last cluster catches the gap: exit 3."""
+    """With 60 Lanczos vectors on both attempts (the default is 2k + 1 =
+    101, the re-solve 3k + 1 = 151) ARPACK drops a member of a 9-fold
+    cluster of the 10-star, and every pair it returns still passes the
+    residual and orthonormality certificates; the inertia count below the
+    last cluster catches the gap twice: exit 3."""
     eigsh = spla.eigsh
-    monkeypatch.setattr("qgraph.spectral.spla.eigsh", lambda a, **kw: eigsh(a, ncv=60, **kw))
+    monkeypatch.setattr("qgraph.spectral.spla.eigsh",
+                        lambda a, **kw: eigsh(a, **{**kw, "ncv": 60}))
     with pytest.raises(qg.ConvergenceFailureError, match="50 eigenvalues lie below .* found 49"):
         qg.solve_spectrum(qg.star_graph([1.0] * 10), 256, 50)
     monkeypatch.chdir(tmp_path)
@@ -226,6 +279,23 @@ def test_missed_eigenvalue_exits_3(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical failure: 50 eigenvalues lie below")
     assert len(err.splitlines()) == 1 and not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("n,mesh,modes", [(20, 32, 20), (20, 128, 20), (20, 64, 60),
+                                          (10, 16, 40), (30, 32, 60)])
+def test_wide_clusters_are_re_solved(n, mesh, modes):
+    """Equilateral stars whose (n - 1)-fold clusters the default Lanczos
+    basis cuts short: the re-solve finds every member, at the P1 values."""
+    eig = qg.solve_spectrum(qg.star_graph([1.0] * n), mesh, modes)
+    sizes, c = [], 0
+    while sum(sizes) < modes:
+        sizes.append(min(1 + (n - 2) * (c % 2), modes - sum(sizes)))
+        c += 1
+    assert [b - a for a, b in eig.clusters] == sizes
+    exact = np.array([(c / 2) ** 2 * PI2 for c, size in enumerate(sizes) for _ in range(size)])
+    h = 1.0 / mesh
+    p1 = 6.0 / h**2 * (1.0 - np.cos(np.sqrt(exact) * h)) / (2.0 + np.cos(np.sqrt(exact) * h))
+    assert np.all(np.abs(eig.lambdas - p1) <= 1e-6 * np.maximum(exact, 1.0))
 
 
 def test_repeated_solves_are_identical():
@@ -482,7 +552,7 @@ def _reference_mode_csv(eig, k, path):
         writer = csv.writer(fh)
         writer.writerow(["edge", "x", "value"])
         for j, e in enumerate(eig.graph.edges):
-            for x, val in zip(eig.layout.edge_coords(j), values[e.id]):
+            for x, val in zip(eig.layout.coords[j], values[e.id]):
                 writer.writerow([e.id, repr(float(x)), repr(float(val))])
 
 
