@@ -9,8 +9,9 @@ record to them, and write the manifest JSON.  The manifest records the
 resolved configuration, the numerical tolerances in force, and library
 versions, so results can be traced and reproduced byte for byte; a
 failed run writes none.  Exceptions become exit codes: 0 success, 2
-invalid input (graph, noise, or request), 3 numerical failure
-(including linear-algebra errors), never a traceback.
+invalid input (graph, noise, or request, also one too large to
+allocate), 3 numerical failure (including linear-algebra errors), never
+a traceback.
 """
 from __future__ import annotations
 
@@ -45,8 +46,9 @@ from .treepaths import path_union, path_union_to_dict, st_active_set, verify_tf
 __all__ = ["main", "build_parser"]
 
 
-def _parse_z0(text: str) -> list[float]:
-    """Parse sparse mode coefficients: "0=1.0,3=-0.5" -> dense list."""
+def _parse_z0(text: str, num_modes: int) -> list[float]:
+    """Parse sparse mode coefficients: "0=1.0,3=-0.5" -> dense list; an
+    index must lie below num_modes, which bounds the list."""
     entries: dict[int, float] = {}
     for item in text.split(","):
         item = item.strip()
@@ -56,15 +58,13 @@ def _parse_z0(text: str) -> list[float]:
         if not sep:
             raise ValueError(f"bad z0 entry {item!r}, expected INDEX=VALUE")
         k = int(key)
+        if not 0 <= k < num_modes:
+            raise ValueError(f"z0 mode index must lie in [0, {num_modes - 1}], got {k}")
         if k in entries:
             raise ValueError(f"repeated z0 index {k}")
         entries[k] = float(val)
-    if not entries:
-        return []
-    out = [0.0] * (max(entries) + 1)
+    out = [0.0] * (max(entries, default=-1) + 1)
     for k, v in entries.items():
-        if k < 0:
-            raise ValueError("z0 mode indices must be nonnegative")
         out[k] = v
     return out
 
@@ -118,12 +118,16 @@ def _add_common(sp: argparse.ArgumentParser, mesh: bool = True) -> None:
 
 
 def _cmd_spectrum(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
-    eig = solve_spectrum(graph, args.mesh, args.modes)
-    if args.mode_out:  # first: a bad mode index leaves no output behind
-        k_str, _, path = args.mode_out.partition(":")
-        if not path:
+    if args.mode_out:
+        k_str, _, mode_path = args.mode_out.partition(":")
+        if not mode_path:
             raise ValueError("--mode-out expects K:PATH")
-        mode_to_csv(eig, int(k_str), path)
+        k = int(k_str)
+        if not 0 <= k < args.modes:
+            raise ValueError(f"mode index must lie in [0, {args.modes - 1}], got {k}")
+    eig = solve_spectrum(graph, args.mesh, args.modes)
+    if args.mode_out:
+        mode_to_csv(eig, k, mode_path)
     if args.out:
         spectrum_to_csv(eig, args.out)
     trusted = int(eig.trusted.sum())
@@ -145,7 +149,7 @@ def _cmd_feller(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel 
 
 
 def _cmd_control(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
-    z0 = _parse_z0(args.z0)
+    z0 = _parse_z0(args.z0, args.modes)
     eig = solve_spectrum(graph, args.mesh, args.modes)
     result = solve_null_control(eig, noise, z0, args.horizon, grid_points=args.grid)
     d = result.diagnostics
@@ -201,7 +205,7 @@ def _cmd_invariant(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMod
 
 
 def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
-    z0 = _parse_z0(args.z0)
+    z0 = _parse_z0(args.z0, args.modes)
     alphas = _floats(args.alphas)
     eig = solve_spectrum(graph, args.mesh, args.modes)
     # the profile is exact and cheap: checking its input first wastes no sampling
@@ -328,7 +332,7 @@ def main(argv=None) -> int:
         # before the input branch: LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (QGraphValidationError, ValueError, OSError) as exc:
+    except (QGraphValidationError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,6 @@ exactly the terminal state left over (up to sign).
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import SolveFailureError
 from .noise import NoiseModel, _check_vertices
-from .spectral import EigenSystem
+from .spectral import EigenSystem, _write_csv
 
 __all__ = ["ControlDiagnostics", "ControlResult", "solve_null_control", "control_to_csv"]
 
@@ -223,8 +222,7 @@ def solve_null_control(
 
 
 def control_to_csv(result: ControlResult, vertices, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"u_{v}" for v in vertices])
-        for i, t in enumerate(result.times):
-            writer.writerow([repr(float(t))] + [repr(float(x)) for x in result.control[i]])
+    _write_csv(path, ["t"] + [f"u_{v}" for v in vertices], ["".join(
+        ",".join(map(repr, [t, *row])) + "\r\n"
+        for t, row in zip(result.times.tolist(), result.control.tolist())
+    )])

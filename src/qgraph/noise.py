@@ -76,10 +76,6 @@ class NoiseModel:
             raise NotPSDError("square root reconstruction check failed")
         return cls(graph.vertices, q, root)
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
     @cached_property
     def is_diagonal(self) -> bool:
         off = self.q - np.diag(np.diag(self.q))

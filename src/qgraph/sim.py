@@ -22,7 +22,6 @@ leading paths asked for are kept.
 """
 from __future__ import annotations
 
-import csv
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +48,7 @@ from .errors import (
 )
 from .graphs import Coefficient
 from .noise import NoiseModel
-from .spectral import EigenSystem
+from .spectral import EigenSystem, _write_csv
 
 __all__ = [
     "TrajectoryEnsemble",
@@ -136,7 +135,6 @@ class TrajectoryEnsemble:
     lambdas: np.ndarray
     vertex_traces: np.ndarray
     channels: np.ndarray
-    vertices: tuple[str, ...]
     z0: np.ndarray
     seed: int
     innovation_rank: int
@@ -257,7 +255,6 @@ def simulate(
         lambdas=lambdas,
         vertex_traces=eig.vertex_traces[:k],
         channels=channels,
-        vertices=tuple(eig.graph.vertices),
         z0=z0,
         seed=int(seed),
         innovation_rank=factor.shape[1],
@@ -514,14 +511,10 @@ def invariant_measure_check(
 def ensemble_to_csv(ens: TrajectoryEnsemble, path) -> None:
     """Long-format mode coefficients of the kept paths: one row per (sample, time, mode)."""
     times = [repr(t) for t in ens.times.tolist()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("sample,time,mode,value\r\n")
-        for s, rows in enumerate(ens.coeffs.tolist()):
-            fh.write("".join(
-                f"{s},{t},{k},{v!r}\r\n"
-                for t, row in zip(times, rows)
-                for k, v in enumerate(row)
-            ))
+    _write_csv(path, ["sample", "time", "mode", "value"], (
+        "".join(f"{s},{t},{k},{v!r}\r\n" for t, row in zip(times, rows) for k, v in enumerate(row))
+        for s, rows in enumerate(ens.coeffs.tolist())  # one sample's text at a time
+    ))
 
 
 def summary_to_csv(ens: TrajectoryEnsemble, path) -> None:
@@ -536,23 +529,18 @@ def summary_to_csv(ens: TrajectoryEnsemble, path) -> None:
     spread = np.maximum(np.diagonal(second, axis1=1, axis2=2) - first**2, 0.0)
     var = n / max(n - 1, 1) * spread
     times = [repr(t) for t in ens.times.tolist()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("time,mode,mean,variance\r\n")
-        fh.write("".join(
-            f"{t},{k},{m!r},{v!r}\r\n"
-            for t, means, variances in zip(times, mean.tolist(), var.tolist())
-            for k, (m, v) in enumerate(zip(means, variances))
-        ))
+    _write_csv(path, ["time", "mode", "mean", "variance"], ["".join(
+        f"{t},{k},{m!r},{v!r}\r\n"
+        for t, means, variances in zip(times, mean.tolist(), var.tolist())
+        for k, (m, v) in enumerate(zip(means, variances))
+    )])
 
 
 def profile_to_csv(entries: list[ProfileEntry], path) -> None:
     """Regularity table: one row per (alpha, K') partial sum."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "K'", "partial_sum", "slope"])
-        for entry in entries:
-            slope = repr(entry.tail_slope) if np.isfinite(entry.tail_slope) else ""
-            for k, val in enumerate(entry.partial_sums, start=1):
-                writer.writerow(
-                    [repr(entry.alpha), k, repr(float(val)), slope]
-                )
+    slopes = [repr(e.tail_slope) if np.isfinite(e.tail_slope) else "" for e in entries]
+    _write_csv(path, ["alpha", "K'", "partial_sum", "slope"], [
+        "".join(f"{e.alpha!r},{k},{val!r},{slope}\r\n"
+                for k, val in enumerate(e.partial_sums.tolist(), start=1))
+        for e, slope in zip(entries, slopes)
+    ])

@@ -10,8 +10,12 @@ problem  stiffness f = lambda mass f  approximate the spectrum of the
 same element count, so the mesh is laid out once as two tables, each
 edge's node dofs and coordinates (MeshLayout.nodes, .coords), which
 assembly, the analytic systems and the exports index.  The eigensolve
-certifies its eigenvalue count and re-solves once with a wider Lanczos
-basis when the count falls short.
+seeds ARPACK's start and restart vectors, certifies its eigenvalue count
+and re-solves once with k more Lanczos vectors when the count falls
+short.
+
+Every CSV table of the package is written by _write_csv (exports
+section), the one place that knows the dialect.
 
 The exact spectra of the equilateral Neumann star and of the interval are
 written in closed form, amplitude * cos(sqrt(lambda) x) on each edge; on
@@ -216,17 +220,19 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     One path at every size: shift-invert Lanczos (ARPACK) about a
     negative shift, so the singular p = 0 case stays factorizable,
     started from a fixed generic vector (standard normals from
-    default_rng(0)).  The fixed start makes the result a pure function
-    of the operator; a symmetric start such as all ones would miss the
-    modes orthogonal to the graph's symmetric subspace.  A lambda_0
+    default_rng(0)), with ARPACK's restart vectors drawn from rng=0.  The
+    seeded start and restarts make the result a pure function of the
+    operator; a symmetric start such as all ones would miss the modes
+    orthogonal to the graph's symmetric subspace.  A lambda_0
     below -EIG_RESIDUAL rho, with rho = max K_ii/M_ii the operator's
     stiffness scale, is rejected; above it, negative roundoff is clamped
     to zero.  The count of eigenvalues below the last cluster is
     certified by the inertia of K - sigma M, with sigma in the gap below
-    that cluster; a solve that misses some is repeated once, with 3k + 1
-    Lanczos vectors (k = num_modes), and fails if that one misses some
-    too.  Every pair, as ARPACK returns it, must pass the residual and
-    mass-orthonormality certificates (EIG_RESIDUAL and ORTHONORMALITY).
+    that cluster; a solve that misses some is repeated once, with k more
+    Lanczos vectors than ARPACK's default max(2k + 1, 20) (k = num_modes),
+    and fails if that one misses some too.  Every pair, as ARPACK returns
+    it, must pass the residual and mass-orthonormality certificates
+    (EIG_RESIDUAL and ORTHONORMALITY).
     Any failed certificate raises ConvergenceFailureError.
     Accuracy guidance: keep num_modes well below the dof count (one
     order of magnitude).
@@ -244,12 +250,12 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
 
     # ARPACK's default basis (2k + 1 Lanczos vectors, at least 20) can drop
     # members of a wide cluster: a solve that fails the count certificate
-    # is repeated once, from the same start, with 3k + 1 vectors
+    # is repeated once, from the same start, with k vectors more
     v0 = np.random.default_rng(0).standard_normal(dof)
-    for ncv in (None, min(3 * num_modes + 1, dof)):
+    for ncv in (None, min(max(2 * num_modes + 1, 20) + num_modes, dof)):
         try:
             w, v = spla.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0, which="LM",
-                              v0=v0, ncv=ncv)
+                              v0=v0, ncv=ncv, rng=0)
         except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
             raise ConvergenceFailureError(f"Lanczos iteration failed: {exc}") from exc
         order = np.argsort(w)
@@ -398,32 +404,35 @@ def _pair_mode(la: float, lb: float, na: int, nb: int) -> tuple[float, float, fl
 
 # -- exports -------------------------------------------------------------------
 
+def _write_csv(path, header, chunks) -> None:
+    """Write one CSV table: the header through the csv module, which quotes
+    vertex and edge ids where they need it, then the chunks, each text of
+    whole rows, every number written by repr and every row ended by CRLF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(chunks)
+
+
 def spectrum_to_csv(eig: EigenSystem, path) -> None:
     traces = eig.vertex_traces.tolist()
     lambdas = eig.lambdas.tolist()
     trusted = eig.trusted.tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        # vertex ids may need quoting; every other field is a number
-        csv.writer(fh).writerow(
-            ["k", "lambda", "cluster_id", "trusted"] + [f"trace_{v}" for v in eig.graph.vertices]
-        )
-        fh.write("".join(
-            f"{k},{lambdas[k]!r},{ci},{int(trusted[k])}"
-            + "".join(f",{t!r}" for t in traces[k]) + "\r\n"
-            for ci, (a, b) in enumerate(eig.clusters)
-            for k in range(a, b)
-        ))
+    header = ["k", "lambda", "cluster_id", "trusted"] + [f"trace_{v}" for v in eig.graph.vertices]
+    _write_csv(path, header, ["".join(
+        f"{k},{lambdas[k]!r},{ci},{int(trusted[k])}"
+        + "".join(f",{t!r}" for t in traces[k]) + "\r\n"
+        for ci, (a, b) in enumerate(eig.clusters)
+        for k in range(a, b)
+    )])
 
 
 def mode_to_csv(eig: EigenSystem, k: int, path) -> None:
     values = eig.edge_values(k)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("edge,x,value\r\n")
-        for j, e in enumerate(eig.graph.edges):
-            edge = io.StringIO()
-            csv.writer(edge, lineterminator="").writerow([e.id, ""])  # the id as csv quotes it
-            prefix = edge.getvalue()
-            fh.write("".join(
-                f"{prefix}{x!r},{v!r}\r\n"
-                for x, v in zip(eig.layout.coords[j].tolist(), values[e.id].tolist())
-            ))
+    chunks = []
+    for e, xs in zip(eig.graph.edges, eig.layout.coords.tolist()):
+        edge = io.StringIO()
+        csv.writer(edge, lineterminator="").writerow([e.id, ""])  # the id as csv quotes it
+        prefix = edge.getvalue()
+        rows = zip(xs, values[e.id].tolist())
+        chunks.append("".join(f"{prefix}{x!r},{v!r}\r\n" for x, v in rows))
+    _write_csv(path, ["edge", "x", "value"], chunks)

@@ -28,13 +28,15 @@ def star_file(workdir):
 
 
 def test_parse_z0_forms():
-    assert _parse_z0("0=1.0,3=-0.5") == [1.0, 0.0, 0.0, -0.5]
-    assert _parse_z0("2=0.25") == [0.0, 0.0, 0.25]
-    assert _parse_z0("") == []
+    assert _parse_z0("0=1.0,3=-0.5", 4) == [1.0, 0.0, 0.0, -0.5]
+    assert _parse_z0("2=0.25", 4) == [0.0, 0.0, 0.25]
+    assert _parse_z0("", 4) == []
     with pytest.raises(ValueError):
-        _parse_z0("1.0")
+        _parse_z0("1.0", 4)
     with pytest.raises(ValueError):
-        _parse_z0("-1=2.0")
+        _parse_z0("-1=2.0", 4)
+    with pytest.raises(ValueError, match=r"z0 mode index must lie in \[0, 3\], got 4"):
+        _parse_z0("4=1.0", 4)
 
 
 def test_spectrum_command(workdir, star_file, capsys):
@@ -76,6 +78,16 @@ def test_feller_command_verdicts(workdir, star_file, capsys):
     assert rc == 0
     assert "verdict: StrongFeller" in capsys.readouterr().out
 
+    # the 3:1 pendant pair of a [3, 1, 1] star: the witness names its edges and mode orders
+    qg.save_graph(qg.star_graph([3.0, 1.0, 1.0]), workdir / "star311.json")
+    rc = main(["feller", "--graph", "star311.json", "--noise", "diag:v3=1",
+               "--mesh", "48", "--modes", "8", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["rule"] == "rational-star"
+    assert payload["witness"]["edge_pair"] == ["e1", "e2"]
+    assert payload["witness"]["mode_orders"] == [1, 0]
+
 
 def test_control_command(workdir, interval_file, capsys):
     out = workdir / "control.csv"
@@ -116,6 +128,15 @@ def test_invariant_command(workdir, interval_file, capsys):
     assert "rule: kernel-mode-noise" in text
     manifest = json.loads((workdir / "qgraph-invariant.manifest.json").read_text())
     assert manifest["exists"] is False
+
+    # a noise matrix with coupling is recorded whole
+    matrix = [[1.0, 0.5], [0.5, 1.0]]
+    (workdir / "noise_full.json").write_text(json.dumps({"type": "full", "matrix": matrix}))
+    rc = main(["invariant", "--graph", interval_file, "--noise", "noise_full.json",
+               "--mesh", "64", "--modes", "8"])
+    assert rc == 0
+    manifest = json.loads((workdir / "qgraph-invariant.manifest.json").read_text())
+    assert manifest["noise"] == {"type": "full", "matrix": matrix}
 
 
 def test_simulate_command_and_reproducibility(workdir, interval_file, capsys):
@@ -206,6 +227,8 @@ def malformed_files(workdir):
     inf_length["edges"][0]["length"] = float("inf")
     nan_coefficient = qg.graph_to_dict(qg.interval_graph())
     nan_coefficient["edges"][0]["c"] = {"samples": [1.0, float("nan"), 1.0]}
+    other_grid = qg.graph_to_dict(qg.interval_graph())
+    other_grid["edges"][0]["c"] = {"samples": [1.0, 2.0], "grid": "other"}
     overflowing = qg.graph_to_dict(qg.interval_graph(length=1e300, p=1e300))
     # numeric fields must be JSON numbers: not booleans, not strings
     not_numbers = {}
@@ -220,6 +243,7 @@ def malformed_files(workdir):
         "inf_length.json": inf_length,
         "overflowing.json": overflowing,
         "nan_coefficient.json": nan_coefficient,
+        "other_grid.json": other_grid,
         "noise_without_q.json": {"type": "diagonal"},
         "noise_list.json": [1.0, 0.0],
         "noise_nan_matrix.json": {"type": "full", "matrix": [[float("nan"), 0.0], [0.0, 1.0]]},
@@ -298,6 +322,14 @@ def malformed_files(workdir):
     ["spectrum", "--graph", "null_edge_id.json"],
     ["spectrum", "--graph", "repeated_length.json"],
     ["invariant", "--graph", "interval.json", "--noise", "noise_repeated_q.json"],
+    # a coefficient profile on a grid other than the uniform one
+    pytest.param(["spectrum", "--graph", "other_grid.json"], id="other-grid"),
+    # requests too large to allocate: each fails at its first allocation
+    ["spectrum", "--graph", "interval.json", "--mesh", "100000000000"],
+    ["control", "--graph", "interval.json", "--noise", "diag:v1=1", "--z0", "1=1",
+     "--grid", "1000000000000"],
+    ["simulate", "--graph", "interval.json", "--noise", "diag:v1=1", "--steps", "1000000000000",
+     "--samples", "2"],
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed_files,
                                                capsys, argv):
@@ -316,6 +348,9 @@ def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed
     ["simulate", "--noise", "diag:v1=1", "--z0", "x=1"],
     ["simulate", "--noise", "diag:v1=1", "--alphas", "0,a"],
     ["invariant", "--noise", "diag:v1=1", "--horizons", "1,T"],
+    ["control", "--noise", "diag:v1=1", "--z0", "1000000000000=1"],
+    ["spectrum", "--modes", "4", "--mode-out", "3"],
+    ["spectrum", "--modes", "4", "--mode-out", "x:m.csv"],
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_string_arguments_are_parsed_before_the_eigensolve(workdir, interval_file, capsys,
                                                            monkeypatch, argv):

@@ -130,9 +130,36 @@ def test_horizon_validation(interval_eig):
             solve_null_control(interval_eig, nm, [1.0], horizon)
     with pytest.raises(ValueError):
         solve_null_control(interval_eig, nm, np.ones(20), 1.0, num_modes=5)
+    with pytest.raises(ValueError, match="grid_points"):
+        solve_null_control(interval_eig, nm, [1.0], 1.0, grid_points=1)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="z0"):
             solve_null_control(interval_eig, nm, [1.0, bad], 1.0, num_modes=4)
+
+
+def _reference_control_csv(result, vertices, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"u_{v}" for v in vertices])
+        for i, t in enumerate(result.times):
+            writer.writerow([repr(float(t))] + [repr(float(x)) for x in result.control[i]])
+
+
+def test_control_csv_matches_csv_module(tmp_path):
+    """The control writer gives csv.writer's bytes, vertex ids quoted."""
+    c1, c0 = qg.Coefficient.const(1.0), qg.Coefficient.const(0.0)
+    g = qg.MetricGraph(
+        vertices=("x,y", 'q"v', "w"),
+        edges=(qg.Edge("a", "x,y", 'q"v', 1.0, c1, c0), qg.Edge("b", 'q"v', "w", 0.7, c1, c0)),
+    )
+    eig = qg.solve_spectrum(g, 16, 6)
+    res = solve_null_control(eig, NoiseModel.from_diagonal(g, {"x,y": 1.0}), [1.0, 0.5], 1.0,
+                             grid_points=11)
+    qg.control_to_csv(res, g.vertices, tmp_path / "new.csv")
+    _reference_control_csv(res, g.vertices, tmp_path / "ref.csv")
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    assert written.startswith(b't,"u_x,y","u_q""v",u_w\r\n0.0,')
 
 
 def test_control_csv(tmp_path, interval_eig):

@@ -60,6 +60,7 @@ def test_validate_catches_structural_errors():
         "edge 'e1': nonpositive length -1.0",
         "graph is disconnected",
     ]
+    assert _violations(lambda: MetricGraph((), ())) == ["graph has no vertices"]
 
 
 def test_validate_coefficient_signs():
@@ -198,7 +199,7 @@ def test_roundtrip_file(tmp_path, star3):
 
 def test_sampled_coefficient_roundtrip(tmp_path):
     data = {
-        "vertices": ["a", "b"],
+        "vertices": ["a", "b", "c"],
         "edges": [
             {
                 "id": "e1",
@@ -207,7 +208,8 @@ def test_sampled_coefficient_roundtrip(tmp_path):
                 "length": 1.0,
                 "c": {"samples": [1.0, 2.0, 3.0], "grid": "uniform"},
                 "p": 0.25,
-            }
+            },
+            {"id": "e2", "tail": "b", "head": "c", "length": 2.0, "p": {"samples": [0.5, 0.0]}},
         ],
     }
     path = tmp_path / "g.json"
@@ -218,9 +220,13 @@ def test_sampled_coefficient_roundtrip(tmp_path):
     np.testing.assert_allclose(e.diffusion.at(0.5, 1.0), 2.0)
     np.testing.assert_allclose(e.diffusion.at(0.25, 1.0), 1.5)
     assert e.potential == Coefficient.const(0.25)
+    # sampled potentials are piecewise constant on cells
+    assert g.edges[1].potential == Coefficient.cell_samples([0.5, 0.0])
+    np.testing.assert_array_equal(g.edges[1].potential.at([0.5, 1.5], 2.0), [0.5, 0.0])
     # and back out again
     d2 = qg.graph_to_dict(g)
     assert d2["edges"][0]["c"]["samples"] == [1.0, 2.0, 3.0]
+    assert d2["edges"][1]["p"]["samples"] == [0.5, 0.0]
 
 
 def test_coefficient_extremes():

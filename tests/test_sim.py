@@ -368,6 +368,8 @@ def test_simulate_validation(interval_eig):
         qg.simulate(interval_eig, nm, [0.0], 0.0, 4, 2)
     with pytest.raises(ValueError):
         qg.simulate(interval_eig, nm, [0.0], 1.0, 0, 2)
+    with pytest.raises(ValueError, match="num_samples"):
+        qg.simulate(interval_eig, nm, [0.0], 1.0, 4, 0)
     with pytest.raises(ValueError):
         qg.simulate(interval_eig, nm, np.zeros(50), 1.0, 4, 2, num_modes=50)
     with pytest.raises(ValueError, match="keep_paths"):
@@ -633,6 +635,32 @@ def test_csv_writers_match_csv_module(tmp_path, interval_eig):
         writer(ens, tmp_path / "new.csv")
         reference(ens, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _reference_profile_csv(entries, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha", "K'", "partial_sum", "slope"])
+        for entry in entries:
+            slope = repr(entry.tail_slope) if np.isfinite(entry.tail_slope) else ""
+            for k, val in enumerate(entry.partial_sums, start=1):
+                writer.writerow([repr(entry.alpha), k, repr(float(val)), slope])
+
+
+def test_profile_csv_matches_csv_module(tmp_path):
+    """The profile writer gives csv.writer's bytes, also for a row whose
+    slope could not be fitted (two modes leave one tail increment)."""
+    eig = qg.interval_analytic(1.0, num_modes=16)
+    nm = NoiseModel.from_diagonal(eig.graph, {"v1": 1.0})
+    entries = (qg.regularity_profile(eig, nm, 1.0, [0.0, 0.2])
+               + qg.regularity_profile(eig, nm, 1.0, [0.3], num_modes=2))
+    assert np.isfinite(entries[0].tail_slope) and entries[-1].tail_slope == -np.inf
+    qg.profile_to_csv(entries, tmp_path / "new.csv")
+    _reference_profile_csv(entries, tmp_path / "ref.csv")
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    # the last entry has no slope: its rows end in an empty field
+    assert b"\r\n0.3,2," in written and written.endswith(b",\r\n")
 
 
 def test_profile_csv(tmp_path):

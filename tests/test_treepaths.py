@@ -179,6 +179,10 @@ def test_verify_tf_requires_a_tree():
     pytest.param(qg.path_graph([1.0, 1.0, 1.0]),
                  [(("v0", "v1", "v2"), ("e1", "e2")), (("v3", "v2", "v1"), ("e3", "e2"))],
                  {"v0", "v3"}, id="edge-reuse"),
+    # v1 starts one path and finishes the other, so it is no source, and the
+    # declared sources leave it out: the starts are not the sources
+    pytest.param(_PATH2, [(("v0", "v1"), ("e1",)), (("v1", "v2"), ("e2",))], {"v0"},
+                 id="start-and-finish"),
 ])
 def test_st_active_set_rejects_ill_formed_unions(graph, paths, sources):
     pu = PathUnion(tuple(DirectedPath(*p) for p in paths), frozenset(sources))
