@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import SolveFailureError
+from .errors import QGraphNumericalError
 from .noise import NoiseModel, _check_vertices
 from .spectral import EigenSystem, _write_csv
 
@@ -98,8 +98,10 @@ def _decay(lambdas: np.ndarray, t) -> np.ndarray:
 def _modes_in_play(eig: EigenSystem, num_modes: int | None, least: int = 1) -> int:
     """The number of leading modes used, all of them when num_modes is None."""
     k = eig.num_modes if num_modes is None else int(num_modes)
-    if not least <= k <= eig.num_modes:
-        raise ValueError(f"num_modes must lie in [{least}, {eig.num_modes}]")
+    if k < least:
+        raise ValueError(f"needs at least {least} modes, got {k}")
+    if k > eig.num_modes:
+        raise ValueError(f"num_modes must be at most {eig.num_modes}, got {k}")
     return k
 
 
@@ -191,7 +193,7 @@ def solve_null_control(
         control = np.exp(-np.outer(horizon - times, lambdas)) @ (c[:, None] * channels)
     if not (np.isfinite(quad) and np.isfinite(residual_norm) and np.all(np.isfinite(control))):
         # the scaled coefficients grow like 1/T (a vanishing horizon) or with z0
-        raise SolveFailureError(f"moment solve is not finite at horizon {horizon:g}")
+        raise QGraphNumericalError(f"moment solve is not finite at horizon {horizon:g}")
 
     terminal = -residual
     control_norm = float(np.sqrt(max(quad, 0.0)))

@@ -1,7 +1,9 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one family per failure exit code of the command line.
 
-Two broad families matter for the command line tool: input/validation
-problems (exit code 2) and numerical failures (exit code 3).
+QGraphValidationError is bad input (exit 2) and QGraphNumericalError is a
+numerical procedure that cannot certify its result (exit 3); each raise site
+says in its message which rule failed.  InvalidGraphError, a validation
+error, lists every structural violation of a graph in ``.violations``.
 """
 
 __all__ = [
@@ -9,19 +11,6 @@ __all__ = [
     "QGraphValidationError",
     "QGraphNumericalError",
     "InvalidGraphError",
-    "NotATreeError",
-    "SameVertexError",
-    "UnknownVertexError",
-    "OmitNotBoundaryError",
-    "InfeasiblePathUnionError",
-    "InvalidPathUnionError",
-    "NotPSDError",
-    "AsymmetricMatrixError",
-    "ConvergenceFailureError",
-    "SolveFailureError",
-    "CovarianceNotPSDError",
-    "SpectralGapAmbiguousError",
-    "SpectrumTooCoarseError",
 ]
 
 
@@ -37,65 +26,9 @@ class QGraphNumericalError(QGraphError):
     """A numerical procedure failed or cannot certify its result."""
 
 
-# -- validation -------------------------------------------------------------
-
 class InvalidGraphError(QGraphValidationError):
     """The graph fails structural validation."""
 
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("invalid graph: " + "; ".join(self.violations))
-
-
-class NotATreeError(QGraphValidationError):
-    pass
-
-
-class SameVertexError(QGraphValidationError):
-    pass
-
-
-class UnknownVertexError(QGraphValidationError):
-    pass
-
-
-class OmitNotBoundaryError(QGraphValidationError):
-    pass
-
-
-class InfeasiblePathUnionError(QGraphValidationError):
-    pass
-
-
-class InvalidPathUnionError(QGraphValidationError):
-    pass
-
-
-class NotPSDError(QGraphValidationError):
-    pass
-
-
-class AsymmetricMatrixError(QGraphValidationError):
-    pass
-
-
-# -- numerics ---------------------------------------------------------------
-
-class ConvergenceFailureError(QGraphNumericalError):
-    pass
-
-
-class SolveFailureError(QGraphNumericalError):
-    pass
-
-
-class CovarianceNotPSDError(QGraphNumericalError):
-    pass
-
-
-class SpectralGapAmbiguousError(QGraphNumericalError):
-    pass
-
-
-class SpectrumTooCoarseError(QGraphNumericalError):
-    pass

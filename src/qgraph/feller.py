@@ -20,10 +20,10 @@ from itertools import combinations
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InvalidGraphError, SpectrumTooCoarseError
+from .errors import InvalidGraphError, QGraphNumericalError
 from .graphs import Coefficient, MetricGraph
 from .noise import NoiseModel, _check_vertices
-from .spectral import EigenSystem, _pair_mode, solve_spectrum
+from .spectral import EigenSystem, _build_layout, _check_num_modes, _pair_mode, solve_spectrum
 
 __all__ = [
     "Witness",
@@ -149,7 +149,7 @@ def hautus_obstruction(eig: EigenSystem, noise: NoiseModel) -> Witness | None:
     _check_vertices(eig.graph, noise)
     usable = eig.trusted_cluster_indices()
     if not usable:
-        raise SpectrumTooCoarseError("no complete trusted eigenvalue clusters")
+        raise QGraphNumericalError("no complete trusted eigenvalue clusters")
     for ci in usable:
         found = _invisible(noise, eig.trace_matrix(ci))
         if found is None:
@@ -243,9 +243,13 @@ def decide_feller(
     since each pair is a two-edge star).  Verdicts never guess: graphs
     outside all three mechanisms come back Unknown.  A supplied eig must
     have been solved on this graph (equal by value), or InvalidGraphError
-    is raised before any rule runs.
+    is raised before any rule runs; without one, elements_per_edge and
+    num_modes are checked as solve_spectrum checks them, also when the
+    sufficient rule answers without a solve.
     """
-    if eig is not None and eig.graph != graph:
+    if eig is None:
+        _check_num_modes(_build_layout(graph, elements_per_edge), num_modes)
+    elif eig.graph != graph:
         raise InvalidGraphError(["the eigensystem was solved on another graph"])
     detail = sufficient_tree_rule(graph, noise)
     if detail is not None:

@@ -19,13 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    InvalidGraphError,
-    NotATreeError,
-    QGraphValidationError,
-    SameVertexError,
-    UnknownVertexError,
-)
+from .errors import InvalidGraphError, QGraphValidationError
 
 __all__ = [
     "Coefficient",
@@ -121,6 +115,23 @@ def _json_str(raw, what: str) -> str:
     return raw
 
 
+def _json_array(data: dict, key: str) -> list:
+    """data[key], which must be a JSON array (KeyError, TypeError otherwise)."""
+    raw = data[key]
+    if not isinstance(raw, list):
+        raise TypeError(f"{key} must be a JSON array, got {raw!r:.40}")
+    return raw
+
+
+def _check_object(raw, keys: frozenset[str], what: str) -> None:
+    """raw must be a JSON object with no key outside keys (TypeError, ValueError)."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"{what} must be a JSON object, got {raw!r:.40}")
+    unknown = raw.keys() - keys
+    if unknown:
+        raise ValueError(f"unknown key {min(unknown)!r} in {what}")
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """object_pairs_hook for json.load: a key given twice is an error, where
     json alone would keep the last value."""
@@ -135,6 +146,7 @@ def _coefficient_from_json(raw, sampled_kind: str, default: float) -> Coefficien
     if raw is None:
         return Coefficient.const(default)
     if isinstance(raw, dict) and "samples" in raw:
+        _check_object(raw, frozenset({"samples", "grid"}), "coefficient")
         if raw.get("grid", "uniform") != "uniform":
             raise InvalidGraphError([f"unsupported coefficient grid {raw.get('grid')!r}"])
         samples = [_json_float(v, "coefficient sample") for v in raw["samples"]]
@@ -288,12 +300,12 @@ def _breadth_first(graph: MetricGraph, root: str):
 def unique_path(graph: MetricGraph, v: str, w: str) -> tuple[str, ...]:
     """The unique v-w path in a tree, as (v, e, ..., w) alternating ids."""
     if not graph.is_tree:
-        raise NotATreeError("unique_path requires a tree")
+        raise QGraphValidationError("unique_path requires a tree")
     for x in (v, w):
         if x not in graph.vertex_index:
-            raise UnknownVertexError(f"unknown vertex {x!r}")
+            raise QGraphValidationError(f"unknown vertex {x!r}")
     if v == w:
-        raise SameVertexError(f"path endpoints coincide: {v!r}")
+        raise QGraphValidationError(f"path endpoints coincide: {v!r}")
     parent, parent_edge, _, _ = _breadth_first(graph, v)
     out = [w]
     while out[-1] != v:
@@ -321,11 +333,17 @@ def graph_to_dict(graph: MetricGraph) -> dict:
     }
 
 
+_GRAPH_KEYS = frozenset({"vertices", "edges"})
+_EDGE_KEYS = frozenset({"id", "tail", "head", "length", "c", "p"})
+
+
 def graph_from_dict(data: dict) -> MetricGraph:
     try:
-        vertices = tuple(_json_str(v, "vertex id") for v in data["vertices"])
+        _check_object(data, _GRAPH_KEYS, "graph")
+        vertices = tuple(_json_str(v, "vertex id") for v in _json_array(data, "vertices"))
         edges = []
-        for raw in data["edges"]:
+        for raw in _json_array(data, "edges"):
+            _check_object(raw, _EDGE_KEYS, "edge")
             edges.append(
                 Edge(
                     id=_json_str(raw["id"], "edge id"),

@@ -14,14 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances as tol
-from .errors import (
-    AsymmetricMatrixError,
-    InvalidGraphError,
-    NotPSDError,
-    QGraphValidationError,
-    UnknownVertexError,
-)
-from .graphs import MetricGraph, _json_float, _unique_keys
+from .errors import InvalidGraphError, QGraphValidationError
+from .graphs import MetricGraph, _check_object, _json_float, _unique_keys
 
 __all__ = ["NoiseModel", "parse_noise"]
 
@@ -43,14 +37,14 @@ class NoiseModel:
     def from_diagonal(cls, graph: MetricGraph, q: dict[str, float]) -> "NoiseModel":
         for v in q:
             if v not in graph.vertex_index:
-                raise UnknownVertexError(f"unknown vertex in noise spec: {v!r}")
+                raise QGraphValidationError(f"unknown vertex in noise spec: {v!r}")
         diag = np.zeros(graph.n)
         for v, val in q.items():
             val = float(val)
             if not np.isfinite(val):
                 raise QGraphValidationError(f"non-finite noise intensity at {v!r}: {val}")
             if val < 0:
-                raise NotPSDError(f"negative noise intensity at {v!r}: {val}")
+                raise QGraphValidationError(f"negative noise intensity at {v!r}: {val}")
             diag[graph.vertex_index[v]] = val
         return cls(graph.vertices, np.diag(diag), np.diag(np.sqrt(diag)))
 
@@ -64,16 +58,16 @@ class NoiseModel:
             raise QGraphValidationError("noise matrix has non-finite entries")
         scale = max(1.0, float(np.abs(q).max()))
         if float(np.abs(q - q.T).max()) > tol.NOISE_SYMMETRY * scale:
-            raise AsymmetricMatrixError("noise matrix is not symmetric")
+            raise QGraphValidationError("noise matrix is not symmetric")
         q = 0.5 * (q + q.T)
         w, u = np.linalg.eigh(q)
         if w.min() < tol.NOISE_EIG_FLOOR * scale:
-            raise NotPSDError(f"noise matrix has negative eigenvalue {w.min()}")
+            raise QGraphValidationError(f"noise matrix has negative eigenvalue {w.min()}")
         w = np.maximum(w, 0.0)
         root = (u * np.sqrt(w)) @ u.T
         root = 0.5 * (root + root.T)
         if float(np.abs(root @ root - q).max()) > tol.NOISE_SQRT_CHECK * scale:
-            raise NotPSDError("square root reconstruction check failed")
+            raise QGraphValidationError("square root reconstruction check failed")
         return cls(graph.vertices, q, root)
 
     @cached_property
@@ -86,7 +80,7 @@ class NoiseModel:
         try:
             i = self.vertices.index(vertex)
         except ValueError:
-            raise UnknownVertexError(f"unknown vertex: {vertex!r}") from None
+            raise QGraphValidationError(f"unknown vertex: {vertex!r}") from None
         return not np.any(self.q[i])
 
     def to_json(self) -> dict:
@@ -137,6 +131,8 @@ def parse_noise(spec: str, graph: MetricGraph) -> NoiseModel:
     kind = data.get("type")
     if kind not in ("diagonal", "full"):
         raise ValueError(f"unknown noise type {kind!r}")
+    _check_object(data, frozenset({"type", "q" if kind == "diagonal" else "matrix"}),
+                  f"{kind} noise file")
     try:
         if kind == "diagonal":
             q = {k: _json_float(v, f"noise intensity at {k!r}") for k, v in data["q"].items()}

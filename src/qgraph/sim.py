@@ -41,11 +41,7 @@ from .control import (
     _modes_in_play,
     _variance_sums,
 )
-from .errors import (
-    CovarianceNotPSDError,
-    SpectralGapAmbiguousError,
-    SpectrumTooCoarseError,
-)
+from .errors import QGraphNumericalError
 from .graphs import Coefficient
 from .noise import NoiseModel
 from .spectral import EigenSystem, _write_csv
@@ -100,15 +96,15 @@ def _innovation_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
     d = np.diag(cov)
     live = d > 0
     if np.any(d < 0) or np.any(cov[~live]):  # PSD: zero variance, zero row
-        raise CovarianceNotPSDError("innovation covariance is not positive semidefinite")
+        raise QGraphNumericalError("innovation covariance is not positive semidefinite")
     sd = np.sqrt(d[live])
     corr = cov[np.ix_(live, live)] / np.outer(sd, sd)
     c, piv, rank, _ = dpstrf(corr, tol=tol.INNOVATION_DROP, lower=1)
     unit = np.tril(c)[np.argsort(piv), :rank]  # rows back in mode order
     dropped = float(np.max(np.abs(corr - unit @ unit.T), initial=0.0))
     if not dropped <= tol.INNOVATION_DROP:
-        raise CovarianceNotPSDError("innovation covariance is not positive semidefinite: "
-                                    f"dropped residual {dropped:.3g} > {tol.INNOVATION_DROP:g}")
+        raise QGraphNumericalError("innovation covariance is not positive semidefinite: "
+                                   f"dropped residual {dropped:.3g} > {tol.INNOVATION_DROP:g}")
     factor = np.zeros((len(d), rank), order="F")  # F.T is C-contiguous, for the draws
     factor[live] = sd[:, None] * unit
     return factor, dropped
@@ -470,7 +466,7 @@ def invariant_measure_check(
     """
     k_total = _modes_in_play(eig, num_modes)
     if not bool(eig.trusted[0]):
-        raise SpectrumTooCoarseError("bottom eigenvalue is outside the trusted range")
+        raise QGraphNumericalError("bottom eigenvalue is outside the trusted range")
     horizons = tuple(float(t) for t in horizons)
     for t in horizons:
         _check_horizon(t)
@@ -487,7 +483,7 @@ def invariant_measure_check(
     if lam0 > tol.SPECTRAL_GAP:
         exists, rule = True, "exponential-stability"
     elif any(e.potential != Coefficient.const(0.0) for e in eig.graph.edges):
-        raise SpectralGapAmbiguousError(
+        raise QGraphNumericalError(
             f"potential present but bottom eigenvalue {lam0} is below the "
             f"gap tolerance; refine the mesh to resolve the sign"
         )

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import tolerances as tol
-from .errors import ConvergenceFailureError
+from .errors import QGraphNumericalError
 from .graphs import MetricGraph, interval_graph, star_graph
 
 __all__ = [
@@ -162,13 +162,18 @@ class EigenSystem:
     def vertex_traces(self) -> np.ndarray:
         return np.ascontiguousarray(self.vectors[:, : self.layout.n_vertices])
 
+    def _cluster(self, ci: int) -> tuple[int, int]:
+        if not 0 <= ci < len(self.clusters):
+            raise ValueError(f"cluster index must lie in [0, {len(self.clusters) - 1}], got {ci}")
+        return self.clusters[ci]
+
     def cluster_eigenvalue(self, ci: int) -> float:
-        a, b = self.clusters[ci]
+        a, b = self._cluster(ci)
         return float(np.mean(self.lambdas[a:b]))
 
     def trace_matrix(self, ci: int) -> np.ndarray:
         """n_vertices x multiplicity matrix of traces for one cluster."""
-        a, b = self.clusters[ci]
+        a, b = self._cluster(ci)
         return self.vertex_traces[a:b].T.copy()
 
     def trusted_cluster_indices(self) -> list[int]:
@@ -208,10 +213,17 @@ def _count_below(op: DiscreteOperator, sigma: float) -> int:
         lu = spla.splu((op.stiffness - sigma * op.mass).tocsc(), diag_pivot_thresh=0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # an exactly singular factor
-        raise ConvergenceFailureError(f"inertia factorization failed: {exc}") from exc
+        raise QGraphNumericalError(f"inertia factorization failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise ConvergenceFailureError("inertia factorization pivoted off the diagonal")
+        raise QGraphNumericalError("inertia factorization pivoted off the diagonal")
     return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _check_num_modes(layout: MeshLayout, num_modes: int) -> None:
+    """The eigensolve's bound on num_modes, which decide_feller checks too."""
+    dof = layout.total_dof
+    if not 1 <= num_modes <= dof - 1:
+        raise ValueError(f"num_modes must lie in [1, {dof - 1}]")
 
 
 def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
@@ -233,20 +245,19 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     and fails if that one misses some too.  Every pair, as ARPACK returns
     it, must pass the residual and mass-orthonormality certificates
     (EIG_RESIDUAL and ORTHONORMALITY).
-    Any failed certificate raises ConvergenceFailureError.
+    Any failed certificate raises QGraphNumericalError.
     Accuracy guidance: keep num_modes well below the dof count (one
     order of magnitude).
     """
+    _check_num_modes(op.layout, num_modes)
     dof = op.layout.total_dof
-    if not 1 <= num_modes <= dof - 1:
-        raise ValueError(f"num_modes must lie in [1, {dof - 1}]")
 
     # the operator's own stiffness scale rho bounds both the roundoff of a
     # zero mode, which is clamped, and the certified residuals
     with np.errstate(over="ignore", divide="ignore"):
         rho = float(np.max(op.stiffness.diagonal() / op.mass.diagonal()))
     if not 0 < rho < np.inf:
-        raise ConvergenceFailureError(f"stiffness scale max K_ii/M_ii = {rho} out of range")
+        raise QGraphNumericalError(f"stiffness scale max K_ii/M_ii = {rho} out of range")
 
     # ARPACK's default basis (2k + 1 Lanczos vectors, at least 20) can drop
     # members of a wide cluster: a solve that fails the count certificate
@@ -257,11 +268,11 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
             w, v = spla.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0, which="LM",
                               v0=v0, ncv=ncv, rng=0)
         except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
-            raise ConvergenceFailureError(f"Lanczos iteration failed: {exc}") from exc
+            raise QGraphNumericalError(f"Lanczos iteration failed: {exc}") from exc
         order = np.argsort(w)
         w, v = w[order], v[:, order]
         if w[0] < -tol.EIG_RESIDUAL * rho:
-            raise ConvergenceFailureError(f"spurious negative eigenvalue {w[0]}")
+            raise QGraphNumericalError(f"spurious negative eigenvalue {w[0]}")
         w = np.maximum(w, 0.0)
         clusters = _cluster_ranges(w)
         last = clusters[-1][0]
@@ -272,7 +283,7 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
         if below == last:
             break
     else:
-        raise ConvergenceFailureError(
+        raise QGraphNumericalError(
             f"{below} eigenvalues lie below {sigma:.6g} but the solve found {last}"
         )
 
@@ -284,10 +295,10 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     residuals = np.sqrt(np.abs(np.einsum("ik,ik->k", r, spla.splu(op.mass.tocsc()).solve(r))))
     excess = np.max(residuals / (tol.EIG_RESIDUAL * (w + rho)))
     if not excess <= 1.0:
-        raise ConvergenceFailureError(f"eigenpair residual {excess:.3g} times its bound")
+        raise QGraphNumericalError(f"eigenpair residual {excess:.3g} times its bound")
     defect = np.max(np.abs(np.einsum("ik,il->kl", v, mv) - np.eye(num_modes)))
     if not defect <= tol.ORTHONORMALITY:
-        raise ConvergenceFailureError(f"eigenvectors not mass-orthonormal: defect {defect:.3g}")
+        raise QGraphNumericalError(f"eigenvectors not mass-orthonormal: defect {defect:.3g}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # a huge cell trusts nothing
         trusted = w * np.square(op.layout.h_max) <= tol.TRUSTED_LAMBDA_H2

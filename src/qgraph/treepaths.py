@@ -17,12 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import (
-    InfeasiblePathUnionError,
-    InvalidPathUnionError,
-    NotATreeError,
-    OmitNotBoundaryError,
-)
+from .errors import QGraphValidationError
 from .graphs import MetricGraph, _breadth_first
 
 __all__ = [
@@ -79,10 +74,10 @@ def path_union(tree: MetricGraph, omit: str | None = None) -> PathUnion:
     the others finish there.  The result is deterministic.
     """
     if not tree.is_tree:
-        raise NotATreeError("path_union requires a tree")
+        raise QGraphValidationError("path_union requires a tree")
     boundary = tree.boundary_vertices
     if omit is not None and omit not in boundary:
-        raise OmitNotBoundaryError(f"{omit!r} is not a boundary vertex")
+        raise QGraphValidationError(f"{omit!r} is not a boundary vertex")
 
     if omit is not None:
         root = omit
@@ -120,7 +115,7 @@ def path_union(tree: MetricGraph, omit: str | None = None) -> PathUnion:
         idx = next(i for i, p in enumerate(paths) if p.finish == root)
         p = paths[idx]
         if len(p.edges) == 1:
-            raise InfeasiblePathUnionError(
+            raise QGraphValidationError(
                 "a single-edge tree admits no path union with both endpoints as sources"
             )
         truncated = DirectedPath(p.vertices[:-1], p.edges[:-1])
@@ -152,24 +147,26 @@ def st_active_set(pu: PathUnion) -> STActiveSet:
     outgoing edge, so no per-vertex edge choices remain.
     """
     if any(len(p.vertices) != len(p.edges) + 1 or not p.edges for p in pu.paths):
-        raise InvalidPathUnionError("malformed path: it needs an edge and one vertex more than edges")
+        raise QGraphValidationError(
+            "malformed path: it needs an edge and one vertex more than edges"
+        )
     uses = Counter(eid for p in pu.paths for eid in p.edges)
     reused = [eid for eid, n in uses.items() if n > 1]
     if reused:
-        raise InvalidPathUnionError(f"edge {reused[0]!r} appears in more than one path")
+        raise QGraphValidationError(f"edge {reused[0]!r} appears in more than one path")
     starts, interior, finishes = _roles(pu)
     for v in starts | interior:
         if starts[v] + interior[v] != 1:
-            raise InvalidPathUnionError(
+            raise QGraphValidationError(
                 f"vertex {v!r} has {starts[v] + interior[v]} outgoing edges; expected exactly one"
             )
     sources = frozenset(v for v in starts if not finishes[v] and not interior[v])
     if sources != pu.source_set:
-        raise InvalidPathUnionError(
+        raise QGraphValidationError(
             f"orientation sources {sorted(sources)} differ from declared {sorted(pu.source_set)}"
         )
     if frozenset(starts) != pu.source_set:
-        raise InvalidPathUnionError("declared source set does not match path starts")
+        raise QGraphValidationError("declared source set does not match path starts")
     return STActiveSet(i_star=sources, j_star=frozenset())
 
 
@@ -181,10 +178,10 @@ def verify_tf(pu: PathUnion, graph: MetricGraph) -> list[str]:
     that starts two paths, or starts one and finishes one, has a path
     running through it; (4) the paths cover every edge; and the declared
     sources are the path starts.  Any orientation of a tree's edges is
-    acyclic, so no cycle check is needed; other graphs raise NotATreeError.
+    acyclic, so no cycle check is needed; other graphs raise QGraphValidationError.
     """
     if not graph.is_tree:
-        raise NotATreeError("verify_tf requires a tree")
+        raise QGraphValidationError("verify_tf requires a tree")
     report: list[str] = []
     used: set[str] = set()
     for p in pu.paths:

@@ -250,7 +250,25 @@ def malformed_files(workdir):
         "noise_bool_q.json": {"type": "diagonal", "q": {"v1": True}},
         "noise_bool_matrix.json": {"type": "full", "matrix": [[True, 0.0], [0.0, 1.0]]},
         "noise_string_matrix.json": {"type": "full", "matrix": [["1", 0.0], [0.0, 1.0]]},
+        # a key the format does not define is an error, not ignored
+        "noise_extra_key.json": {"type": "diagonal", "q": {"v1": 1.0}, "matrix": [[1.0]]},
+        "noise_full_with_q.json": {"type": "full", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                   "q": {"v1": 1.0}},
     }
+    # arrays must be JSON arrays, edges JSON objects, and every key one the format
+    # defines; a string or an object of vertices would iterate as the names a and b
+    ab = {"vertices": ["a", "b"], "edges": [{"id": "e1", "tail": "a", "head": "b", "length": 1}]}
+    for name, key, value in [("string_vertices", "vertices", "ab"),
+                             ("object_vertices", "vertices", {"a": 1, "b": 2}),
+                             ("object_edges", "edges", {"e1": ab["edges"][0]}),
+                             ("string_edge", "edges", ["e1"]),
+                             ("top_level_key", "name", "ab")]:
+        payloads[f"{name}.json"] = {**ab, key: value}
+    # "potential" written for the edge key "p", "grids" for the coefficient key "grid"
+    potential_key, coefficient_key = (qg.graph_to_dict(qg.interval_graph()) for _ in range(2))
+    potential_key["edges"][0]["potential"] = potential_key["edges"][0].pop("p")
+    coefficient_key["edges"][0]["c"] = {"samples": [1.0, 2.0], "grids": "uniform"}
+    payloads.update({"potential_key.json": potential_key, "coefficient_key.json": coefficient_key})
     # ids must be JSON strings: a number, a boolean or null is not coerced
     for name, index, value in [("int_vertex", 1, 1), ("bool_vertex", 1, True),
                                ("null_edge_id", None, None)]:
@@ -322,6 +340,16 @@ def malformed_files(workdir):
     ["spectrum", "--graph", "null_edge_id.json"],
     ["spectrum", "--graph", "repeated_length.json"],
     ["invariant", "--graph", "interval.json", "--noise", "noise_repeated_q.json"],
+    # arrays that are not arrays, and keys the formats do not define
+    *(pytest.param(["spectrum", "--graph", f"{name}.json"], id=name)
+      for name in ("string_vertices", "object_vertices", "object_edges", "string_edge",
+                   "top_level_key", "potential_key", "coefficient_key")),
+    ["invariant", "--graph", "interval.json", "--noise", "noise_extra_key.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_full_with_q.json"],
+    # a mesh or mode count no solve could take, also where the tree rule
+    # answers without a solve
+    ["feller", "--graph", "interval.json", "--noise", "diag:v1=1", "--mesh", "1"],
+    ["feller", "--graph", "interval.json", "--noise", "diag:v1=1", "--modes", "0"],
     # a coefficient profile on a grid other than the uniform one
     pytest.param(["spectrum", "--graph", "other_grid.json"], id="other-grid"),
     # requests too large to allocate: each fails at its first allocation
@@ -341,6 +369,9 @@ def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed
     assert err.startswith("error:") and len(err.splitlines()) == 1
     # rejected before any work is reported or written
     assert out == "" and set(workdir.iterdir()) == before
+    if "other_grid.json" in argv:
+        # the message reaches stderr as raised, not wrapped in a second one
+        assert err == "error: invalid graph: unsupported coefficient grid 'other'\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -422,14 +453,28 @@ def test_undefined_statistics_are_written_as_null(workdir, interval_file, capsys
     assert [row.split(",")[-1] for row in rows] == ["", ""]
 
 
-def test_linalg_error_exits_3(workdir, interval_file, capsys, monkeypatch):
+@pytest.mark.parametrize("exc, rc, prefix", [
+    pytest.param(np.linalg.LinAlgError("Singular matrix"), 3, "numerical failure: ",
+                 id="LinAlgError"),
+    pytest.param(qg.QGraphNumericalError("no certificate"), 3, "numerical failure: ",
+                 id="QGraphNumericalError"),
+    pytest.param(qg.QGraphValidationError("bad request"), 2, "error: ",
+                 id="QGraphValidationError"),
+    pytest.param(qg.InvalidGraphError(["edge 'e1': nonpositive length", "disconnected"]), 2,
+                 "error: ", id="InvalidGraphError"),
+    pytest.param(ValueError("bad value"), 2, "error: ", id="ValueError"),
+])
+def test_exception_family_exit_codes(workdir, interval_file, capsys, monkeypatch,
+                                     exc, rc, prefix):
+    """main maps each exception family to one exit code and one stderr line
+    that carries the message as raised."""
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+        raise exc
 
     monkeypatch.setattr("qgraph.cli.solve_spectrum", fail)
-    rc = main(["spectrum", "--graph", interval_file, "--mesh", "8", "--modes", "2"])
-    assert rc == 3
-    assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+    assert main(["spectrum", "--graph", interval_file, "--mesh", "8", "--modes", "2"]) == rc
+    assert capsys.readouterr() == ("", f"{prefix}{exc}\n")
+    assert not list(workdir.glob("*.manifest.json"))
 
 
 def test_parser_is_built_once(workdir, interval_file, capsys, monkeypatch):

@@ -98,7 +98,7 @@ def test_hautus_requires_trusted_clusters():
     coarse = qg.solve_spectrum(g, 2, 5)
     assert coarse.trusted_cluster_indices() == []
     nm = NoiseModel.from_diagonal(g, {"v1": 1.0})
-    with pytest.raises(qg.SpectrumTooCoarseError):
+    with pytest.raises(qg.QGraphNumericalError, match="no complete trusted eigenvalue clusters"):
         hautus_obstruction(coarse, nm)
 
 

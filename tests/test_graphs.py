@@ -172,11 +172,11 @@ def test_unique_path_star(star3):
 
 
 def test_unique_path_errors(star3):
-    with pytest.raises(qg.SameVertexError):
+    with pytest.raises(qg.QGraphValidationError, match="path endpoints coincide: 'v1'"):
         qg.unique_path(star3, "v1", "v1")
-    with pytest.raises(qg.UnknownVertexError):
+    with pytest.raises(qg.QGraphValidationError, match="unknown vertex 'nope'"):
         qg.unique_path(star3, "v1", "nope")
-    with pytest.raises(qg.NotATreeError):
+    with pytest.raises(qg.QGraphValidationError, match="unique_path requires a tree"):
         qg.unique_path(qg.lasso_graph(), "v0", "v1")
 
 

@@ -24,7 +24,7 @@ def test_quiet_and_zero(star3):
 
 
 def test_unknown_vertex(star3):
-    with pytest.raises(qg.UnknownVertexError):
+    with pytest.raises(qg.QGraphValidationError, match="unknown vertex in noise spec: 'bogus'"):
         NoiseModel.from_diagonal(star3, {"bogus": 1.0})
 
 
@@ -48,14 +48,14 @@ def test_from_matrix_full(star3):
 def test_from_matrix_rejects_not_psd(star3):
     q = np.eye(4)
     q[0, 1] = q[1, 0] = -2.0
-    with pytest.raises(qg.NotPSDError):
+    with pytest.raises(qg.QGraphValidationError, match="noise matrix has negative eigenvalue"):
         NoiseModel.from_matrix(star3, q)
 
 
 def test_from_matrix_rejects_asymmetric(star3):
     q = np.eye(4)
     q[0, 1] = 0.3
-    with pytest.raises(qg.AsymmetricMatrixError):
+    with pytest.raises(qg.QGraphValidationError, match="noise matrix is not symmetric"):
         NoiseModel.from_matrix(star3, q)
 
 
@@ -115,7 +115,7 @@ def test_parse_noise_full_not_psd(tmp_path):
     spec = {"type": "full", "matrix": [[1.0, -2.0], [-2.0, 1.0]]}
     p = tmp_path / "noise.json"
     p.write_text(json.dumps(spec))
-    with pytest.raises(qg.NotPSDError):
+    with pytest.raises(qg.QGraphValidationError, match="noise matrix has negative eigenvalue -1"):
         parse_noise(str(p), g)
 
 

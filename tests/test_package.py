@@ -32,3 +32,21 @@ def test_no_module_reads_the_environment():
     readers = [p.name for p in sorted(src.glob("*.py"))
                if any(word in p.read_text("utf-8") for word in ("environ", "getenv"))]
     assert readers == []
+
+
+def test_one_exception_family_per_exit_code():
+    """errors holds the package's only exception classes: a base, one family
+    per failure exit code (validation 2, numerical 3), and InvalidGraphError,
+    the one class that carries data."""
+    assert errors.__all__ == ["QGraphError", "QGraphValidationError",
+                              "QGraphNumericalError", "InvalidGraphError"]
+    assert qg.QGraphError.__bases__ == (Exception,)
+    assert qg.QGraphValidationError.__bases__ == (qg.QGraphError,)
+    assert qg.QGraphNumericalError.__bases__ == (qg.QGraphError,)
+    assert qg.InvalidGraphError.__bases__ == (qg.QGraphValidationError,)
+    assert qg.InvalidGraphError(["a", "b"]).violations == ["a", "b"]
+    for module in MODULES:
+        if module is not errors:
+            assert not [obj for obj in vars(module).values()
+                        if inspect.isclass(obj) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__], module.__name__

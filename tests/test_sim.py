@@ -8,11 +8,7 @@ import qgraph as qg
 from qgraph import sim
 from qgraph import tolerances as tol
 from qgraph.control import _eta
-from qgraph.errors import (
-    CovarianceNotPSDError,
-    SpectralGapAmbiguousError,
-    SpectrumTooCoarseError,
-)
+from qgraph.errors import QGraphNumericalError
 from qgraph.noise import NoiseModel
 from qgraph.sim import _innovation_factor
 
@@ -382,14 +378,14 @@ def test_simulate_validation(interval_eig):
 
 
 def test_innovation_cholesky_rejects_negative():
-    with pytest.raises(CovarianceNotPSDError):
+    with pytest.raises(QGraphNumericalError, match="not positive semidefinite$"):
         _innovation_factor(np.array([[-1.0]]))
     # a zero variance with a nonzero covariance is not PSD either
-    with pytest.raises(CovarianceNotPSDError):
+    with pytest.raises(QGraphNumericalError, match="not positive semidefinite$"):
         _innovation_factor(np.array([[1.0, 0.5], [0.5, 0.0]]))
     # positive variances, eigenvalue -1: the pivoted factor stops at rank 1
     # and the dropped residual, |1 - 4| = 3, fails the check
-    with pytest.raises(CovarianceNotPSDError, match="dropped residual 3 > 1e-14"):
+    with pytest.raises(QGraphNumericalError, match="dropped residual 3 > 1e-14"):
         _innovation_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
@@ -479,9 +475,11 @@ def test_regularity_profile_weight_ratio():
 
 def test_regularity_profile_validation(interval_eig):
     nm = _interval_noise(interval_eig)
-    with pytest.raises(ValueError):
-        qg.regularity_profile(interval_eig, nm, 1.0, [0.0], num_modes=0)
-    with pytest.raises(ValueError):
+    # the tail slope needs two modes: the message says so, never an empty range
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=f"needs at least 2 modes, got {k}$"):
+            qg.regularity_profile(interval_eig, nm, 1.0, [0.0], num_modes=k)
+    with pytest.raises(ValueError, match=f"at most {interval_eig.num_modes}, got 1000000$"):
         qg.regularity_profile(interval_eig, nm, 1.0, [0.0], num_modes=10**6)
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="horizon"):
@@ -541,7 +539,7 @@ def test_invariant_ambiguous_gap_raises():
     g = qg.interval_graph(p=1e-12)
     eig = qg.solve_spectrum(g, 64, 4)
     nm = NoiseModel.from_diagonal(g, {"v1": 1.0})
-    with pytest.raises(SpectralGapAmbiguousError):
+    with pytest.raises(QGraphNumericalError, match="potential present but bottom eigenvalue"):
         qg.invariant_measure_check(eig, nm)
 
 
@@ -549,7 +547,7 @@ def test_invariant_untrusted_bottom_raises():
     g = qg.star_graph([1.0, 1.0, 1.0], p=1.0)
     eig = qg.solve_spectrum(g, 2, 4)
     nm = NoiseModel.from_diagonal(g, {"v1": 1.0})
-    with pytest.raises(SpectrumTooCoarseError):
+    with pytest.raises(QGraphNumericalError, match="bottom eigenvalue is outside the trusted"):
         qg.invariant_measure_check(eig, nm)
 
 

@@ -216,7 +216,7 @@ def _scale_first(v):
                          ids=["residual", "orthonormality"])
 def test_eigensolve_enforces_certificates(tmp_path, monkeypatch, capsys, tamper, check):
     """Eigenpairs off by 1e-6 fail their certificate: in the library a
-    ConvergenceFailureError, at the command line exit 3 and no manifest."""
+    QGraphNumericalError, at the command line exit 3 and no manifest."""
     eigsh = spla.eigsh
 
     def tampered(*args, **kwargs):
@@ -225,7 +225,7 @@ def test_eigensolve_enforces_certificates(tmp_path, monkeypatch, capsys, tamper,
 
     monkeypatch.setattr("qgraph.spectral.spla.eigsh", tampered)
     g = qg.interval_graph(1.0)
-    with pytest.raises(qg.ConvergenceFailureError, match=check):
+    with pytest.raises(qg.QGraphNumericalError, match=check):
         qg.solve_spectrum(g, 32, 4)
 
     monkeypatch.chdir(tmp_path)
@@ -271,7 +271,7 @@ def test_missed_eigenvalue_exits_3(tmp_path, monkeypatch, capsys):
     eigsh = spla.eigsh
     monkeypatch.setattr("qgraph.spectral.spla.eigsh",
                         lambda a, **kw: eigsh(a, **{**kw, "ncv": 60}))
-    with pytest.raises(qg.ConvergenceFailureError, match="50 eigenvalues lie below .* found 49"):
+    with pytest.raises(qg.QGraphNumericalError, match="50 eigenvalues lie below .* found 49"):
         qg.solve_spectrum(qg.star_graph([1.0] * 10), 256, 50)
     monkeypatch.chdir(tmp_path)
     qg.save_graph(qg.star_graph([1.0] * 10), "star10.json")
@@ -589,3 +589,12 @@ def test_mode_index_out_of_range(tmp_path, star3_eig):
         with pytest.raises(ValueError, match="mode index"):
             qg.mode_to_csv(star3_eig, k, tmp_path / "mode.csv")
     assert not (tmp_path / "mode.csv").exists()
+
+
+def test_cluster_index_out_of_range(star3_eig):
+    last = len(star3_eig.clusters) - 1
+    for ci in (-1, last + 1):
+        message = rf"cluster index must lie in \[0, {last}\], got {ci}$"
+        for method in (star3_eig.cluster_eigenvalue, star3_eig.trace_matrix):
+            with pytest.raises(ValueError, match=message):
+                method(ci)

@@ -60,14 +60,14 @@ def test_path_union_star_all_omits(star3):
 
 
 def test_path_union_errors(star3):
-    with pytest.raises(qg.NotATreeError):
+    with pytest.raises(qg.QGraphValidationError, match="path_union requires a tree"):
         qg.path_union(qg.lasso_graph())
-    with pytest.raises(qg.OmitNotBoundaryError):
+    with pytest.raises(qg.QGraphValidationError, match="'vc' is not a boundary vertex"):
         qg.path_union(star3, omit="vc")
-    with pytest.raises(qg.OmitNotBoundaryError):
+    with pytest.raises(qg.QGraphValidationError, match="'nope' is not a boundary vertex"):
         qg.path_union(star3, omit="nope")
     # a single edge cannot make both of its endpoints sources
-    with pytest.raises(qg.InfeasiblePathUnionError):
+    with pytest.raises(qg.QGraphValidationError, match="single-edge tree admits no path union"):
         qg.path_union(qg.interval_graph())
 
 
@@ -87,7 +87,7 @@ def test_st_active_set_rejects_double_outgoing():
         ),
         source_set=frozenset({"v1"}),
     )
-    with pytest.raises(qg.InvalidPathUnionError):
+    with pytest.raises(qg.QGraphValidationError, match="'v1' has 2 outgoing edges"):
         qg.st_active_set(bad)
 
 
@@ -168,26 +168,27 @@ def test_verify_tf_flags_ill_formed_unions(graph, paths, sources, expected):
 
 def test_verify_tf_requires_a_tree():
     tail = PathUnion((DirectedPath(("v1", "v0"), ("tail",)),), frozenset({"v1"}))
-    with pytest.raises(qg.NotATreeError):
+    with pytest.raises(qg.QGraphValidationError, match="verify_tf requires a tree"):
         qg.verify_tf(tail, qg.lasso_graph())
 
 
-@pytest.mark.parametrize("graph, paths, sources", [
-    pytest.param(_STAR3, [(("v1", "vc"), ("e1", "e2"))], {"v1"}, id="malformed"),
+@pytest.mark.parametrize("graph, paths, sources, message", [
+    pytest.param(_STAR3, [(("v1", "vc"), ("e1", "e2"))], {"v1"}, "malformed path",
+                 id="malformed"),
     # each vertex leaves by one edge and the sources are the starts, but
     # both paths run along e2 in opposite directions
     pytest.param(qg.path_graph([1.0, 1.0, 1.0]),
                  [(("v0", "v1", "v2"), ("e1", "e2")), (("v3", "v2", "v1"), ("e3", "e2"))],
-                 {"v0", "v3"}, id="edge-reuse"),
+                 {"v0", "v3"}, "edge 'e2' appears in more than one path", id="edge-reuse"),
     # v1 starts one path and finishes the other, so it is no source, and the
     # declared sources leave it out: the starts are not the sources
     pytest.param(_PATH2, [(("v0", "v1"), ("e1",)), (("v1", "v2"), ("e2",))], {"v0"},
-                 id="start-and-finish"),
+                 "declared source set does not match path starts", id="start-and-finish"),
 ])
-def test_st_active_set_rejects_ill_formed_unions(graph, paths, sources):
+def test_st_active_set_rejects_ill_formed_unions(graph, paths, sources, message):
     pu = PathUnion(tuple(DirectedPath(*p) for p in paths), frozenset(sources))
     assert qg.verify_tf(pu, graph)
-    with pytest.raises(qg.InvalidPathUnionError):
+    with pytest.raises(qg.QGraphValidationError, match=message):
         qg.st_active_set(pu)
 
 
@@ -255,7 +256,7 @@ def _edge_partitions_into_paths(g):
 def _accepted(pu):
     try:
         return qg.st_active_set(pu).i_star
-    except qg.InvalidPathUnionError:
+    except qg.QGraphValidationError:  # st_active_set raises it only for ill-formed unions
         return None
 
 
