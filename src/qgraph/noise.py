@@ -131,17 +131,21 @@ def parse_noise(spec: str, graph: MetricGraph) -> NoiseModel:
     kind = data.get("type")
     if kind not in ("diagonal", "full"):
         raise ValueError(f"unknown noise type {kind!r}")
-    _check_object(data, frozenset({"type", "q" if kind == "diagonal" else "matrix"}),
-                  f"{kind} noise file")
+    field = "q" if kind == "diagonal" else "matrix"
+    _check_object(data, frozenset({"type", field}), f"{kind} noise file")
+    raw = data.get(field)
     try:
         if kind == "diagonal":
-            q = {k: _json_float(v, f"noise intensity at {k!r}") for k, v in data["q"].items()}
+            if not isinstance(raw, dict):
+                raise TypeError(f"q must be a JSON object, got {raw!r:.40}")
+            q = {k: _json_float(v, f"noise intensity at {k!r}") for k, v in raw.items()}
         else:
-            matrix = np.asarray(
-                [[_json_float(x, "noise matrix entry") for x in row] for row in data["matrix"]]
-            )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise QGraphValidationError(f"malformed {kind} noise data: {exc!r}") from exc
+            if not (isinstance(raw, list) and all(isinstance(row, list) for row in raw)):
+                raise TypeError(f"matrix must be a JSON array of arrays, got {raw!r:.40}")
+            matrix = np.asarray([[_json_float(x, "noise matrix entry") for x in row]
+                                 for row in raw])
+    except (TypeError, ValueError) as exc:
+        raise QGraphValidationError(f"malformed {kind} noise data: {exc}") from exc
     if kind == "diagonal":
         return NoiseModel.from_diagonal(graph, q)
     return NoiseModel.from_matrix(graph, matrix)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf
+import scipy  # scipy.linalg, named at the call, loads on first use, not at import
 
 from . import tolerances as tol
 from .control import (
@@ -99,7 +99,7 @@ def _innovation_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
         raise QGraphNumericalError("innovation covariance is not positive semidefinite")
     sd = np.sqrt(d[live])
     corr = cov[np.ix_(live, live)] / np.outer(sd, sd)
-    c, piv, rank, _ = dpstrf(corr, tol=tol.INNOVATION_DROP, lower=1)
+    c, piv, rank, _ = scipy.linalg.lapack.dpstrf(corr, tol=tol.INNOVATION_DROP, lower=1)
     unit = np.tril(c)[np.argsort(piv), :rank]  # rows back in mode order
     dropped = float(np.max(np.abs(corr - unit @ unit.T), initial=0.0))
     if not dropped <= tol.INNOVATION_DROP:

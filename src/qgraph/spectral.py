@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy  # submodules named at each call load on first use, not at import
 
 from . import tolerances as tol
 from .errors import QGraphNumericalError
@@ -93,8 +92,8 @@ def _build_layout(graph: MetricGraph, elements_per_edge: int) -> MeshLayout:
 class DiscreteOperator:
     graph: MetricGraph
     layout: MeshLayout
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
+    stiffness: scipy.sparse.csr_matrix
+    mass: scipy.sparse.csr_matrix
 
 
 def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
@@ -131,8 +130,8 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
         raise ValueError("lengths and coefficients out of range: the stiffness overflows")
     m_vals = np.hstack([m_diag, m_diag, m_off, m_off]).ravel()
     shape = (layout.total_dof, layout.total_dof)
-    stiffness = sp.coo_matrix((k_vals, (r, c)), shape=shape).tocsr()
-    mass = sp.coo_matrix((m_vals, (r, c)), shape=shape).tocsr()
+    stiffness = scipy.sparse.coo_matrix((k_vals, (r, c)), shape=shape).tocsr()
+    mass = scipy.sparse.coo_matrix((m_vals, (r, c)), shape=shape).tocsr()
     return DiscreteOperator(graph=graph, layout=layout, stiffness=stiffness, mass=mass)
 
 
@@ -210,8 +209,8 @@ def _count_below(op: DiscreteOperator, sigma: float) -> int:
     """Eigenvalues below sigma, by Sylvester's law of inertia: K - sigma M
     has one negative pivot per eigenvalue under sigma."""
     try:
-        lu = spla.splu((op.stiffness - sigma * op.mass).tocsc(), diag_pivot_thresh=0,
-                       options={"SymmetricMode": True})
+        lu = scipy.sparse.linalg.splu((op.stiffness - sigma * op.mass).tocsc(),
+                                      diag_pivot_thresh=0, options={"SymmetricMode": True})
     except RuntimeError as exc:  # an exactly singular factor
         raise QGraphNumericalError(f"inertia factorization failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -265,8 +264,8 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     v0 = np.random.default_rng(0).standard_normal(dof)
     for ncv in (None, min(max(2 * num_modes + 1, 20) + num_modes, dof)):
         try:
-            w, v = spla.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0, which="LM",
-                              v0=v0, ncv=ncv, rng=0)
+            w, v = scipy.sparse.linalg.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0,
+                                             which="LM", v0=v0, ncv=ncv, rng=0)
         except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
             raise QGraphNumericalError(f"Lanczos iteration failed: {exc}") from exc
         order = np.argsort(w)
@@ -292,7 +291,8 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     # threads that then slow the next solve)
     mv = op.mass @ v
     r = op.stiffness @ v - mv * w
-    residuals = np.sqrt(np.abs(np.einsum("ik,ik->k", r, spla.splu(op.mass.tocsc()).solve(r))))
+    mass_lu = scipy.sparse.linalg.splu(op.mass.tocsc())
+    residuals = np.sqrt(np.abs(np.einsum("ik,ik->k", r, mass_lu.solve(r))))
     excess = np.max(residuals / (tol.EIG_RESIDUAL * (w + rho)))
     if not excess <= 1.0:
         raise QGraphNumericalError(f"eigenpair residual {excess:.3g} times its bound")

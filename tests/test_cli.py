@@ -254,6 +254,10 @@ def malformed_files(workdir):
         "noise_extra_key.json": {"type": "diagonal", "q": {"v1": 1.0}, "matrix": [[1.0]]},
         "noise_full_with_q.json": {"type": "full", "matrix": [[1.0, 0.0], [0.0, 1.0]],
                                    "q": {"v1": 1.0}},
+        # q must be a JSON object, matrix a JSON array of arrays
+        "noise_list_q.json": {"type": "diagonal", "q": []},
+        "noise_object_matrix.json": {"type": "full", "matrix": {"a": 1}},
+        "noise_flat_matrix.json": {"type": "full", "matrix": [1, 2]},
     }
     # arrays must be JSON arrays, edges JSON objects, and every key one the format
     # defines; a string or an object of vertices would iterate as the names a and b
@@ -288,6 +292,16 @@ def malformed_files(workdir):
     (workdir / "noise_repeated_q.json").write_text(
         '{"type": "diagonal", "q": {"v1": 1.0, "v1": 0.0}}'
     )
+
+
+EXACT_STDERR = {
+    "other_grid.json": "invalid graph: unsupported coefficient grid 'other'",
+    "noise_list_q.json": "malformed diagonal noise data: q must be a JSON object, got []",
+    "noise_object_matrix.json":
+        "malformed full noise data: matrix must be a JSON array of arrays, got {'a': 1}",
+    "noise_flat_matrix.json":
+        "malformed full noise data: matrix must be a JSON array of arrays, got [1, 2]",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -346,6 +360,9 @@ def malformed_files(workdir):
                    "top_level_key", "potential_key", "coefficient_key")),
     ["invariant", "--graph", "interval.json", "--noise", "noise_extra_key.json"],
     ["invariant", "--graph", "interval.json", "--noise", "noise_full_with_q.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_list_q.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_object_matrix.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise_flat_matrix.json"],
     # a mesh or mode count no solve could take, also where the tree rule
     # answers without a solve
     ["feller", "--graph", "interval.json", "--noise", "diag:v1=1", "--mesh", "1"],
@@ -369,9 +386,11 @@ def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed
     assert err.startswith("error:") and len(err.splitlines()) == 1
     # rejected before any work is reported or written
     assert out == "" and set(workdir.iterdir()) == before
-    if "other_grid.json" in argv:
-        # the message reaches stderr as raised, not wrapped in a second one
-        assert err == "error: invalid graph: unsupported coefficient grid 'other'\n"
+    # the message reaches stderr as raised, not wrapped in a second one, and
+    # names the broken rule, not an exception repr
+    for name, message in EXACT_STDERR.items():
+        if name in argv:
+            assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,9 @@
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import qgraph as qg
 from qgraph import control, errors, feller, graphs, noise, sim, spectral, treepaths
@@ -50,3 +55,31 @@ def test_one_exception_family_per_exit_code():
             assert not [obj for obj in vars(module).values()
                         if inspect.isclass(obj) and issubclass(obj, BaseException)
                         and obj.__module__ == module.__name__], module.__name__
+
+
+_LAZY_IMPORTS = """
+import json, sys
+import qgraph, qgraph.cli
+
+HEAVY = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "numpy.f2py")
+loaded = {"import": [m for m in HEAVY if m in sys.modules]}
+qgraph.save_graph(qgraph.star_graph([1.0, 1.0, 1.0]), "star.json")
+for name, argv in [("st-active", ["st-active", "--graph", "star.json"]),
+                   ("tree-rule", ["feller", "--graph", "star.json", "--noise", "diag:v1=1,v2=1"]),
+                   ("hautus", ["feller", "--graph", "star.json", "--noise", "diag:v1=1"])]:
+    assert qgraph.cli.main(argv) == 0, name
+    loaded[name] = [m for m in HEAVY if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_submodules_load_on_first_solve(tmp_path):
+    """Importing qgraph.cli, st-active and a tree-rule feller load none of
+    scipy's sparse and LAPACK modules (nor numpy.f2py, which scipy.sparse
+    pulls in); a Hautus feller, which solves, loads them."""
+    src = str(Path(qg.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS], cwd=tmp_path, env={
+        **os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded["import"] == loaded["st-active"] == loaded["tree-rule"] == []
+    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded["hautus"])

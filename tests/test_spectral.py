@@ -223,7 +223,7 @@ def test_eigensolve_enforces_certificates(tmp_path, monkeypatch, capsys, tamper,
         w, v = eigsh(*args, **kwargs)
         return w, tamper(v)
 
-    monkeypatch.setattr("qgraph.spectral.spla.eigsh", tampered)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", tampered)
     g = qg.interval_graph(1.0)
     with pytest.raises(qg.QGraphNumericalError, match=check):
         qg.solve_spectrum(g, 32, 4)
@@ -253,7 +253,7 @@ def test_negative_eigenvalue_on_operator_scale_exits_3(tmp_path, monkeypatch, ca
         w[np.argmin(w)] = -1e-6 * np.max(a.diagonal() / kwargs["M"].diagonal())
         return w, v
 
-    monkeypatch.setattr("qgraph.spectral.spla.eigsh", shifted)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", shifted)
     monkeypatch.chdir(tmp_path)
     qg.save_graph(qg.interval_graph(1.0), "interval.json")
     assert main(["spectrum", "--graph", "interval.json", "--mesh", "32", "--modes", "4"]) == 3
@@ -269,7 +269,7 @@ def test_missed_eigenvalue_exits_3(tmp_path, monkeypatch, capsys):
     residual and orthonormality certificates; the inertia count below the
     last cluster catches the gap twice: exit 3."""
     eigsh = spla.eigsh
-    monkeypatch.setattr("qgraph.spectral.spla.eigsh",
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh",
                         lambda a, **kw: eigsh(a, **{**kw, "ncv": 60}))
     with pytest.raises(qg.QGraphNumericalError, match="50 eigenvalues lie below .* found 49"):
         qg.solve_spectrum(qg.star_graph([1.0] * 10), 256, 50)
