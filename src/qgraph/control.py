@@ -80,10 +80,12 @@ def _check_horizon(horizon: float) -> None:
 
 
 def _eta(mu: np.ndarray, t) -> np.ndarray:
-    """Integral of exp(-mu (t - s)) over [0, t], safe at mu = 0; broadcasts over t."""
+    """Integral of exp(-mu (t - s)) over [0, t], safe at mu = 0; broadcasts
+    over t.  Where mu t underflows to 0 the integral is t, as at mu = 0."""
     mu = np.asarray(mu, dtype=float)
-    safe = np.where(mu > 0, mu, 1.0)
-    return np.where(mu > 0, -np.expm1(-safe * t) / safe, t)
+    live = mu * t > 0
+    safe = np.where(live, mu, 1.0)
+    return np.where(live, -np.expm1(-safe * t) / safe, t)
 
 
 def _decay(lambdas: np.ndarray, t) -> np.ndarray:

@@ -142,6 +142,8 @@ def parse_noise(spec: str, graph: MetricGraph) -> NoiseModel:
         else:
             if not (isinstance(raw, list) and all(isinstance(row, list) for row in raw)):
                 raise TypeError(f"matrix must be a JSON array of arrays, got {raw!r:.40}")
+            if any(len(row) != graph.n for row in raw):
+                raise ValueError(f"every row of the matrix must hold {graph.n} entries")
             matrix = np.asarray([[_json_float(x, "noise matrix entry") for x in row]
                                  for row in raw])
     except (TypeError, ValueError) as exc:

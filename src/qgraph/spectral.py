@@ -10,9 +10,9 @@ problem  stiffness f = lambda mass f  approximate the spectrum of the
 same element count, so the mesh is laid out once as two tables, each
 edge's node dofs and coordinates (MeshLayout.nodes, .coords), which
 assembly, the analytic systems and the exports index.  The eigensolve
-seeds ARPACK's start and restart vectors, certifies its eigenvalue count
-and re-solves once with k more Lanczos vectors when the count falls
-short.
+slices the spectrum in closed form on small graphs whose c and p are
+constant on every edge (_sliced_pairs, no scipy.sparse or scipy.linalg)
+and runs seeded ARPACK otherwise (_lanczos_pairs).
 
 Every CSV table of the package is written by _write_csv (exports
 section), the one place that knows the dialect.
@@ -88,16 +88,53 @@ def _build_layout(graph: MetricGraph, elements_per_edge: int) -> MeshLayout:
     return MeshLayout(n_vertices=n, elements_per_edge=nel, nodes=nodes, coords=coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
+    """P1 element entries, one row per edge; the CSR matrices are built on
+    first use, so a solve that never reads them never loads scipy.sparse."""
+
     graph: MetricGraph
     layout: MeshLayout
-    stiffness: scipy.sparse.csr_matrix
-    mass: scipy.sparse.csr_matrix
+    k_diag: np.ndarray
+    k_off: np.ndarray
+
+    @cached_property
+    def m_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        h = self.layout.coords[:, -1:] / self.layout.elements_per_edge
+        return (np.broadcast_to(h / 3.0, self.k_diag.shape),
+                np.broadcast_to(h / 6.0, self.k_diag.shape))
+
+    stiffness = cached_property(lambda self: self._csr(self.k_diag, self.k_off))
+    mass = cached_property(lambda self: self._csr(*self.m_entries))
+
+    def _csr(self, diag, off):  # COO: each element's two diagonal entries, then two off
+        left, right = self.layout.nodes[:, :-1], self.layout.nodes[:, 1:]
+        rows, cols = np.hstack([left, right, left, right]), np.hstack([left, right, right, left])
+        values = np.hstack([diag, diag, off, off])
+        return scipy.sparse.coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())),
+                                       shape=(self.layout.total_dof,) * 2).tocsr()
+
+    def apply(self, diag, off, f: np.ndarray) -> np.ndarray:
+        """The matrix with element entries (diag, off) times each row of f."""
+        nodes = self.layout.nodes
+        v = f[:, nodes]  # rows x edges x nodes
+        out = np.zeros_like(f)
+        out[:, nodes[:, 1:-1]] = ((diag[:, :-1] + diag[:, 1:]) * v[..., 1:-1]
+                                  + off[:, :-1] * v[..., :-2] + off[:, 1:] * v[..., 2:])
+        np.add.at(out, (slice(None), nodes[:, 0]), diag[:, 0] * v[..., 0] + off[:, 0] * v[..., 1])
+        np.add.at(out, (slice(None), nodes[:, -1]), diag[:, -1] * v[..., -1] + off[:, -1] * v[..., -2])
+        return out
+
+    @cached_property
+    def _edge_data(self) -> tuple[np.ndarray, ...]:
+        """c, p, h and c/h of each edge, for edgewise-constant coefficients."""
+        c = np.array([e.diffusion.values[0] for e in self.graph.edges])
+        h = self.layout.coords[:, -1] / self.layout.elements_per_edge
+        return c, np.array([e.potential.values[0] for e in self.graph.edges]), h, c / h
 
 
 def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
-    """P1 stiffness and mass matrices with shared vertex dofs.
+    """P1 stiffness and mass with shared vertex dofs.
 
     elements_per_edge is the number of mesh cells per edge (>= 2), so
     edge j has spacing h_j = length_j / elements_per_edge.  Both
@@ -117,22 +154,9 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
     with np.errstate(over="ignore", invalid="ignore"):
         k_diag = c_mid / h + p_mid * h / 3.0
         k_off = -c_mid / h + p_mid * h / 6.0
-    m_diag = np.broadcast_to(h / 3.0, k_diag.shape)
-    m_off = np.broadcast_to(h / 6.0, k_diag.shape)
-
-    # COO entries edge by edge: each element's two diagonal entries, then its
-    # two off-diagonal ones
-    left, right = layout.nodes[:, :-1], layout.nodes[:, 1:]
-    r = np.hstack([left, right, left, right]).ravel()
-    c = np.hstack([left, right, right, left]).ravel()
-    k_vals = np.hstack([k_diag, k_diag, k_off, k_off]).ravel()
-    if not np.all(np.isfinite(k_vals)):
+    if not (np.all(np.isfinite(k_diag)) and np.all(np.isfinite(k_off))):
         raise ValueError("lengths and coefficients out of range: the stiffness overflows")
-    m_vals = np.hstack([m_diag, m_diag, m_off, m_off]).ravel()
-    shape = (layout.total_dof, layout.total_dof)
-    stiffness = scipy.sparse.coo_matrix((k_vals, (r, c)), shape=shape).tocsr()
-    mass = scipy.sparse.coo_matrix((m_vals, (r, c)), shape=shape).tocsr()
-    return DiscreteOperator(graph=graph, layout=layout, stiffness=stiffness, mass=mass)
+    return DiscreteOperator(graph=graph, layout=layout, k_diag=k_diag, k_off=k_off)
 
 
 @dataclass(frozen=True)
@@ -218,6 +242,216 @@ def _count_below(op: DiscreteOperator, sigma: float) -> int:
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
+# -- edgewise-constant graphs: spectrum slicing in closed form ----------------
+
+
+def _shift_system(op: DiscreteOperator, sigma: np.ndarray):
+    """K - sigma M reduced to the vertices and a border row per edge, at each
+    shift: (count, B, parts) stacked over sigma; count plus B's negative
+    inertia is the number of eigenvalues below the shift.
+
+    Per edge of N elements the entries a = c/h + (p - sigma) h/3, b = -c/h
+    + (p - sigma) h/6 give cos(theta) = -a/b; the interior block has
+    ceil(N theta/pi) - 1 negative eigenvalues, and eliminating it leaves
+    w [[cot N theta, -csc N theta], [-csc, cot]], w = -b sin(theta)
+    (Wittrick & Williams, Q. J. Mech. Appl. Math. 24, 1971), hyperbolic
+    below p and above p + 12 c/h^2.  Near a Dirichlet value (sin N theta =
+    0) its huge part becomes the border row, so B stays bounded; else the
+    row is decoupled above every eigenvalue.  parts rebuild interiors."""
+    c, p, h, c_h = op._edge_data
+    n, m, big_n = op.layout.n_vertices, len(c), op.layout.elements_per_edge
+    with np.errstate(all="ignore"):  # out-of-range scales are caught below
+        zh6 = (sigma[:, None] - p) * (h / 6.0)
+        a, b = c_h - 2.0 * zh6, -c_h - zh6
+        prod = (3.0 * zh6) * (zh6 - 2.0 * c_h)  # (a + b)(a - b), no cancellation
+        w, trig = np.sqrt(np.abs(prod)), prod < 0.0
+        turns = big_n / np.pi * np.arctan2(w, a)  # N theta / pi, where trig
+        k = np.rint(turns)
+        pole = trig & (k >= 1) & (k < big_n)  # the edges with a border row
+        eps, gam = np.sin(np.pi * turns), np.cos(np.pi * turns)
+        s = 1.0 - 2.0 * (k % 2)  # cos(k pi), the nearest Dirichlet value's pattern
+        one_g = 1.0 + s * gam
+        half = w * eps / (2.0 * one_g)
+        diag = np.where(pole, -s * half, w * gam / eps)
+        off = np.where(pole, -half, -w / eps)
+        count = np.maximum(k - 1, 0)
+        # hyperbolic edges: cosh(t) = |a/b|, |b| sinh(t) = w; floors keep t = 0, inf
+        bb, hyp = np.maximum(np.abs(b), 1e-200), ~trig
+        t = np.where(hyp, np.maximum(np.log1p(w * (w + np.abs(a) + bb) / ((np.abs(a) + bb) * bb)),
+                                     1e-300), 0.0)
+        flip = hyp & (a * b > 0.0)  # nodal values alternate in sign
+        sh = bb * np.sinh(t)
+        diag = np.where(hyp, np.sign(a) * sh / np.tanh(big_n * t), diag)
+        off = np.where(hyp, np.where(flip, (-1.0) ** (big_n - 1), 1.0) * np.sign(b) * sh
+                       / np.sinh(big_n * t), off)
+        count = np.where(hyp, np.where(a < 0.0, big_n - 1, 0), count)
+        scale = np.where(pole, np.sqrt(0.5 * w), 0.0)
+        bound = 8.0 * (n + m) * np.max(np.abs(np.hstack([diag, off, scale, np.ones_like(w)])),
+                                       axis=1, keepdims=True)
+        weights = [diag, diag, off, off, scale, scale, -s * scale, -s * scale,
+                   np.where(pole, -s * eps / one_g, bound)]
+    # scatter each edge's (t, t), (h, h), (t, h), (h, t), (y, t), (t, y), (y, h),
+    # (h, y), (y, y) entries: t, h its end vertices, y = n + j its border row
+    tail, head, y = op.layout.nodes[:, 0], op.layout.nodes[:, -1], n + np.arange(m)
+    size, shifts = n + m, len(sigma)
+    flat = np.concatenate([r * size + q for r, q in [(tail, tail), (head, head), (tail, head),
+                          (head, tail), (y, tail), (tail, y), (y, head), (head, y), (y, y)]])
+    matrix = np.bincount((flat + size * size * np.arange(shifts)[:, None]).ravel(),
+                         np.hstack(weights).ravel(), shifts * size * size)
+    matrix = matrix.reshape(shifts, size, size)
+    if not np.all(np.isfinite(matrix)):
+        raise QGraphNumericalError("the vertex system overflows: coefficients out of range")
+    parts = (trig, pole, np.pi / big_n * turns, eps, gam, s, one_g, scale, t, flip)
+    return count.sum(axis=1).astype(int), matrix, parts
+
+
+def _slice_count(op: DiscreteOperator, sigma) -> np.ndarray:
+    """Eigenvalues below each shift in sigma, in closed form."""
+    count, matrix, _ = _shift_system(op, np.atleast_1d(np.asarray(sigma, dtype=float)))
+    return count + np.count_nonzero(np.linalg.eigvalsh(matrix) < 0.0, axis=1)
+
+
+def _extend(op: DiscreteOperator, parts, x: np.ndarray) -> np.ndarray:
+    """Nodal vectors, one row each, from columns x of one shift's B: the
+    vertex values, and per edge the interior solution, its sine weight from
+    the border value if bordered.  A small miss d of the head value is
+    spread back as the ramp d i/N: a residual of order lambda d."""
+    trig, pole, theta, eps, gam, s, one_g, scale, t, flip = parts
+    lay = op.layout
+    n, big_n = lay.n_vertices, lay.elements_per_edge
+    u_t, u_h = x[lay.nodes[:, 0]], x[lay.nodes[:, -1]]  # edges x vectors
+    rows = np.flatnonzero(pole)
+    i = np.arange(1, big_n)
+    with np.errstate(all="ignore"):
+        second = (u_h - gam[:, None] * u_t) / eps[:, None]
+        second[rows] = (s[rows, None] * eps[rows, None] * u_t[rows]
+                        - x[n + rows] / scale[rows, None]) / one_g[rows, None]
+        first_b, second_b = np.cos(np.outer(theta, i)), np.sin(np.outer(theta, i))
+        if not trig.all():  # sinh(i t)/sinh(N t), stable for large N t, and sign pattern
+            hyp = np.flatnonzero(~trig)
+            ratio = (np.exp(np.outer(t[hyp], i - big_n)) * np.expm1(np.outer(-2.0 * t[hyp], i))
+                     / np.expm1(-2.0 * big_n * t[hyp])[:, None])
+            ratio *= np.where(flip[hyp, None], (-1.0) ** (big_n - i), 1.0)
+            first_b[hyp], second_b[hyp], second[hyp] = ratio[:, ::-1], ratio, u_h[hyp]
+    interior = u_t.T[..., None] * first_b + second.T[..., None] * second_b
+    missed = u_h[rows] - gam[rows, None] * u_t[rows] - eps[rows, None] * second[rows]
+    interior[:, rows] += missed.T[..., None] * (i / big_n)
+    f = np.empty((x.shape[1], lay.total_dof))
+    f[:, :n], f[:, lay.nodes[:, 1:-1]] = x[:n].T, interior
+    return f
+
+
+def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenpairs by spectrum slicing.  Counts on a grid bracket each
+    eigenvalue i, where B's ordered branch i - count meets zero; all are
+    refined at once, one stacked _shift_system per round, by Newton steps
+    on the slopes z^T B' z (to the next crossing from below, back along
+    the branch from above), bisecting outside the bracket.  Values within
+    SLICE_WINDOW form a cluster, its vectors the branches' null vectors;
+    Rayleigh-Ritz makes all vectors mass-orthonormal."""
+    c, p, h, _ = op._edge_data
+    lengths = op.layout.coords[:, -1]
+    unit = float(np.min(c / lengths**2))  # the graph's eigenvalue scale
+    floor, ceiling = float(np.min(p)), float(np.max(p + 12.0 * c / h**2)) * (1 + 1e-9) + unit
+    roots = np.arange(num_modes)
+    # a shift above num_modes eigenvalues, from Weyl's law, then a grid in sqrt(sigma)
+    top = float(np.max(p)) + (np.pi * (num_modes + op.layout.n_vertices)
+                              / np.sum(lengths / np.sqrt(c))) ** 2
+    while top < ceiling and _slice_count(op, top)[0] < num_modes:
+        top = floor + 4.0 * (top - floor)
+    grid = floor + (min(top, ceiling) - floor) * (np.arange(1, 2 * num_modes + 9)
+                                                  / (2 * num_modes + 8)) ** 2
+    known = np.concatenate([[floor - unit], grid, [ceiling]])
+    below = np.maximum.accumulate(np.concatenate([[0], _slice_count(op, grid),
+                                                  [op.layout.total_dof]]))
+    above = np.searchsorted(below, roots, side="right")
+    lo, hi = known[above - 1], known[above]
+    sigma = lo + (hi - lo) * (roots - below[above - 1] + 0.5) / (below[above] - below[above - 1])
+    sigma[0] = floor  # a uniform potential's constant mode sits exactly there
+
+    value, source = np.empty(num_modes), [None] * num_modes
+    todo, final = roots, np.zeros(num_modes, dtype=bool)
+    for _ in range(200):
+        if not len(todo):
+            break
+        shift = sigma[todo]
+        nudge = 1e-7 * np.maximum(np.abs(shift), unit)  # for the slopes' difference quotients
+        base, matrix, parts = _shift_system(op, np.concatenate([shift, shift + nudge]))
+        beta, z = np.linalg.eigh(matrix[:len(todo)])
+        # one form on both sides (the same border rows and patterns), or no slope
+        alike = np.all((parts[1][:len(todo)] == parts[1][len(todo):])
+                       & (parts[5][:len(todo)] == parts[5][len(todo):]), axis=1)
+        slopes = (matrix[len(todo):] - matrix[:len(todo)]) / np.where(alike, nudge, np.nan)[:, None, None]
+        base, parts = base[:len(todo)], tuple(q[:len(todo)] for q in parts)
+        below = base + np.count_nonzero(beta < 0.0, axis=1)
+        lo = np.maximum(lo, np.where(below <= roots[:, None], shift, -np.inf).max(axis=1))
+        hi = np.minimum(hi, np.where(below > roots[:, None], shift, np.inf).min(axis=1))
+        row, last = np.arange(len(todo)), beta.shape[1] - 1
+        branch = np.clip(todo - base, 0, last)
+        with np.errstate(all="ignore"):
+            rate = np.einsum("kir,kij,kjr->kr", z, slopes, z)  # Hellmann-Feynman
+            ahead = np.sort(np.where((rate < 0.0) & (beta >= 0.0), shift[:, None] - beta / rate,
+                                     np.inf), axis=1)[row, np.clip(todo - below, 0, last)]
+            back = shift - beta[row, branch] / np.where(rate[row, branch] < 0.0,
+                                                        rate[row, branch], np.nan)
+        step = np.where(below > todo, back, ahead)
+        singular = np.abs(beta[row, branch]) <= 8.0 * np.finfo(float).eps * np.max(
+            np.abs(beta), axis=1)  # B is singular to roundoff: the shift is the value
+        step = np.where(singular & (todo >= base), shift, step)
+        done = final[todo] | (np.abs(step - shift)
+                              <= tol.SLICE_WINDOW * np.maximum(np.abs(shift), unit))
+        for j in np.flatnonzero(done):
+            value[todo[j]] = shift[j] if final[todo[j]] else step[j]
+            source[todo[j]] = (z[j], tuple(q[j] for q in parts), int(base[j]))
+        todo, step = todo[~done], step[~done]
+        low, high = lo[todo], hi[todo]
+        final[todo] = ~(low < high)  # counts pin it: converge where it is
+        sigma[todo] = np.where((low < step) & (step < high), step,
+                               np.where(high > 4.0 * np.maximum(low, unit),
+                                        np.sqrt(np.maximum(low, unit) * high), 0.5 * (low + high)))
+    if len(todo):
+        raise QGraphNumericalError(f"spectrum slicing left {len(todo)} of {num_modes} "
+                                   "eigenvalues unresolved")
+
+    vectors, first = [], 0
+    while first < num_modes:  # a cluster: the values within the window of its first
+        last = first + int(np.count_nonzero(
+            value[first:] <= value[first] + tol.SLICE_WINDOW * max(abs(value[first]), unit)))
+        z, parts, base = source[first]
+        vectors.append(_extend(op, parts, z[:, first - base:last - base]))
+        first = last
+    f = np.concatenate(vectors)
+    k_p, m_p = f @ op.apply(op.k_diag, op.k_off, f).T, f @ op.apply(*op.m_entries, f).T
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky((m_p + m_p.T) / 2.0))
+    except np.linalg.LinAlgError as exc:
+        raise QGraphNumericalError(f"sliced eigenvectors are dependent: {exc}") from exc
+    w, y = np.linalg.eigh(inv @ (k_p + k_p.T) @ inv.T / 2.0)
+    return w, (inv.T @ y).T @ f
+
+
+def _lanczos_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenpairs by shift-invert Lanczos (ARPACK) about a negative
+    shift, so p = 0 stays factorizable, started from default_rng(0) normals
+    (all ones would miss modes orthogonal to the symmetric subspace) with
+    restarts from rng=0.  A solve whose count splu finds short is repeated
+    once with k more vectors than ARPACK's max(2k + 1, 20), k = num_modes."""
+    dof = op.layout.total_dof
+    v0 = np.random.default_rng(0).standard_normal(dof)
+    for ncv in (None, min(max(2 * num_modes + 1, 20) + num_modes, dof)):
+        try:
+            w, v = scipy.sparse.linalg.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0,
+                                             which="LM", v0=v0, ncv=ncv, rng=0)
+        except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
+            raise QGraphNumericalError(f"Lanczos iteration failed: {exc}") from exc
+        order = np.argsort(w)
+        w, v = w[order], v[:, order].T
+        last = _cluster_ranges(np.maximum(w, 0.0))[-1][0]
+        if not last or _count_below(op, 0.5 * (w[last - 1] + w[last])) == last:
+            break
+    return w, v
+
+
 def _check_num_modes(layout: MeshLayout, num_modes: int) -> None:
     """The eigensolve's bound on num_modes, which decide_feller checks too."""
     dof = layout.total_dof
@@ -228,75 +462,57 @@ def _check_num_modes(layout: MeshLayout, num_modes: int) -> None:
 def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     """Lowest eigenpairs of stiffness f = lambda mass f.
 
-    One path at every size: shift-invert Lanczos (ARPACK) about a
-    negative shift, so the singular p = 0 case stays factorizable,
-    started from a fixed generic vector (standard normals from
-    default_rng(0)), with ARPACK's restart vectors drawn from rng=0.  The
-    seeded start and restarts make the result a pure function of the
-    operator; a symmetric start such as all ones would miss the modes
-    orthogonal to the graph's symmetric subspace.  A lambda_0
-    below -EIG_RESIDUAL rho, with rho = max K_ii/M_ii the operator's
-    stiffness scale, is rejected; above it, negative roundoff is clamped
-    to zero.  The count of eigenvalues below the last cluster is
-    certified by the inertia of K - sigma M, with sigma in the gap below
-    that cluster; a solve that misses some is repeated once, with k more
-    Lanczos vectors than ARPACK's default max(2k + 1, 20) (k = num_modes),
-    and fails if that one misses some too.  Every pair, as ARPACK returns
-    it, must pass the residual and mass-orthonormality certificates
-    (EIG_RESIDUAL and ORTHONORMALITY).
-    Any failed certificate raises QGraphNumericalError.
-    Accuracy guidance: keep num_modes well below the dof count (one
-    order of magnitude).
+    The input picks the path.  With c and p constant on every edge and
+    n + m <= SLICE_MAX_ORDER, closed-form slicing (_sliced_pairs): its
+    count is exact, so it misses no member of a cluster, it has no random
+    start and it loads neither scipy.sparse nor scipy.linalg.  Its cost
+    grows as (n + m)^3 per shift, so larger graphs, and sampled
+    coefficients, which have no closed form, run seeded Lanczos.  A
+    lambda_0 below -EIG_RESIDUAL rho (rho = max K_ii/M_ii) is rejected,
+    negative roundoff above it clamped to zero.  The inertia of K - sigma
+    M (closed form, or splu) certifies the count below the last cluster;
+    each pair must pass the residual bound, ||r||_{M^-1} <= sqrt(3)
+    ||r||_{L^-1} with L the lumped mass (L/3 <= M <= L), and mass
+    orthonormality, or QGraphNumericalError.  Keep num_modes an order of
+    magnitude below the dof count.
     """
     _check_num_modes(op.layout, num_modes)
-    dof = op.layout.total_dof
+    m_diag, m_off = op.m_entries
+    ones = np.ones((1, op.layout.total_dof))
 
     # the operator's own stiffness scale rho bounds both the roundoff of a
     # zero mode, which is clamped, and the certified residuals
     with np.errstate(over="ignore", divide="ignore"):
-        rho = float(np.max(op.stiffness.diagonal() / op.mass.diagonal()))
+        rho = float(np.max(op.apply(op.k_diag, 0.0 * op.k_off, ones)
+                           / op.apply(m_diag, 0.0 * m_off, ones)))
     if not 0 < rho < np.inf:
         raise QGraphNumericalError(f"stiffness scale max K_ii/M_ii = {rho} out of range")
 
-    # ARPACK's default basis (2k + 1 Lanczos vectors, at least 20) can drop
-    # members of a wide cluster: a solve that fails the count certificate
-    # is repeated once, from the same start, with k vectors more
-    v0 = np.random.default_rng(0).standard_normal(dof)
-    for ncv in (None, min(max(2 * num_modes + 1, 20) + num_modes, dof)):
-        try:
-            w, v = scipy.sparse.linalg.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0,
-                                             which="LM", v0=v0, ncv=ncv, rng=0)
-        except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
-            raise QGraphNumericalError(f"Lanczos iteration failed: {exc}") from exc
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
-        if w[0] < -tol.EIG_RESIDUAL * rho:
-            raise QGraphNumericalError(f"spurious negative eigenvalue {w[0]}")
-        w = np.maximum(w, 0.0)
-        clusters = _cluster_ranges(w)
-        last = clusters[-1][0]
-        if not last:  # one cluster: nothing lies below it
-            break
+    sliced = (op.layout.n_vertices + len(op.layout.nodes) <= tol.SLICE_MAX_ORDER
+              and all(e.diffusion.is_constant and e.potential.is_constant for e in op.graph.edges))
+    w, v = (_sliced_pairs if sliced else _lanczos_pairs)(op, num_modes)
+    if w[0] < -tol.EIG_RESIDUAL * rho:
+        raise QGraphNumericalError(f"spurious negative eigenvalue {w[0]}")
+    w = np.maximum(w, 0.0)
+    clusters = _cluster_ranges(w)
+    last = clusters[-1][0]
+    if last:  # with a single cluster nothing lies below it
         sigma = 0.5 * (w[last - 1] + w[last])
-        below = _count_below(op, sigma)
-        if below == last:
-            break
-    else:
-        raise QGraphNumericalError(
-            f"{below} eigenvalues lie below {sigma:.6g} but the solve found {last}"
-        )
+        below = int(_slice_count(op, sigma)[0]) if sliced else _count_below(op, sigma)
+        if below != last:
+            raise QGraphNumericalError(
+                f"{below} eigenvalues lie below {sigma:.6g} but the solve found {last}")
 
-    # certificates: residual norms in the inverse-mass metric against rho,
-    # then mass orthonormality (by einsum: a threaded BLAS gemm wakes
-    # threads that then slow the next solve)
-    mv = op.mass @ v
-    r = op.stiffness @ v - mv * w
-    mass_lu = scipy.sparse.linalg.splu(op.mass.tocsc())
-    residuals = np.sqrt(np.abs(np.einsum("ik,ik->k", r, mass_lu.solve(r))))
+    # certificates, by stencils: residual norms against rho, then mass
+    # orthonormality (by einsum: a threaded BLAS gemm wakes threads that
+    # then slow the next solve)
+    mv = op.apply(m_diag, m_off, v)
+    r = op.apply(op.k_diag, op.k_off, v) - w[:, None] * mv
+    residuals = np.sqrt(3.0 * np.einsum("ki,ki->k", r, r / op.apply(m_diag, m_off, ones)))
     excess = np.max(residuals / (tol.EIG_RESIDUAL * (w + rho)))
     if not excess <= 1.0:
         raise QGraphNumericalError(f"eigenpair residual {excess:.3g} times its bound")
-    defect = np.max(np.abs(np.einsum("ik,il->kl", v, mv) - np.eye(num_modes)))
+    defect = np.max(np.abs(np.einsum("ki,li->kl", v, mv) - np.eye(num_modes)))
     if not defect <= tol.ORTHONORMALITY:
         raise QGraphNumericalError(f"eigenvectors not mass-orthonormal: defect {defect:.3g}")
 
@@ -307,7 +523,7 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
         graph=op.graph,
         layout=op.layout,
         lambdas=w,
-        vectors=np.ascontiguousarray(v.T),
+        vectors=np.ascontiguousarray(v),
         clusters=clusters,
         trusted=trusted,
         source="fem",

@@ -10,6 +10,12 @@ manifests can record the complete set.
 # Also the zero mode's roundoff: lambda_0 < -EIG_RESIDUAL * rho is rejected
 EIG_RESIDUAL = 1e-8
 
+# spectrum slicing: a Newton step under SLICE_WINDOW relative to the value
+# (or min c/length^2) converges, and values that close form one cluster;
+# slicing costs (n + m)^3 per shift, so larger graphs run Lanczos
+SLICE_WINDOW = 1e-12
+SLICE_MAX_ORDER = 64
+
 # mass orthonormality of eigenvectors: max |<f_j, f_k> - delta_jk|
 ORTHONORMALITY = 1e-8
 

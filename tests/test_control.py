@@ -16,6 +16,8 @@ def test_eta_limits():
     np.testing.assert_allclose(_eta(mu, 1.0), (1 - np.exp(-mu)) / mu)
     # continuous through zero
     np.testing.assert_allclose(_eta(np.array(1e-14), 1.0), 1.0, rtol=1e-10)
+    # a roundoff-sized rate at a horizon where mu t underflows: still t
+    assert np.array_equal(_eta(np.array([0.0, 3e-31, 1.0]), 1e-320), np.full(3, 1e-320))
 
 
 def test_zero_state_needs_no_control(interval_eig):

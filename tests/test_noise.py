@@ -80,11 +80,25 @@ def test_rejects_non_finite_intensities(star3):
     {"type": "full", "matrix": {"v1": 1.0}},
     [{"type": "diagonal", "q": {"v1": 1.0}}],
     "diagonal",
+    {"type": "full", "matrix": [[1, 0], [1]]},
 ])
 def test_parse_noise_malformed_json(tmp_path, star3, spec):
     p = tmp_path / "noise.json"
     p.write_text(json.dumps(spec))
     with pytest.raises(qg.QGraphValidationError):
+        parse_noise(str(p), star3)
+
+
+@pytest.mark.parametrize("matrix", [[[1, 0], [1]], [[1, 0, 0, 0]] * 3 + [[1, 0, 0]]],
+                         ids=["ragged", "short-last-row"])
+def test_parse_noise_names_the_row_rule(tmp_path, star3, matrix):
+    """A ragged full matrix is rejected by the rule it breaks, not by
+    numpy's shape message."""
+    p = tmp_path / "noise.json"
+    p.write_text(json.dumps({"type": "full", "matrix": matrix}))
+    with pytest.raises(qg.QGraphValidationError,
+                       match=r"^malformed full noise data: every row of the matrix "
+                             r"must hold 4 entries$"):
         parse_noise(str(p), star3)
 
 

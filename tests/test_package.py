@@ -64,9 +64,19 @@ import qgraph, qgraph.cli
 HEAVY = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "numpy.f2py")
 loaded = {"import": [m for m in HEAVY if m in sys.modules]}
 qgraph.save_graph(qgraph.star_graph([1.0, 1.0, 1.0]), "star.json")
-for name, argv in [("st-active", ["st-active", "--graph", "star.json"]),
-                   ("tree-rule", ["feller", "--graph", "star.json", "--noise", "diag:v1=1,v2=1"]),
-                   ("hautus", ["feller", "--graph", "star.json", "--noise", "diag:v1=1"])]:
+qgraph.save_graph(qgraph.interval_graph(1.0), "interval.json")
+sampled = qgraph.Coefficient.cell_samples([0.5, 1.0])
+qgraph.save_graph(qgraph.interval_graph(1.0, p=sampled), "sampled.json")
+for name, argv in [
+        ("st-active", ["st-active", "--graph", "star.json"]),
+        ("tree-rule", ["feller", "--graph", "star.json", "--noise", "diag:v1=1,v2=1"]),
+        ("hautus", ["feller", "--graph", "star.json", "--noise", "diag:v1=1"]),
+        ("spectrum", ["spectrum", "--graph", "star.json", "--mesh", "64", "--modes", "8"]),
+        ("control", ["control", "--graph", "interval.json", "--noise", "diag:v1=1",
+                     "--z0", "1=1", "--horizon", "1", "--mesh", "64", "--modes", "6"]),
+        ("invariant", ["invariant", "--graph", "star.json", "--noise", "diag:v1=1",
+                       "--mesh", "64", "--modes", "6"]),
+        ("sampled", ["spectrum", "--graph", "sampled.json", "--mesh", "32", "--modes", "4"])]:
     assert qgraph.cli.main(argv) == 0, name
     loaded[name] = [m for m in HEAVY if m in sys.modules]
 print(json.dumps(loaded))
@@ -74,12 +84,15 @@ print(json.dumps(loaded))
 
 
 def test_scipy_submodules_load_on_first_solve(tmp_path):
-    """Importing qgraph.cli, st-active and a tree-rule feller load none of
-    scipy's sparse and LAPACK modules (nor numpy.f2py, which scipy.sparse
-    pulls in); a Hautus feller, which solves, loads them."""
+    """Importing qgraph.cli, st-active, a tree-rule feller, and the solving
+    commands on edgewise-constant graphs (a Hautus feller, spectrum, control
+    and invariant on the unit star or interval) load none of scipy's sparse
+    and LAPACK modules (nor numpy.f2py, which scipy.sparse pulls in); the
+    first solve with sampled coefficients, which runs ARPACK, loads them."""
     src = str(Path(qg.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS], cwd=tmp_path, env={
         **os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded["import"] == loaded["st-active"] == loaded["tree-rule"] == []
-    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded["hautus"])
+    for name in ("import", "st-active", "tree-rule", "hautus", "spectrum", "control", "invariant"):
+        assert loaded[name] == [], name
+    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded["sampled"])

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgraph as qg
+from qgraph import spectral
+from qgraph import tolerances as tol
 from qgraph.cli import main
 from qgraph.spectral import _pair_mode, assemble, eigensolve
 
@@ -211,11 +215,30 @@ def _scale_first(v):
     return v
 
 
+def _sampled(graph):
+    """The same operator with c given as two equal samples on every edge:
+    sampled coefficients, so the eigensolve takes its Lanczos path."""
+    flat = qg.Coefficient.linear_samples([1.0, 1.0])
+    return qg.MetricGraph(vertices=graph.vertices, edges=tuple(
+        qg.Edge(e.id, e.tail, e.head, e.length, flat, e.potential) for e in graph.edges))
+
+
+def _exits_3(tmp_path, capsys, graph, argv, message):
+    """At the command line the failure exits 3 with one error line and no manifest."""
+    qg.save_graph(graph, tmp_path / "graph.json")
+    assert main(["spectrum", "--graph", str(tmp_path / "graph.json"), *argv,
+                 "--out", str(tmp_path / "spectrum.csv")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"numerical failure: {message}")
+    assert len(err.splitlines()) == 1 and not list(tmp_path.glob("*.manifest.json"))
+    return err
+
+
 @pytest.mark.parametrize("tamper,check", [(_perturb, "residual"),
                                           (_scale_first, "orthonormal")],
                          ids=["residual", "orthonormality"])
 def test_eigensolve_enforces_certificates(tmp_path, monkeypatch, capsys, tamper, check):
-    """Eigenpairs off by 1e-6 fail their certificate: in the library a
+    """Lanczos eigenpairs off by 1e-6 fail their certificate: in the library a
     QGraphNumericalError, at the command line exit 3 and no manifest."""
     eigsh = spla.eigsh
 
@@ -224,28 +247,44 @@ def test_eigensolve_enforces_certificates(tmp_path, monkeypatch, capsys, tamper,
         return w, tamper(v)
 
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", tampered)
-    g = qg.interval_graph(1.0)
+    g = _sampled(qg.interval_graph(1.0))
     with pytest.raises(qg.QGraphNumericalError, match=check):
         qg.solve_spectrum(g, 32, 4)
+    assert check in _exits_3(tmp_path, capsys, g, ["--mesh", "32", "--modes", "4"], "")
 
-    monkeypatch.chdir(tmp_path)
-    qg.save_graph(g, "interval.json")
-    assert main(["spectrum", "--graph", "interval.json", "--mesh", "32", "--modes", "4"]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("numerical failure:") and check in err
-    assert not list(tmp_path.glob("*.manifest.json"))
+
+@pytest.mark.parametrize("tamper,check", [(lambda v: _perturb(v.T).T, "eigenpair residual"),
+                                          (lambda v: _scale_first(v.T).T, "eigenvectors not")],
+                         ids=["residual", "orthonormality"])
+def test_sliced_eigenpairs_enforce_certificates(tmp_path, monkeypatch, capsys, tamper, check):
+    """The closed-form path's pairs pass the same certificates: vectors off
+    by 1e-6 fail them, in the library and at the command line."""
+    sliced = spectral._sliced_pairs
+    monkeypatch.setattr(spectral, "_sliced_pairs",
+                        lambda op, k: (lambda w, v: (w, tamper(v)))(*sliced(op, k)))
+    g = qg.star_graph([1.0, 1.0, 1.0])
+    with pytest.raises(qg.QGraphNumericalError, match=check):
+        qg.solve_spectrum(g, 32, 6)
+    _exits_3(tmp_path, capsys, g, ["--mesh", "32", "--modes", "6"], check)
 
 
 def test_zero_mode_roundoff_is_clamped():
     """A 1e-5 edge beside a 2.0 edge: the zero mode comes back from Lanczos
-    as a roundoff negative far below the operator's scale, and is clamped."""
+    as a roundoff negative far below the operator's scale, and is clamped.
+    The closed-form path has no negative roundoff: its zero mode is the
+    energy of a nearly constant vector, orders of magnitude below the
+    next eigenvalue."""
     for mesh, modes in ((1024, 1), (1024, 2), (4096, 2)):
-        eig = qg.solve_spectrum(qg.path_graph([1e-5, 2.0]), mesh, modes)
+        eig = qg.solve_spectrum(_sampled(qg.path_graph([1e-5, 2.0])), mesh, modes)
         assert eig.lambdas[0] == 0.0
+    for mesh in (1024, 4096):
+        eig = qg.solve_spectrum(qg.path_graph([1e-5, 2.0]), mesh, 2)
+        assert 0.0 <= eig.lambdas[0] <= 1e-15 * eig.lambdas[1]
 
 
 def test_negative_eigenvalue_on_operator_scale_exits_3(tmp_path, monkeypatch, capsys):
-    """lambda_0 = -1e-6 rho lies beyond roundoff of a zero mode: exit 3."""
+    """lambda_0 = -1e-6 rho lies beyond roundoff of a zero mode: exit 3, on
+    the Lanczos path and on the closed-form path."""
     eigsh = spla.eigsh
 
     def shifted(a, **kwargs):
@@ -254,40 +293,60 @@ def test_negative_eigenvalue_on_operator_scale_exits_3(tmp_path, monkeypatch, ca
         return w, v
 
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", shifted)
-    monkeypatch.chdir(tmp_path)
-    qg.save_graph(qg.interval_graph(1.0), "interval.json")
-    assert main(["spectrum", "--graph", "interval.json", "--mesh", "32", "--modes", "4"]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("numerical failure: spurious negative eigenvalue")
-    assert not list(tmp_path.glob("*.manifest.json"))
+    _exits_3(tmp_path, capsys, _sampled(qg.interval_graph(1.0)), ["--mesh", "32", "--modes", "4"],
+             "spurious negative eigenvalue")
+
+    sliced = spectral._sliced_pairs
+
+    def lowered(op, k):
+        w, v = sliced(op, k)
+        return np.concatenate([[-1e-6 * 3.0 * 32**2], w[1:]]), v
+
+    monkeypatch.setattr(spectral, "_sliced_pairs", lowered)
+    _exits_3(tmp_path, capsys, qg.interval_graph(1.0), ["--mesh", "32", "--modes", "4"],
+             "spurious negative eigenvalue")
 
 
 def test_missed_eigenvalue_exits_3(tmp_path, monkeypatch, capsys):
     """With 60 Lanczos vectors on both attempts (the default is 2k + 1 =
     101, the re-solve 3k + 1 = 151) ARPACK drops a member of a 9-fold
-    cluster of the 10-star, and every pair it returns still passes the
-    residual and orthonormality certificates; the inertia count below the
-    last cluster catches the gap twice: exit 3."""
+    cluster of the 10-star with sampled coefficients, and every pair it
+    returns still passes the residual and orthonormality certificates; the
+    inertia count below the last cluster catches the gap twice: exit 3."""
     eigsh = spla.eigsh
     monkeypatch.setattr("scipy.sparse.linalg.eigsh",
                         lambda a, **kw: eigsh(a, **{**kw, "ncv": 60}))
+    star10 = _sampled(qg.star_graph([1.0] * 10))
     with pytest.raises(qg.QGraphNumericalError, match="50 eigenvalues lie below .* found 49"):
+        qg.solve_spectrum(star10, 256, 50)
+    _exits_3(tmp_path, capsys, star10, ["--mesh", "256", "--modes", "50"],
+             "50 eigenvalues lie below")
+
+
+def test_sliced_count_deficit_exits_3(tmp_path, monkeypatch, capsys):
+    """A slicing result missing one member of a 9-fold cluster of the
+    10-star (forced) fails the closed-form count certificate, with the
+    Lanczos path's message: exit 3."""
+    sliced = spectral._sliced_pairs
+    monkeypatch.setattr(spectral, "_sliced_pairs", lambda op, k: (
+        lambda w, v: (np.delete(w, 1), np.delete(v, 1, axis=0)))(*sliced(op, k)))
+    with pytest.raises(qg.QGraphNumericalError,
+                       match=r"^41 eigenvalues lie below \S+ but the solve found 40$"):
         qg.solve_spectrum(qg.star_graph([1.0] * 10), 256, 50)
-    monkeypatch.chdir(tmp_path)
-    qg.save_graph(qg.star_graph([1.0] * 10), "star10.json")
-    assert main(["spectrum", "--graph", "star10.json", "--mesh", "256", "--modes", "50"]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("numerical failure: 50 eigenvalues lie below")
-    assert len(err.splitlines()) == 1 and not list(tmp_path.glob("*.manifest.json"))
+    _exits_3(tmp_path, capsys, qg.star_graph([1.0] * 10), ["--mesh", "256", "--modes", "50"],
+             "41 eigenvalues lie below")
 
 
-@pytest.mark.parametrize("n,mesh,modes", [(20, 32, 20), (20, 128, 20), (20, 64, 60),
-                                          (10, 16, 40), (30, 32, 60),
-                                          (4, 32, 4), (5, 16, 4), (6, 16, 4)])
-def test_wide_clusters_are_re_solved(n, mesh, modes):
-    """Equilateral stars whose (n - 1)-fold clusters the default Lanczos
-    basis cuts short: the re-solve finds every member, at the P1 values."""
-    eig = qg.solve_spectrum(qg.star_graph([1.0] * n), mesh, modes)
+# equilateral stars whose (n - 1)-fold clusters single-vector Lanczos cuts
+# short: the first eight recover in its re-solve, the last eight did not
+RE_SOLVED = [(20, 32, 20), (20, 128, 20), (20, 64, 60), (10, 16, 40), (30, 32, 60),
+             (4, 32, 4), (5, 16, 4), (6, 16, 4)]
+LANCZOS_MISSED = [(13, 16, 12), (18, 16, 12), (19, 16, 12), (19, 32, 12), (20, 16, 12),
+                  (22, 32, 11), (23, 64, 9), (26, 16, 12)]
+
+
+def _check_star_clusters(eig, n, mesh, modes):
+    """Every cluster of the n-star is complete and sits at its P1 value."""
     sizes, c = [], 0
     while sum(sizes) < modes:
         sizes.append(min(1 + (n - 2) * (c % 2), modes - sum(sizes)))
@@ -299,18 +358,141 @@ def test_wide_clusters_are_re_solved(n, mesh, modes):
     assert np.all(np.abs(eig.lambdas - p1) <= 1e-6 * np.maximum(exact, 1.0))
 
 
+@pytest.mark.parametrize("n,mesh,modes", RE_SOLVED + LANCZOS_MISSED)
+def test_wide_clusters_are_re_solved(n, mesh, modes):
+    """The closed-form count misses no member of a wide cluster."""
+    _check_star_clusters(qg.solve_spectrum(qg.star_graph([1.0] * n), mesh, modes), n, mesh, modes)
+
+
+@pytest.mark.parametrize("n,mesh,modes", RE_SOLVED)
+def test_lanczos_re_solve_recovers_wide_clusters(monkeypatch, n, mesh, modes):
+    """With sampled coefficients the first Lanczos solve falls short of the
+    count, and the re-solve with k more vectors recovers every member."""
+    eigsh, calls = spla.eigsh, []
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh",
+                        lambda a, **kw: calls.append(kw["ncv"]) or eigsh(a, **kw))
+    eig = qg.solve_spectrum(_sampled(qg.star_graph([1.0] * n)), mesh, modes)
+    assert calls == [None, max(2 * modes + 1, 20) + modes]
+    _check_star_clusters(eig, n, mesh, modes)
+
+
 @pytest.mark.parametrize("mesh,modes", [(256, 30), (64, 6)])
 def test_repeated_solves_are_identical(mesh, modes):
-    """The seeded Lanczos start and restarts make the eigensystem a pure
-    function of its input, also inside the 9-fold clusters of the 10-star
-    (at mesh 64 with 6 modes ARPACK restarts)."""
-    g = qg.star_graph([1.0] * 10)
-    first = qg.solve_spectrum(g, mesh, modes)
-    second = qg.solve_spectrum(g, mesh, modes)
-    assert first.layout.total_dof == 10 * mesh + 1
-    assert max(b - a for a, b in first.clusters) == min(9, modes - 1)
-    assert np.array_equal(first.lambdas, second.lambdas)
-    assert np.array_equal(first.vectors, second.vectors)
+    """The eigensystem is a pure function of its input, also inside the
+    9-fold clusters of the 10-star: on the closed-form path, and on the
+    Lanczos path with its seeded start and restarts (at mesh 64 with 6
+    modes ARPACK restarts)."""
+    for g in (qg.star_graph([1.0] * 10), _sampled(qg.star_graph([1.0] * 10))):
+        first = qg.solve_spectrum(g, mesh, modes)
+        second = qg.solve_spectrum(g, mesh, modes)
+        assert first.layout.total_dof == 10 * mesh + 1
+        assert max(b - a for a, b in first.clusters) == min(9, modes - 1)
+        assert np.array_equal(first.lambdas, second.lambdas)
+        assert np.array_equal(first.vectors, second.vectors)
+
+
+def _p1_dirichlet(c, p, length, mesh, k):
+    """The k-th Dirichlet eigenvalue of one edge's interior block."""
+    h = length / mesh
+    cos = np.cos(k * np.pi / mesh)
+    return p + 6.0 * c / h**2 * (1.0 - cos) / (2.0 + cos)
+
+
+@st.composite
+def _constant_graphs(draw):
+    """Small edgewise-constant graphs: loops, repeated edges, p > 0, and
+    lengths 1 and 1 + 1e-8, whose Dirichlet values nearly coincide."""
+    n = draw(st.integers(2, 4))
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]  # a spanning tree
+    ends += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    vertices = [f"v{i}" for i in range(n)]
+    edges = []
+    for j, (a, b) in enumerate(ends):
+        length = draw(st.sampled_from([1.0, 1.0 + 1e-8, 0.6, 1.7]))
+        c = draw(st.sampled_from([1.0, 0.5, 2.0]))
+        p = draw(st.sampled_from([0.0, 0.0, 0.5, 3.0]))
+        edges.append(qg.Edge(f"e{j}", vertices[a], vertices[b], length,
+                             qg.Coefficient.const(c), qg.Coefficient.const(p)))
+    return qg.MetricGraph(vertices=tuple(vertices), edges=tuple(edges))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(graph=_constant_graphs(), mesh=st.integers(2, 12), data=st.data())
+def test_closed_form_count_matches_the_inertia_count(graph, mesh, data):
+    """The closed-form count equals _count_below's splu inertia of K - sigma M,
+    at shifts across the whole spectrum, below p, and on and next to the
+    edges' Dirichlet values; where sigma is an eigenvalue to within 1e-9
+    either count may fall on either side."""
+    op = assemble(graph, mesh)
+    edge = data.draw(st.sampled_from(graph.edges))
+    c, p = edge.diffusion.values[0], edge.potential.values[0]
+    dirichlet = _p1_dirichlet(c, p, edge.length, mesh, data.draw(st.integers(1, mesh - 1)))
+    top = max(e.potential.values[0] + 12.0 * e.diffusion.values[0] * (mesh / e.length) ** 2
+              for e in graph.edges)
+    sigma = data.draw(st.one_of(
+        st.floats(-1.0, 1.05 * top),
+        st.sampled_from([dirichlet, dirichlet * (1 + 1e-12), dirichlet * (1 - 1e-12),
+                         dirichlet * (1 + 1e-9), dirichlet * (1 - 1e-9), p, 0.5 * p])))
+    lam = np.linalg.eigvalsh(np.linalg.solve(np.linalg.cholesky(op.mass.toarray()),
+                                             np.linalg.solve(np.linalg.cholesky(op.mass.toarray()),
+                                                             op.stiffness.toarray()).T))
+    slack = 1e-9 * max(abs(sigma), 1.0)
+    low, high = np.count_nonzero(lam < sigma - slack), np.count_nonzero(lam < sigma + slack)
+    closed = int(spectral._slice_count(op, sigma)[0])
+    assert low <= closed <= high
+    try:
+        inertia = spectral._count_below(op, sigma)
+    except qg.QGraphNumericalError:  # splu met an exactly singular pivot
+        return
+    assert low <= inertia <= high
+    if low == high:
+        assert closed == inertia
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(graph=_constant_graphs(), mesh=st.sampled_from([64, 256, 1024]), data=st.data())
+def test_closed_form_count_matches_the_inertia_count_on_fine_meshes(graph, mesh, data):
+    """At the meshes commands solve on, where N theta/pi is large and shifts
+    near Dirichlet values round hardest, the closed-form count equals the
+    splu inertia count.  splu's unpivoted inertia is itself unreliable
+    within about 1e-9 of a multiple eigenvalue, so it is read 1e-6 either
+    side of sigma: where the two agree, no eigenvalue lies between them
+    and the closed form must match; else it must lie between them."""
+    op = assemble(graph, mesh)
+    edge = data.draw(st.sampled_from(graph.edges))
+    c, p = edge.diffusion.values[0], edge.potential.values[0]
+    k = data.draw(st.sampled_from([1, 2, mesh // 2, mesh - 2, mesh - 1]))
+    dirichlet = _p1_dirichlet(c, p, edge.length, mesh, k)
+    top = max(e.potential.values[0] + 12.0 * e.diffusion.values[0] * (mesh / e.length) ** 2
+              for e in graph.edges)
+    sigma = data.draw(st.one_of(
+        st.floats(-1.0, 1.05 * top),
+        st.floats(-1.0, 2000.0),
+        st.sampled_from([dirichlet, dirichlet * (1 + 1e-12), dirichlet * (1 - 1e-12),
+                         dirichlet * (1 + 1e-9), dirichlet * (1 - 1e-9), p, 0.5 * p])))
+    slack = 1e-6 * max(abs(sigma), 1.0)
+    low, high = spectral._count_below(op, sigma - slack), spectral._count_below(op, sigma + slack)
+    closed = int(spectral._slice_count(op, sigma)[0])
+    assert low <= closed <= high
+    if low == high:
+        assert closed == low
+
+
+@pytest.mark.parametrize("edges,sliced", [(30, True), (32, False)])
+def test_large_graphs_run_lanczos(monkeypatch, edges, sliced):
+    """Slicing's cost grows as (n + m)^3 per shift: an edgewise-constant
+    graph with a vertex system above SLICE_MAX_ORDER runs Lanczos."""
+    calls = []
+    eigsh = spla.eigsh
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh",
+                        lambda a, **kw: calls.append(kw["ncv"]) or eigsh(a, **kw))
+    graph = qg.path_graph([1.0] * edges)
+    assert (graph.n + graph.m <= tol.SLICE_MAX_ORDER) == sliced
+    eig = qg.solve_spectrum(graph, 16, 8)
+    assert bool(calls) != sliced
+    x = np.arange(8) * np.pi / edges / 16  # sqrt(lambda) h, for the interval's P1 values
+    assert np.allclose(eig.lambdas, 6.0 * 16**2 * (1.0 - np.cos(x)) / (2.0 + np.cos(x)),
+                       rtol=1e-9, atol=1e-12)
 
 
 def test_constant_kernel_mode(star3_eig):
