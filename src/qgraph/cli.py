@@ -195,13 +195,14 @@ def _cmd_invariant(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMod
     eig = solve_spectrum(graph, args.mesh, args.modes)
     report = invariant_measure_check(eig, noise, horizons=horizons)
     print(f"invariant measure exists: {'Yes' if report.exists else 'No'}")
+    print(f"unique: {'Yes' if report.unique else 'No'}")
     print(f"rule: {report.rule}")
     print(f"lambda_0 = {report.lambda0:.10g}")
     for t, total, kern in zip(report.horizons, report.hs_totals, report.kernel_terms):
         print(f"  T={t:g}: variance sum {total:.10g} (kernel term {kern:.10g})")
     if args.out:
         _write_json(args.out, report.to_json())
-    return {"exists": report.exists, "rule": report.rule}
+    return {"exists": report.exists, "unique": report.unique, "rule": report.rule}
 
 
 def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-import scipy  # scipy.linalg, named at the call, loads on first use, not at import
 
 from . import tolerances as tol
 from .control import (
@@ -42,7 +41,6 @@ from .control import (
     _variance_sums,
 )
 from .errors import QGraphNumericalError
-from .graphs import Coefficient
 from .noise import NoiseModel
 from .spectral import EigenSystem, _write_csv
 
@@ -83,10 +81,35 @@ def _exact_mean(lambdas: np.ndarray, z0: np.ndarray, t) -> np.ndarray:
     return _decay(lambdas, np.asarray(t, dtype=float)[..., None]) * z0
 
 
+def _pivoted_cholesky(a: np.ndarray, stop: float) -> np.ndarray:
+    """Lower factor L, n x r, of a symmetric PSD matrix, L L^T = a up to the
+    pivots left out: step j pivots on the largest remaining diagonal, less the
+    squares of the columns before it, and the loop stops once that pivot is
+    not above stop (Higham 1990; LAPACK dpstf2's order).  Rows come back in
+    the input's order."""
+    a = np.array(a, dtype=float)
+    n = len(a)
+    order, sums = np.arange(n), np.zeros(n)
+    rank = 0
+    for j in range(n):
+        if j:
+            sums[j:] += a[j:, j - 1] ** 2
+        p = j + int(np.argmax(np.diagonal(a)[j:] - sums[j:]))
+        pivot = a[p, p] - sums[p]
+        if not pivot > stop:  # NaN stops too
+            break
+        for v in (a, a.T, sums, order):  # symmetric swap of j and p
+            v[[j, p]] = v[[p, j]]
+        a[j, j] = np.sqrt(pivot)
+        a[j + 1 :, j] = (a[j + 1 :, j] - a[j + 1 :, :j] @ a[j, :j]) / a[j, j]
+        rank = j + 1
+    return np.tril(a[:, :rank])[np.argsort(order)]
+
+
 def _innovation_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Rank-revealing factor F, k x r, with F F^T the innovation covariance.
 
-    Pivoted Cholesky (LAPACK dpstrf) of the correlation matrix D^(-1/2) cov
+    The numpy loop _pivoted_cholesky on the correlation matrix D^(-1/2) cov
     D^(-1/2) of the modes with variance, stopped once no pivot exceeds
     INNOVATION_DROP, scaled back by D^(1/2): one large variance (the kernel
     mode at a long horizon) cannot swamp the others, and zero-variance modes
@@ -99,13 +122,12 @@ def _innovation_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
         raise QGraphNumericalError("innovation covariance is not positive semidefinite")
     sd = np.sqrt(d[live])
     corr = cov[np.ix_(live, live)] / np.outer(sd, sd)
-    c, piv, rank, _ = scipy.linalg.lapack.dpstrf(corr, tol=tol.INNOVATION_DROP, lower=1)
-    unit = np.tril(c)[np.argsort(piv), :rank]  # rows back in mode order
+    unit = _pivoted_cholesky(corr, tol.INNOVATION_DROP)
     dropped = float(np.max(np.abs(corr - unit @ unit.T), initial=0.0))
     if not dropped <= tol.INNOVATION_DROP:
         raise QGraphNumericalError("innovation covariance is not positive semidefinite: "
                                    f"dropped residual {dropped:.3g} > {tol.INNOVATION_DROP:g}")
-    factor = np.zeros((len(d), rank), order="F")  # F.T is C-contiguous, for the draws
+    factor = np.zeros((len(d), unit.shape[1]), order="F")  # F.T is C-contiguous, for the draws
     factor[live] = sd[:, None] * unit
     return factor, dropped
 
@@ -415,17 +437,18 @@ def regularity_profile(
 
 @dataclass(frozen=True)
 class InvariantMeasureReport:
-    """Existence of a stationary law, with the reasoning made explicit.
+    """Existence and uniqueness of a stationary law, with the reasoning made explicit.
 
-    A positive bottom eigenvalue gives exponential stability outright.
-    Without potential the constant mode is exactly neutral, and
-    everything hinges on whether the noise feeds it: the kernel term of
-    the variance sum grows linearly in the horizon when it does.
+    Any positive potential gives one, by exponential stability.  Without
+    potential the constant mode is exactly neutral: if the noise feeds it,
+    the kernel term of the variance sum grows linearly in the horizon and
+    there is none; if not, the mean is conserved, one law per mean value.
     hs_partial_sums[i][k] is the cumulative variance sum over modes
     0..k at horizons[i].
     """
 
     exists: bool
+    unique: bool
     rule: str
     lambda0: float
     kernel_residual: float
@@ -441,6 +464,7 @@ class InvariantMeasureReport:
     def to_json(self) -> dict:
         return {
             "exists": "Yes" if self.exists else "No",
+            "unique": "Yes" if self.unique else "No",
             "rule": self.rule,
             "lambda0": float(self.lambda0),
             "kernel_residual": float(self.kernel_residual),
@@ -457,12 +481,14 @@ def invariant_measure_check(
     horizons=(1.0, 2.0, 4.0),
     num_modes: int | None = None,
 ) -> InvariantMeasureReport:
-    """Decide existence of an invariant measure from the resolved spectrum.
+    """Decide existence and uniqueness of an invariant measure from the
+    graph and the noise.
 
-    lambda_0 above the gap tolerance settles it.  Otherwise the verdict
-    is only attempted for zero potential, where lambda_0 = 0 is exact
-    rather than a discretization accident; with potential present but no
-    resolved gap the honest answer is an error, not a guess.
+    A connected graph with c > 0 and p >= 0 has lambda_0 > 0 exactly when
+    some potential value is positive, however small, so the rule reads the
+    potential, not the computed lambda_0.  Without potential, the constant
+    mode's noise-weighted traces decide: zero (to TRACE_ZERO) leaves the
+    mean conserved, nonzero makes its variance grow linearly.
     """
     k_total = _modes_in_play(eig, num_modes)
     if not bool(eig.trusted[0]):
@@ -480,20 +506,16 @@ def invariant_measure_check(
     lam0 = float(lam[0])
     kernel_residual = float(np.linalg.norm(channels[0]))
 
-    if lam0 > tol.SPECTRAL_GAP:
-        exists, rule = True, "exponential-stability"
-    elif any(e.potential != Coefficient.const(0.0) for e in eig.graph.edges):
-        raise QGraphNumericalError(
-            f"potential present but bottom eigenvalue {lam0} is below the "
-            f"gap tolerance; refine the mesh to resolve the sign"
-        )
+    if any(max(e.potential.values) > 0 for e in eig.graph.edges):
+        exists, unique, rule = True, True, "exponential-stability"
     elif kernel_residual <= tol.TRACE_ZERO:
-        exists, rule = True, "noise-invisible-to-kernel"
+        exists, unique, rule = True, False, "noise-invisible-to-kernel"
     else:
-        exists, rule = False, "kernel-mode-noise"
+        exists, unique, rule = False, False, "kernel-mode-noise"
 
     return InvariantMeasureReport(
         exists=exists,
+        unique=unique,
         rule=rule,
         lambda0=lam0,
         kernel_residual=kernel_residual,

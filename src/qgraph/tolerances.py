@@ -32,9 +32,6 @@ RATIONAL_RATIO = 1e-12
 # ratio that needs a deeper order leaves the verdict Unknown
 RATIONAL_MAX_ORDER = 64
 
-# spectral gap below which lambda_0 counts as zero
-SPECTRAL_GAP = 1e-8
-
 # a discrete mode is trusted when lambda * h_max^2 <= this
 TRUSTED_LAMBDA_H2 = 0.1
 

@@ -54,7 +54,7 @@ def test_spectrum_command(workdir, star_file, capsys):
     assert mode_out.read_text().splitlines()[0] == "edge,x,value"
     manifest = json.loads((workdir / "spectrum.csv.manifest.json").read_text())
     assert manifest["command"] == "spectrum"
-    assert len(manifest["tolerances"]) == 17
+    assert len(manifest["tolerances"]) == 16
     assert manifest["tolerances"]["rational_max_order"] == 64
     assert set(manifest["versions"]) == {"qgraph", "numpy", "scipy", "python"}
     assert manifest["config"]["mesh"] == 64
@@ -125,9 +125,9 @@ def test_invariant_command(workdir, interval_file, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "invariant measure exists: No" in text
-    assert "rule: kernel-mode-noise" in text
+    assert "unique: No\nrule: kernel-mode-noise" in text
     manifest = json.loads((workdir / "qgraph-invariant.manifest.json").read_text())
-    assert manifest["exists"] is False
+    assert manifest["exists"] is False and manifest["unique"] is False
 
     # a noise matrix with coupling is recorded whole
     matrix = [[1.0, 0.5], [0.5, 1.0]]

@@ -76,6 +76,8 @@ for name, argv in [
                      "--z0", "1=1", "--horizon", "1", "--mesh", "64", "--modes", "6"]),
         ("invariant", ["invariant", "--graph", "star.json", "--noise", "diag:v1=1",
                        "--mesh", "64", "--modes", "6"]),
+        ("simulate", ["simulate", "--graph", "interval.json", "--noise", "diag:v1=1",
+                      "--samples", "200", "--steps", "20", "--modes", "6"]),
         ("sampled", ["spectrum", "--graph", "sampled.json", "--mesh", "32", "--modes", "4"])]:
     assert qgraph.cli.main(argv) == 0, name
     loaded[name] = [m for m in HEAVY if m in sys.modules]
@@ -85,14 +87,15 @@ print(json.dumps(loaded))
 
 def test_scipy_submodules_load_on_first_solve(tmp_path):
     """Importing qgraph.cli, st-active, a tree-rule feller, and the solving
-    commands on edgewise-constant graphs (a Hautus feller, spectrum, control
-    and invariant on the unit star or interval) load none of scipy's sparse
-    and LAPACK modules (nor numpy.f2py, which scipy.sparse pulls in); the
-    first solve with sampled coefficients, which runs ARPACK, loads them."""
+    commands on edgewise-constant graphs (a Hautus feller, spectrum, control,
+    invariant and simulate on the unit star or interval) load none of scipy's
+    sparse and LAPACK modules (nor numpy.f2py, which scipy.sparse pulls in);
+    the first solve with sampled coefficients, which runs ARPACK, loads them."""
     src = str(Path(qg.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS], cwd=tmp_path, env={
         **os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     loaded = json.loads(done.stdout.splitlines()[-1])
-    for name in ("import", "st-active", "tree-rule", "hautus", "spectrum", "control", "invariant"):
+    for name in ("import", "st-active", "tree-rule", "hautus", "spectrum", "control", "invariant",
+                 "simulate"):
         assert loaded[name] == [], name
     assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded["sampled"])

@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgraph as qg
 from qgraph import sim
@@ -10,7 +13,7 @@ from qgraph import tolerances as tol
 from qgraph.control import _eta
 from qgraph.errors import QGraphNumericalError
 from qgraph.noise import NoiseModel
-from qgraph.sim import _innovation_factor
+from qgraph.sim import _innovation_factor, _pivoted_cholesky
 
 PI2 = np.pi**2
 
@@ -404,6 +407,45 @@ def test_innovation_factor_reports_rank_and_dropped():
     assert not np.any(factor[3])
 
 
+def _lapack_factor(corr):
+    """The reference: LAPACK's pivoted Cholesky, rows back in input order."""
+    c, piv, rank, _ = scipy.linalg.lapack.dpstrf(corr, tol=tol.INNOVATION_DROP, lower=1)
+    return np.tril(c)[np.argsort(piv), :rank]
+
+
+def _correlation(cov):
+    sd = np.sqrt(np.diag(cov))
+    return cov / np.outer(sd, sd)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(k=st.integers(1, 40), rank=st.integers(1, 40), ridge=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_pivoted_cholesky_matches_lapack(k, rank, ridge, seed):
+    """The numpy loop takes LAPACK dpstrf's pivots on random B B^T
+    correlation matrices of any rank, with and without a ridge, and its
+    factor reproduces the matrix within the innovation tolerance."""
+    b = np.random.default_rng(seed).standard_normal((k, min(rank, k)))
+    corr = _correlation(b @ b.T + (1e-3 * np.eye(k) if ridge else 0.0))
+    factor, ref = _pivoted_cholesky(corr, tol.INNOVATION_DROP), _lapack_factor(corr)
+    assert factor.shape == ref.shape
+    assert np.max(np.abs(factor - ref), initial=0.0) <= 1e-12
+    assert np.max(np.abs(corr - factor @ factor.T)) <= tol.INNOVATION_DROP
+
+
+def test_pivoted_cholesky_matches_lapack_on_the_benchmark_job():
+    """The benchmark's interval at mesh 64, 10 modes and 200 steps: both
+    factors keep 7 directions of the per-step innovation."""
+    g = qg.interval_graph(1.0)
+    eig = qg.solve_spectrum(g, 64, 10)
+    ens = qg.simulate(eig, NoiseModel.from_diagonal(g, {"v1": 1.0}), [], 1.0, 200, 1)
+    lam = ens.lambdas
+    cov = (ens.channels @ ens.channels.T) * _eta(lam[:, None] + lam[None, :], 1 / 200)
+    corr = _correlation(cov)
+    assert ens.innovation_rank == _lapack_factor(corr).shape[1] == 7
+    assert _pivoted_cholesky(corr, tol.INNOVATION_DROP).shape == (10, 7)
+
+
 def test_ensemble_carries_innovation_rank(interval_eig, star3_analytic):
     ens = qg.simulate(interval_eig, _interval_noise(interval_eig), [], 1.0, 4, 2, num_modes=4)
     assert ens.innovation_rank == 4 and ens.innovation_dropped <= tol.INNOVATION_DROP
@@ -536,11 +578,44 @@ def test_invariant_rejects_non_finite_horizons(interval_eig):
 
 
 def test_invariant_ambiguous_gap_raises():
-    g = qg.interval_graph(p=1e-12)
-    eig = qg.solve_spectrum(g, 64, 4)
-    nm = NoiseModel.from_diagonal(g, {"v1": 1.0})
-    with pytest.raises(QGraphNumericalError, match="potential present but bottom eigenvalue"):
-        qg.invariant_measure_check(eig, nm)
+    """A potential far below what the mesh resolves still makes lambda_0 > 0
+    exactly: the answer is a unique measure, not a request to refine."""
+    for p in (1e-9, 1e-12):
+        g = qg.interval_graph(p=p)
+        eig = qg.solve_spectrum(g, 64, 4)
+        nm = NoiseModel.from_diagonal(g, {"v1": 1.0})
+        report = qg.invariant_measure_check(eig, nm)
+        assert report.exists and report.unique and report.rule == "exponential-stability"
+        assert report.to_json()["exists"] == report.to_json()["unique"] == "Yes"
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=st.data(), star=st.booleans(), lengths=st.lists(st.sampled_from([0.5, 1.0, 1.5]),
+                                                             min_size=1, max_size=4))
+def test_invariant_follows_the_three_cases(data, star, lengths):
+    """Any positive potential: one measure.  Zero potential: none when the
+    noise feeds the constants (Q 1 != 0), one per mean value when not."""
+    p = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-12, 1e-6, 1.0]),
+                           min_size=len(lengths), max_size=len(lengths)))
+    g = (qg.star_graph if star else qg.path_graph)(lengths, p=p)
+    n = len(g.vertices)
+    b = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((n, 2))
+    if data.draw(st.booleans()):  # coupled noise, blind to the constants or not
+        if data.draw(st.booleans()):
+            b -= b.mean(axis=0)
+        q = b @ b.T
+    else:
+        q = np.diag([float(x) for x in data.draw(st.lists(
+            st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))])
+    eig = qg.solve_spectrum(g, 16, 4)
+    report = qg.invariant_measure_check(eig, NoiseModel.from_matrix(g, q))
+    if any(x > 0 for x in p):
+        expect = (True, True, "exponential-stability")
+    elif np.linalg.norm(q @ np.ones(n)) <= 1e-12:
+        expect = (True, False, "noise-invisible-to-kernel")
+    else:
+        expect = (False, False, "kernel-mode-noise")
+    assert (report.exists, report.unique, report.rule) == expect
 
 
 def test_invariant_untrusted_bottom_raises():
