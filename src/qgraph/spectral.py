@@ -12,7 +12,9 @@ edge's node dofs and coordinates (MeshLayout.nodes, .coords), which
 assembly, the analytic systems and the exports index.  The eigensolve
 slices the spectrum in closed form on small graphs whose c and p are
 constant on every edge (_sliced_pairs, no scipy.sparse or scipy.linalg)
-and runs seeded ARPACK otherwise (_lanczos_pairs).
+and runs seeded ARPACK otherwise (_lanczos_pairs).  Slicing refines the
+members of a multiple eigenvalue once, at one shared shift, and takes
+its slopes one-sided where an edge's border pattern changes form.
 
 Every CSV table of the package is written by _write_csv (exports
 section), the one place that knows the dialect.
@@ -116,13 +118,18 @@ class DiscreteOperator:
 
     def apply(self, diag, off, f: np.ndarray) -> np.ndarray:
         """The matrix with element entries (diag, off) times each row of f."""
-        nodes = self.layout.nodes
-        v = f[:, nodes]  # rows x edges x nodes
-        out = np.zeros_like(f)
-        out[:, nodes[:, 1:-1]] = ((diag[:, :-1] + diag[:, 1:]) * v[..., 1:-1]
-                                  + off[:, :-1] * v[..., :-2] + off[:, 1:] * v[..., 2:])
-        np.add.at(out, (slice(None), nodes[:, 0]), diag[:, 0] * v[..., 0] + off[:, 0] * v[..., 1])
-        np.add.at(out, (slice(None), nodes[:, -1]), diag[:, -1] * v[..., -1] + off[:, -1] * v[..., -2])
+        lay = self.layout
+        n, tail, head = lay.n_vertices, f[:, lay.nodes[:, 0]], f[:, lay.nodes[:, -1]]
+        v = f[:, n:].reshape(len(f), len(lay.nodes), -1)  # rows x edges x interior nodes
+        out = np.zeros(f.shape)  # C order, so w is a view of its interior part
+        w = out[:, n:].reshape(v.shape)  # each entry sums its three terms in order
+        np.multiply(diag[:, :-1] + diag[:, 1:], v, out=w)
+        w[..., 0] += off[:, 0] * tail
+        w[..., 1:] += off[:, 1:-1] * v[..., :-1]
+        w[..., :-1] += off[:, 1:-1] * v[..., 1:]
+        w[..., -1] += off[:, -1] * head
+        np.add.at(out, (slice(None), lay.nodes[:, 0]), diag[:, 0] * tail + off[:, 0] * v[..., 0])
+        np.add.at(out, (slice(None), lay.nodes[:, -1]), diag[:, -1] * head + off[:, -1] * v[..., -1])
         return out
 
     @cached_property
@@ -131,6 +138,16 @@ class DiscreteOperator:
         c = np.array([e.diffusion.values[0] for e in self.graph.edges])
         h = self.layout.coords[:, -1] / self.layout.elements_per_edge
         return c, np.array([e.potential.values[0] for e in self.graph.edges]), h, c / h
+
+    @cached_property
+    def _scatter(self) -> np.ndarray:
+        """Where _shift_system puts each edge's (t, t), (h, h), (t, h), (h, t),
+        (y, t), (t, y), (y, h), (h, y), (y, y) entries, flat in its n + m
+        square: t, h the edge's end vertices, y = n + j its border row."""
+        n, m = self.layout.n_vertices, len(self.layout.nodes)
+        tail, head, y = self.layout.nodes[:, 0], self.layout.nodes[:, -1], n + np.arange(m)
+        return np.concatenate([r * (n + m) + q for r, q in [(tail, tail), (head, head), (tail, head),
+                               (head, tail), (y, tail), (tail, y), (y, head), (head, y), (y, y)]])
 
 
 def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
@@ -290,13 +307,8 @@ def _shift_system(op: DiscreteOperator, sigma: np.ndarray):
                                        axis=1, keepdims=True)
         weights = [diag, diag, off, off, scale, scale, -s * scale, -s * scale,
                    np.where(pole, -s * eps / one_g, bound)]
-    # scatter each edge's (t, t), (h, h), (t, h), (h, t), (y, t), (t, y), (y, h),
-    # (h, y), (y, y) entries: t, h its end vertices, y = n + j its border row
-    tail, head, y = op.layout.nodes[:, 0], op.layout.nodes[:, -1], n + np.arange(m)
     size, shifts = n + m, len(sigma)
-    flat = np.concatenate([r * size + q for r, q in [(tail, tail), (head, head), (tail, head),
-                          (head, tail), (y, tail), (tail, y), (y, head), (head, y), (y, y)]])
-    matrix = np.bincount((flat + size * size * np.arange(shifts)[:, None]).ravel(),
+    matrix = np.bincount((op._scatter + size * size * np.arange(shifts)[:, None]).ravel(),
                          np.hstack(weights).ravel(), shifts * size * size)
     matrix = matrix.reshape(shifts, size, size)
     if not np.all(np.isfinite(matrix)):
@@ -311,33 +323,38 @@ def _slice_count(op: DiscreteOperator, sigma) -> np.ndarray:
     return count + np.count_nonzero(np.linalg.eigvalsh(matrix) < 0.0, axis=1)
 
 
-def _extend(op: DiscreteOperator, parts, x: np.ndarray) -> np.ndarray:
-    """Nodal vectors, one row each, from columns x of one shift's B: the
-    vertex values, and per edge the interior solution, its sine weight from
-    the border value if bordered.  A small miss d of the head value is
-    spread back as the ramp d i/N: a residual of order lambda d."""
-    trig, pole, theta, eps, gam, s, one_g, scale, t, flip = parts
+def _extend(op: DiscreteOperator, parts, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Nodal vectors, one row each, from the columns x of B's null vectors,
+    column v at the shift whose parts are row owner[v] of parts: the vertex
+    values, and per edge the interior solution, its sine weight from the
+    border value if bordered.  Each shift's trig tables are built once and
+    applied to all its vectors by one matmul.  A small miss d of the head
+    value is spread back as the ramp d i/N: a residual of order lambda d."""
+    trig, pole, theta, eps, gam, s, one_g, scale, t, flip = parts  # shifts x edges
     lay = op.layout
-    n, big_n = lay.n_vertices, lay.elements_per_edge
-    u_t, u_h = x[lay.nodes[:, 0]], x[lay.nodes[:, -1]]  # edges x vectors
-    rows = np.flatnonzero(pole)
+    n, big_n, shifts = lay.n_vertices, lay.elements_per_edge, len(trig)
+    u_t, u_h = x[lay.nodes[:, 0]].T, x[lay.nodes[:, -1]].T  # vectors x edges
+    bordered, g, e = pole[owner], gam[owner], eps[owner]
     i = np.arange(1, big_n)
     with np.errstate(all="ignore"):
-        second = (u_h - gam[:, None] * u_t) / eps[:, None]
-        second[rows] = (s[rows, None] * eps[rows, None] * u_t[rows]
-                        - x[n + rows] / scale[rows, None]) / one_g[rows, None]
-        first_b, second_b = np.cos(np.outer(theta, i)), np.sin(np.outer(theta, i))
+        second = np.where(bordered, (s[owner] * e * u_t - x[n:].T / scale[owner]) / one_g[owner],
+                          np.where(trig[owner], (u_h - g * u_t) / e, u_h))
+        missed = np.where(bordered, u_h - g * u_t - e * second, 0.0)
+        first_b, second_b = np.cos(theta[..., None] * i), np.sin(theta[..., None] * i)
         if not trig.all():  # sinh(i t)/sinh(N t), stable for large N t, and sign pattern
-            hyp = np.flatnonzero(~trig)
-            ratio = (np.exp(np.outer(t[hyp], i - big_n)) * np.expm1(np.outer(-2.0 * t[hyp], i))
+            hyp = ~trig
+            ratio = (np.exp(t[hyp][:, None] * (i - big_n)) * np.expm1((-2.0 * t[hyp])[:, None] * i)
                      / np.expm1(-2.0 * big_n * t[hyp])[:, None])
-            ratio *= np.where(flip[hyp, None], (-1.0) ** (big_n - i), 1.0)
-            first_b[hyp], second_b[hyp], second[hyp] = ratio[:, ::-1], ratio, u_h[hyp]
-    interior = u_t.T[..., None] * first_b + second.T[..., None] * second_b
-    missed = u_h[rows] - gam[rows, None] * u_t[rows] - eps[rows, None] * second[rows]
-    interior[:, rows] += missed.T[..., None] * (i / big_n)
-    f = np.empty((x.shape[1], lay.total_dof))
-    f[:, :n], f[:, lay.nodes[:, 1:-1]] = x[:n].T, interior
+            ratio *= np.where(flip[hyp][:, None], (-1.0) ** (big_n - i), 1.0)
+            first_b[hyp], second_b[hyp] = ratio[:, ::-1], ratio
+    # vector v weighs its own shift's tables: rows owner[v] and shifts + owner[v]
+    weights = np.zeros((len(lay.nodes), len(owner), 2 * shifts))
+    col = np.arange(len(owner))
+    weights[:, col, owner], weights[:, col, shifts + owner] = u_t.T, second.T
+    interior = weights @ np.concatenate([first_b, second_b]).transpose(1, 0, 2)
+    interior += missed.T[..., None] * (i / big_n)
+    f = np.empty((len(owner), lay.total_dof))
+    f[:, :n], f[:, n:] = x[:n].T, interior.transpose(1, 0, 2).reshape(len(owner), -1)
     return f
 
 
@@ -346,9 +363,17 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
     eigenvalue i, where B's ordered branch i - count meets zero; all are
     refined at once, one stacked _shift_system per round, by Newton steps
     on the slopes z^T B' z (to the next crossing from below, back along
-    the branch from above), bisecting outside the bracket.  Values within
-    SLICE_WINDOW form a cluster, its vectors the branches' null vectors;
-    Rayleigh-Ritz makes all vectors mass-orthonormal."""
+    the branch from above), bisecting outside the bracket.  The roots of
+    one grid bracket share a shift, the step of their lowest unconverged
+    member, so a multiple eigenvalue is refined once, with B and its eigh
+    formed once per distinct shift; each member still converges on its
+    own branch, so distinct roots part by their counts.  Slopes are
+    forward differences, but where shift + nudge changes an edge's border
+    pattern (N theta/pi a half-integer, where the star's anti-symmetric
+    eigenvalues sit) backward ones, from a second call; a change on both
+    sides leaves no slope, and bisection.  Values within SLICE_WINDOW form
+    a cluster, its vectors the branches' null vectors, all extended in one
+    pass; Rayleigh-Ritz makes all vectors mass-orthonormal."""
     c, p, h, _ = op._edge_data
     lengths = op.layout.coords[:, -1]
     unit = float(np.min(c / lengths**2))  # the graph's eigenvalue scale
@@ -364,32 +389,41 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
     known = np.concatenate([[floor - unit], grid, [ceiling]])
     below = np.maximum.accumulate(np.concatenate([[0], _slice_count(op, grid),
                                                   [op.layout.total_dof]]))
-    above = np.searchsorted(below, roots, side="right")
-    lo, hi = known[above - 1], known[above]
-    sigma = lo + (hi - lo) * (roots - below[above - 1] + 0.5) / (below[above] - below[above - 1])
-    sigma[0] = floor  # a uniform potential's constant mode sits exactly there
+    group = np.searchsorted(below, roots, side="right")  # each root's bracket
+    lo, hi = known[group - 1], known[group]
+    sigma = lo + 0.5 * (hi - lo) / (below[group] - below[group - 1])  # its lowest member's start
+    sigma[group == group[0]] = floor  # a uniform potential's constant mode sits exactly there
 
     value, source = np.empty(num_modes), [None] * num_modes
     todo, final = roots, np.zeros(num_modes, dtype=bool)
     for _ in range(200):
         if not len(todo):
             break
-        shift = sigma[todo]
+        fresh = np.concatenate([[True], np.diff(sigma[todo]) != 0.0])  # a bracket's roots adjoin
+        shift, at = sigma[todo][fresh], np.cumsum(fresh) - 1  # one row per distinct shift
+        k = len(shift)
         nudge = 1e-7 * np.maximum(np.abs(shift), unit)  # for the slopes' difference quotients
         base, matrix, parts = _shift_system(op, np.concatenate([shift, shift + nudge]))
-        beta, z = np.linalg.eigh(matrix[:len(todo)])
-        # one form on both sides (the same border rows and patterns), or no slope
-        alike = np.all((parts[1][:len(todo)] == parts[1][len(todo):])
-                       & (parts[5][:len(todo)] == parts[5][len(todo):]), axis=1)
-        slopes = (matrix[len(todo):] - matrix[:len(todo)]) / np.where(alike, nudge, np.nan)[:, None, None]
-        base, parts = base[:len(todo)], tuple(q[:len(todo)] for q in parts)
+        beta, z = np.linalg.eigh(matrix[:k])
+        form = np.concatenate([parts[1], parts[5]], axis=1)  # border rows and patterns
+        slopes = (matrix[k:] - matrix[:k]) / nudge[:, None, None]
+        turned = np.flatnonzero(np.any(form[:k] != form[k:], axis=1))
+        if len(turned):  # shift + nudge changes B's form: the slope from below, or none
+            lower, q = _shift_system(op, shift[turned] - nudge[turned])[1:]
+            alike = np.all(form[turned] == np.concatenate([q[1], q[5]], axis=1), axis=1)
+            slopes[turned] = (np.where(alike[:, None, None], matrix[turned] - lower, np.nan)
+                              / nudge[turned, None, None])
+        with np.errstate(invalid="ignore"):
+            rate = np.sum(z * (slopes @ z), axis=1)  # Hellmann-Feynman, per branch
+        base, parts = base[:k], tuple(q[:k] for q in parts)
+        # from here on one row per root, at its shift
+        shift, base, beta, rate = shift[at], base[at], beta[at], rate[at]
         below = base + np.count_nonzero(beta < 0.0, axis=1)
         lo = np.maximum(lo, np.where(below <= roots[:, None], shift, -np.inf).max(axis=1))
         hi = np.minimum(hi, np.where(below > roots[:, None], shift, np.inf).min(axis=1))
         row, last = np.arange(len(todo)), beta.shape[1] - 1
         branch = np.clip(todo - base, 0, last)
         with np.errstate(all="ignore"):
-            rate = np.einsum("kir,kij,kjr->kr", z, slopes, z)  # Hellmann-Feynman
             ahead = np.sort(np.where((rate < 0.0) & (beta >= 0.0), shift[:, None] - beta / rate,
                                      np.inf), axis=1)[row, np.clip(todo - below, 0, last)]
             back = shift - beta[row, branch] / np.where(rate[row, branch] < 0.0,
@@ -402,25 +436,27 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
                               <= tol.SLICE_WINDOW * np.maximum(np.abs(shift), unit))
         for j in np.flatnonzero(done):
             value[todo[j]] = shift[j] if final[todo[j]] else step[j]
-            source[todo[j]] = (z[j], tuple(q[j] for q in parts), int(base[j]))
+            source[todo[j]] = (z[at[j]], tuple(q[at[j]] for q in parts), int(base[j]))
         todo, step = todo[~done], step[~done]
         low, high = lo[todo], hi[todo]
         final[todo] = ~(low < high)  # counts pin it: converge where it is
-        sigma[todo] = np.where((low < step) & (step < high), step,
-                               np.where(high > 4.0 * np.maximum(low, unit),
-                                        np.sqrt(np.maximum(low, unit) * high), 0.5 * (low + high)))
+        step = np.where((low < step) & (step < high), step,
+                        np.where(high > 4.0 * np.maximum(low, unit),
+                                 np.sqrt(np.maximum(low, unit) * high), 0.5 * (low + high)))
+        lead = np.searchsorted(group[todo], group[todo])  # each bracket's lowest member
+        sigma[todo] = np.where(final[todo], step, step[lead])  # a pinned root keeps its own
     if len(todo):
         raise QGraphNumericalError(f"spectrum slicing left {len(todo)} of {num_modes} "
                                    "eigenvalues unresolved")
 
-    vectors, first = [], 0
+    spans, first = [], 0
     while first < num_modes:  # a cluster: the values within the window of its first
-        last = first + int(np.count_nonzero(
-            value[first:] <= value[first] + tol.SLICE_WINDOW * max(abs(value[first]), unit)))
-        z, parts, base = source[first]
-        vectors.append(_extend(op, parts, z[:, first - base:last - base]))
-        first = last
-    f = np.concatenate(vectors)
+        spans.append((first, first + int(np.count_nonzero(
+            value[first:] <= value[first] + tol.SLICE_WINDOW * max(abs(value[first]), unit)))))
+        first = spans[-1][1]
+    x = np.hstack([source[a][0][:, a - source[a][2]:b - source[a][2]] for a, b in spans])
+    parts = tuple(np.array(q) for q in zip(*(source[a][1] for a, _ in spans)))
+    f = _extend(op, parts, x, np.repeat(np.arange(len(spans)), [b - a for a, b in spans]))
     k_p, m_p = f @ op.apply(op.k_diag, op.k_off, f).T, f @ op.apply(*op.m_entries, f).T
     try:
         inv = np.linalg.inv(np.linalg.cholesky((m_p + m_p.T) / 2.0))
@@ -503,16 +539,14 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
             raise QGraphNumericalError(
                 f"{below} eigenvalues lie below {sigma:.6g} but the solve found {last}")
 
-    # certificates, by stencils: residual norms against rho, then mass
-    # orthonormality (by einsum: a threaded BLAS gemm wakes threads that
-    # then slow the next solve)
+    # certificates, by stencils: residual norms against rho, then mass orthonormality
     mv = op.apply(m_diag, m_off, v)
     r = op.apply(op.k_diag, op.k_off, v) - w[:, None] * mv
     residuals = np.sqrt(3.0 * np.einsum("ki,ki->k", r, r / op.apply(m_diag, m_off, ones)))
     excess = np.max(residuals / (tol.EIG_RESIDUAL * (w + rho)))
     if not excess <= 1.0:
         raise QGraphNumericalError(f"eigenpair residual {excess:.3g} times its bound")
-    defect = np.max(np.abs(np.einsum("ki,li->kl", v, mv) - np.eye(num_modes)))
+    defect = np.max(np.abs(v @ mv.T - np.eye(num_modes)))
     if not defect <= tol.ORTHONORMALITY:
         raise QGraphNumericalError(f"eigenvectors not mass-orthonormal: defect {defect:.3g}")
 

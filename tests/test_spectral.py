@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -476,6 +477,37 @@ def test_closed_form_count_matches_the_inertia_count_on_fine_meshes(graph, mesh,
     assert low <= closed <= high
     if low == high:
         assert closed == low
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(graph=_constant_graphs(), mesh=st.integers(2, 12), data=st.data())
+def test_sliced_eigenvalues_match_a_dense_solve(graph, mesh, data):
+    """The members of a multiple eigenvalue share one refinement, yet
+    distinct near-coincident roots (lengths 1 and 1 + 1e-8) stay apart:
+    every sliced eigenvalue is within 1e-10 of a dense generalized solve of
+    the assembled K and M, and each gap of the sliced values has the dense
+    count below its midpoint."""
+    op = assemble(graph, mesh)
+    num_modes = data.draw(st.integers(1, op.layout.total_dof - 1))
+    lam = eigensolve(op, num_modes).lambdas
+    dense = sla.eigh(op.stiffness.toarray(), op.mass.toarray(), eigvals_only=True)
+    assert np.all(np.abs(lam - dense[:num_modes]) <= 1e-10 * np.maximum(dense[:num_modes], 1.0))
+    for k in np.flatnonzero(np.diff(lam) > 4e-10 * np.maximum(lam[1:], 1.0)) + 1:
+        assert np.count_nonzero(dense < 0.5 * (lam[k - 1] + lam[k])) == k
+
+
+@pytest.mark.parametrize("n,mesh,modes,most", [(10, 64, 50, 300), (3, 1024, 20, 300)])
+def test_multiple_eigenvalues_are_refined_once(monkeypatch, n, mesh, modes, most):
+    """The 9-fold clusters of the 10-star share one shift per round (722
+    shifts when each member was refined on its own), and at the star's
+    anti-symmetric eigenvalues, where an edge's border pattern changes,
+    the slope is taken from below instead of bisecting (422 shifts)."""
+    shift_system, shifts = spectral._shift_system, []
+    monkeypatch.setattr(spectral, "_shift_system",
+                        lambda op, sigma: shifts.append(len(sigma)) or shift_system(op, sigma))
+    eig = qg.solve_spectrum(qg.star_graph([1.0] * n), mesh, modes)
+    assert sum(shifts) <= most
+    _check_star_clusters(eig, n, mesh, modes)
 
 
 @pytest.mark.parametrize("edges,sliced", [(30, True), (32, False)])
