@@ -12,9 +12,12 @@ edge's node dofs and coordinates (MeshLayout.nodes, .coords), which
 assembly, the analytic systems and the exports index.  The eigensolve
 slices the spectrum in closed form on small graphs whose c and p are
 constant on every edge (_sliced_pairs, no scipy.sparse or scipy.linalg)
-and runs seeded ARPACK otherwise (_lanczos_pairs).  Slicing refines the
-members of a multiple eigenvalue once, at one shared shift, and takes
-its slopes one-sided where an edge's border pattern changes form.
+and runs seeded ARPACK otherwise (_lanczos_pairs).  Slicing starts each
+eigenvalue's Newton refinement at the lower end of its grid bracket,
+whose count is known, bisects the bracket where a step leaves it,
+refines the members of a multiple eigenvalue once, at one shared shift,
+and takes its slopes one-sided where an edge's border pattern changes
+form.
 
 Every CSV table of the package is written by _write_csv (exports
 section), the one place that knows the dialect.
@@ -125,8 +128,9 @@ class DiscreteOperator:
         w = out[:, n:].reshape(v.shape)  # each entry sums its three terms in order
         np.multiply(diag[:, :-1] + diag[:, 1:], v, out=w)
         w[..., 0] += off[:, 0] * tail
-        w[..., 1:] += off[:, 1:-1] * v[..., :-1]
-        w[..., :-1] += off[:, 1:-1] * v[..., 1:]
+        inner = np.multiply(off[:, 1:-1], v[..., :-1])  # one buffer for both neighbours' terms
+        w[..., 1:] += inner
+        w[..., :-1] += np.multiply(off[:, 1:-1], v[..., 1:], out=inner)
         w[..., -1] += off[:, -1] * head
         np.add.at(out, (slice(None), lay.nodes[:, 0]), diag[:, 0] * tail + off[:, 0] * v[..., 0])
         np.add.at(out, (slice(None), lay.nodes[:, -1]), diag[:, -1] * head + off[:, -1] * v[..., -1])
@@ -292,16 +296,18 @@ def _shift_system(op: DiscreteOperator, sigma: np.ndarray):
         diag = np.where(pole, -s * half, w * gam / eps)
         off = np.where(pole, -half, -w / eps)
         count = np.maximum(k - 1, 0)
-        # hyperbolic edges: cosh(t) = |a/b|, |b| sinh(t) = w; floors keep t = 0, inf
-        bb, hyp = np.maximum(np.abs(b), 1e-200), ~trig
-        t = np.where(hyp, np.maximum(np.log1p(w * (w + np.abs(a) + bb) / ((np.abs(a) + bb) * bb)),
-                                     1e-300), 0.0)
-        flip = hyp & (a * b > 0.0)  # nodal values alternate in sign
-        sh = bb * np.sinh(t)
-        diag = np.where(hyp, np.sign(a) * sh / np.tanh(big_n * t), diag)
-        off = np.where(hyp, np.where(flip, (-1.0) ** (big_n - 1), 1.0) * np.sign(b) * sh
-                       / np.sinh(big_n * t), off)
-        count = np.where(hyp, np.where(a < 0.0, big_n - 1, 0), count)
+        hyp = ~trig
+        t, flip = np.zeros_like(w), np.zeros_like(trig)
+        if hyp.any():  # hyperbolic edges: cosh(t) = |a/b|, |b| sinh(t) = w; floors keep t = 0, inf
+            bb = np.maximum(np.abs(b), 1e-200)
+            t = np.where(hyp, np.maximum(np.log1p(w * (w + np.abs(a) + bb) / ((np.abs(a) + bb) * bb)),
+                                         1e-300), 0.0)
+            flip = hyp & (a * b > 0.0)  # nodal values alternate in sign
+            sh = bb * np.sinh(t)
+            diag = np.where(hyp, np.sign(a) * sh / np.tanh(big_n * t), diag)
+            off = np.where(hyp, np.where(flip, (-1.0) ** (big_n - 1), 1.0) * np.sign(b) * sh
+                           / np.sinh(big_n * t), off)
+            count = np.where(hyp, np.where(a < 0.0, big_n - 1, 0), count)
         scale = np.where(pole, np.sqrt(0.5 * w), 0.0)
         bound = 8.0 * (n + m) * np.max(np.abs(np.hstack([diag, off, scale, np.ones_like(w)])),
                                        axis=1, keepdims=True)
@@ -363,43 +369,50 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
     eigenvalue i, where B's ordered branch i - count meets zero; all are
     refined at once, one stacked _shift_system per round, by Newton steps
     on the slopes z^T B' z (to the next crossing from below, back along
-    the branch from above), bisecting outside the bracket.  The roots of
-    one grid bracket share a shift, the step of their lowest unconverged
-    member, so a multiple eigenvalue is refined once, with B and its eigh
-    formed once per distinct shift; each member still converges on its
-    own branch, so distinct roots part by their counts.  Slopes are
-    forward differences, but where shift + nudge changes an edge's border
-    pattern (N theta/pi a half-integer, where the star's anti-symmetric
-    eigenvalues sit) backward ones, from a second call; a change on both
-    sides leaves no slope, and bisection.  Values within SLICE_WINDOW form
-    a cluster, its vectors the branches' null vectors, all extended in one
-    pass; Rayleigh-Ritz makes all vectors mass-orthonormal."""
+    the branch from above).  Each bracket starts at its lower end, whose
+    count is already known (the first at floor, where a uniform
+    potential's constant mode sits), so Newton advances from below
+    instead of bisecting toward a root that sits next to that end.  Every
+    count narrows a root's bracket [lo, hi]; a step that leaves it is
+    replaced by its midpoint, or by the geometric mean of max(lo, unit)
+    and hi where hi is more than 4 times that.  The roots of one bracket
+    share a shift, the step of their lowest unconverged member, until
+    their counts part them, so a multiple eigenvalue is refined once, with
+    B and its eigh formed once per distinct shift; each member still
+    converges on its own branch.  Slopes are forward differences, but
+    where shift + nudge changes an edge's border pattern (N theta/pi a
+    half-integer, where the star's anti-symmetric eigenvalues sit)
+    backward ones, from a second call; a change on both sides leaves no
+    slope, and bisection.  Values within SLICE_WINDOW form a cluster, its
+    vectors the branches' null vectors, all extended in one pass;
+    Rayleigh-Ritz makes all vectors mass-orthonormal."""
     c, p, h, _ = op._edge_data
     lengths = op.layout.coords[:, -1]
     unit = float(np.min(c / lengths**2))  # the graph's eigenvalue scale
     floor, ceiling = float(np.min(p)), float(np.max(p + 12.0 * c / h**2)) * (1 + 1e-9) + unit
     roots = np.arange(num_modes)
-    # a shift above num_modes eigenvalues, from Weyl's law, then a grid in sqrt(sigma)
+    # a grid in sqrt(sigma) up to a shift from Weyl's law, widened until num_modes lie below
     top = float(np.max(p)) + (np.pi * (num_modes + op.layout.n_vertices)
                               / np.sum(lengths / np.sqrt(c))) ** 2
-    while top < ceiling and _slice_count(op, top)[0] < num_modes:
+    while True:
+        grid = floor + (min(top, ceiling) - floor) * (np.arange(1, 2 * num_modes + 9)
+                                                      / (2 * num_modes + 8)) ** 2
+        counts = _slice_count(op, grid)
+        if top >= ceiling or counts[-1] >= num_modes:
+            break
         top = floor + 4.0 * (top - floor)
-    grid = floor + (min(top, ceiling) - floor) * (np.arange(1, 2 * num_modes + 9)
-                                                  / (2 * num_modes + 8)) ** 2
     known = np.concatenate([[floor - unit], grid, [ceiling]])
-    below = np.maximum.accumulate(np.concatenate([[0], _slice_count(op, grid),
-                                                  [op.layout.total_dof]]))
+    below = np.maximum.accumulate(np.concatenate([[0], counts, [op.layout.total_dof]]))
     group = np.searchsorted(below, roots, side="right")  # each root's bracket
     lo, hi = known[group - 1], known[group]
-    sigma = lo + 0.5 * (hi - lo) / (below[group] - below[group - 1])  # its lowest member's start
-    sigma[group == group[0]] = floor  # a uniform potential's constant mode sits exactly there
+    sigma = np.maximum(lo, floor)  # the lower ends; a uniform potential's constant mode is floor
 
     value, source = np.empty(num_modes), [None] * num_modes
     todo, final = roots, np.zeros(num_modes, dtype=bool)
     for _ in range(200):
         if not len(todo):
             break
-        fresh = np.concatenate([[True], np.diff(sigma[todo]) != 0.0])  # a bracket's roots adjoin
+        fresh = np.concatenate([[True], np.diff(sigma[todo]) != 0.0])  # a run's roots adjoin
         shift, at = sigma[todo][fresh], np.cumsum(fresh) - 1  # one row per distinct shift
         k = len(shift)
         nudge = 1e-7 * np.maximum(np.abs(shift), unit)  # for the slopes' difference quotients
@@ -443,7 +456,9 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
         step = np.where((low < step) & (step < high), step,
                         np.where(high > 4.0 * np.maximum(low, unit),
                                  np.sqrt(np.maximum(low, unit) * high), 0.5 * (low + high)))
-        lead = np.searchsorted(group[todo], group[todo])  # each bracket's lowest member
+        # a root follows the lowest member of its run, the roots its counts do not yet part
+        apart = np.concatenate([[True], lo[todo[1:]] >= hi[todo[:-1]]])
+        lead = np.maximum.accumulate(np.where(apart, np.arange(len(todo)), 0))
         sigma[todo] = np.where(final[todo], step, step[lead])  # a pinned root keeps its own
     if len(todo):
         raise QGraphNumericalError(f"spectrum slicing left {len(todo)} of {num_modes} "

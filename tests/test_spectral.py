@@ -496,7 +496,7 @@ def test_sliced_eigenvalues_match_a_dense_solve(graph, mesh, data):
         assert np.count_nonzero(dense < 0.5 * (lam[k - 1] + lam[k])) == k
 
 
-@pytest.mark.parametrize("n,mesh,modes,most", [(10, 64, 50, 300), (3, 1024, 20, 300)])
+@pytest.mark.parametrize("n,mesh,modes,most", [(10, 64, 50, 200), (3, 1024, 20, 135)])
 def test_multiple_eigenvalues_are_refined_once(monkeypatch, n, mesh, modes, most):
     """The 9-fold clusters of the 10-star share one shift per round (722
     shifts when each member was refined on its own), and at the star's
@@ -508,6 +508,31 @@ def test_multiple_eigenvalues_are_refined_once(monkeypatch, n, mesh, modes, most
     eig = qg.solve_spectrum(qg.star_graph([1.0] * n), mesh, modes)
     assert sum(shifts) <= most
     _check_star_clusters(eig, n, mesh, modes)
+
+
+@pytest.mark.parametrize("lengths,mesh,modes,most", [
+    ([1.0] * 3, 128, 10, 7), ([1.0] * 3, 128, 12, 7), ([1.0] * 3, 128, 16, 9),
+    ([3.0, 1.0, 1.0], 256, 50, 11), ([1.0] * 3, 512, 20, 7)])
+def test_brackets_start_at_their_counted_end(monkeypatch, lengths, mesh, modes, most):
+    """Each grid bracket's refinement starts at its lower end, whose count
+    is known, so Newton advances from below instead of bisecting toward a
+    grid point just under the star's doublets (16-18 _shift_system calls
+    per solve when brackets started inside them).  The cases are the
+    feller, control and invariant solves of the analysis benchmark and the
+    README's 3-star at mesh 512."""
+    shift_system, calls = spectral._shift_system, []
+    monkeypatch.setattr(spectral, "_shift_system",
+                        lambda op, sigma: calls.append(len(sigma)) or shift_system(op, sigma))
+    graph = qg.star_graph(lengths)
+    eig = qg.solve_spectrum(graph, mesh, modes)
+    assert len(calls) <= most
+    if len(set(lengths)) == 1:
+        _check_star_clusters(eig, len(lengths), mesh, modes)
+    else:
+        op = assemble(graph, mesh)
+        dense = sla.eigh(op.stiffness.toarray(), op.mass.toarray(), eigvals_only=True,
+                         subset_by_index=[0, modes - 1])
+        assert np.all(np.abs(eig.lambdas - dense) <= 1e-10 * np.maximum(dense, 1.0))
 
 
 @pytest.mark.parametrize("edges,sliced", [(30, True), (32, False)])
