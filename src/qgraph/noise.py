@@ -50,8 +50,12 @@ class NoiseModel:
 
     @classmethod
     def from_matrix(cls, graph: MetricGraph, matrix) -> "NoiseModel":
-        q = np.asarray(matrix, dtype=float)
         n = graph.n
+        try:
+            q = np.asarray(matrix, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged rows or entries that are not numbers
+            raise QGraphValidationError(f"noise matrix must be {n}x{n} numbers for this graph"
+                                        ) from exc
         if q.shape != (n, n):
             raise ValueError(f"noise matrix must be {n}x{n} for this graph")
         if not np.all(np.isfinite(q)):

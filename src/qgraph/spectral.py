@@ -16,8 +16,8 @@ and runs seeded ARPACK otherwise (_lanczos_pairs).  Slicing starts each
 eigenvalue's Newton refinement at the lower end of its grid bracket,
 whose count is known, bisects the bracket where a step leaves it,
 refines the members of a multiple eigenvalue once, at one shared shift,
-and takes its slopes one-sided where an edge's border pattern changes
-form.
+and evaluates each slope's nudged shift in the shift's own border
+pattern, so a round makes one _shift_system call.
 
 Every CSV table of the package is written by _write_csv (exports
 section), the one place that knows the dialect.
@@ -266,7 +266,7 @@ def _count_below(op: DiscreteOperator, sigma: float) -> int:
 # -- edgewise-constant graphs: spectrum slicing in closed form ----------------
 
 
-def _shift_system(op: DiscreteOperator, sigma: np.ndarray):
+def _shift_system(op: DiscreteOperator, sigma: np.ndarray, paired: bool = False):
     """K - sigma M reduced to the vertices and a border row per edge, at each
     shift: (count, B, parts) stacked over sigma; count plus B's negative
     inertia is the number of eigenvalues below the shift.
@@ -278,7 +278,11 @@ def _shift_system(op: DiscreteOperator, sigma: np.ndarray):
     (Wittrick & Williams, Q. J. Mech. Appl. Math. 24, 1971), hyperbolic
     below p and above p + 12 c/h^2.  Near a Dirichlet value (sin N theta =
     0) its huge part becomes the border row, so B stays bounded; else the
-    row is decoupled above every eigenvalue.  parts rebuild interiors."""
+    row is decoupled above every eigenvalue.  parts rebuild interiors.
+    With paired, sigma stacks two halves and the second takes the first's
+    nearest Dirichlet index k, hence its border rows and signs s: its B is
+    the same smooth function of sigma, valid while N theta/pi stays within
+    1 of k, for difference quotients; its counts are then not counts."""
     c, p, h, c_h = op._edge_data
     n, m, big_n = op.layout.n_vertices, len(c), op.layout.elements_per_edge
     with np.errstate(all="ignore"):  # out-of-range scales are caught below
@@ -288,6 +292,8 @@ def _shift_system(op: DiscreteOperator, sigma: np.ndarray):
         w, trig = np.sqrt(np.abs(prod)), prod < 0.0
         turns = big_n / np.pi * np.arctan2(w, a)  # N theta / pi, where trig
         k = np.rint(turns)
+        if paired:
+            k[len(k) // 2:] = k[:len(k) // 2]
         pole = trig & (k >= 1) & (k < big_n)  # the edges with a border row
         eps, gam = np.sin(np.pi * turns), np.cos(np.pi * turns)
         s = 1.0 - 2.0 * (k % 2)  # cos(k pi), the nearest Dirichlet value's pattern
@@ -379,13 +385,13 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
     share a shift, the step of their lowest unconverged member, until
     their counts part them, so a multiple eigenvalue is refined once, with
     B and its eigh formed once per distinct shift; each member still
-    converges on its own branch.  Slopes are forward differences, but
-    where shift + nudge changes an edge's border pattern (N theta/pi a
-    half-integer, where the star's anti-symmetric eigenvalues sit)
-    backward ones, from a second call; a change on both sides leaves no
-    slope, and bisection.  Values within SLICE_WINDOW form a cluster, its
-    vectors the branches' null vectors, all extended in one pass;
-    Rayleigh-Ritz makes all vectors mass-orthonormal."""
+    converges on its own branch.  Slopes are forward differences, shift +
+    nudge paired with shift in one call and taken in its border pattern,
+    so each is the derivative of one smooth B, also where N theta/pi is a
+    half-integer (the star's anti-symmetric eigenvalues).  Values within
+    SLICE_WINDOW form a cluster, its vectors the branches' null vectors,
+    all extended in one pass; Rayleigh-Ritz makes all vectors
+    mass-orthonormal."""
     c, p, h, _ = op._edge_data
     lengths = op.layout.coords[:, -1]
     unit = float(np.min(c / lengths**2))  # the graph's eigenvalue scale
@@ -416,18 +422,11 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
         shift, at = sigma[todo][fresh], np.cumsum(fresh) - 1  # one row per distinct shift
         k = len(shift)
         nudge = 1e-7 * np.maximum(np.abs(shift), unit)  # for the slopes' difference quotients
-        base, matrix, parts = _shift_system(op, np.concatenate([shift, shift + nudge]))
+        pair = np.concatenate([shift, shift + nudge])  # one call, in shift's border pattern
+        base, matrix, parts = _shift_system(op, pair, paired=True)
         beta, z = np.linalg.eigh(matrix[:k])
-        form = np.concatenate([parts[1], parts[5]], axis=1)  # border rows and patterns
         slopes = (matrix[k:] - matrix[:k]) / nudge[:, None, None]
-        turned = np.flatnonzero(np.any(form[:k] != form[k:], axis=1))
-        if len(turned):  # shift + nudge changes B's form: the slope from below, or none
-            lower, q = _shift_system(op, shift[turned] - nudge[turned])[1:]
-            alike = np.all(form[turned] == np.concatenate([q[1], q[5]], axis=1), axis=1)
-            slopes[turned] = (np.where(alike[:, None, None], matrix[turned] - lower, np.nan)
-                              / nudge[turned, None, None])
-        with np.errstate(invalid="ignore"):
-            rate = np.sum(z * (slopes @ z), axis=1)  # Hellmann-Feynman, per branch
+        rate = np.sum(z * (slopes @ z), axis=1)  # Hellmann-Feynman, per branch
         base, parts = base[:k], tuple(q[:k] for q in parts)
         # from here on one row per root, at its shift
         shift, base, beta, rate = shift[at], base[at], beta[at], rate[at]
@@ -442,9 +441,6 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
             back = shift - beta[row, branch] / np.where(rate[row, branch] < 0.0,
                                                         rate[row, branch], np.nan)
         step = np.where(below > todo, back, ahead)
-        singular = np.abs(beta[row, branch]) <= 8.0 * np.finfo(float).eps * np.max(
-            np.abs(beta), axis=1)  # B is singular to roundoff: the shift is the value
-        step = np.where(singular & (todo >= base), shift, step)
         done = final[todo] | (np.abs(step - shift)
                               <= tol.SLICE_WINDOW * np.maximum(np.abs(shift), unit))
         for j in np.flatnonzero(done):
@@ -481,26 +477,20 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
     return w, (inv.T @ y).T @ f
 
 
-def _lanczos_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenpairs by shift-invert Lanczos (ARPACK) about a negative
-    shift, so p = 0 stays factorizable, started from default_rng(0) normals
-    (all ones would miss modes orthogonal to the symmetric subspace) with
-    restarts from rng=0.  A solve whose count splu finds short is repeated
-    once with k more vectors than ARPACK's max(2k + 1, 20), k = num_modes."""
-    dof = op.layout.total_dof
-    v0 = np.random.default_rng(0).standard_normal(dof)
-    for ncv in (None, min(max(2 * num_modes + 1, 20) + num_modes, dof)):
-        try:
-            w, v = scipy.sparse.linalg.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0,
-                                             which="LM", v0=v0, ncv=ncv, rng=0)
-        except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
-            raise QGraphNumericalError(f"Lanczos iteration failed: {exc}") from exc
-        order = np.argsort(w)
-        w, v = w[order], v[:, order].T
-        last = _cluster_ranges(np.maximum(w, 0.0))[-1][0]
-        if not last or _count_below(op, 0.5 * (w[last - 1] + w[last])) == last:
-            break
-    return w, v
+def _lanczos_pairs(op: DiscreteOperator, num_modes: int, ncv: int | None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenpairs by shift-invert Lanczos (ARPACK) with ncv vectors
+    about a negative shift, so p = 0 stays factorizable, started from
+    default_rng(0) normals (all ones would miss modes orthogonal to the
+    symmetric subspace) with restarts from rng=0."""
+    v0 = np.random.default_rng(0).standard_normal(op.layout.total_dof)
+    try:
+        w, v = scipy.sparse.linalg.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0,
+                                         which="LM", v0=v0, ncv=ncv, rng=0)
+    except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
+        raise QGraphNumericalError(f"Lanczos iteration failed: {exc}") from exc
+    order = np.argsort(w)
+    return w[order], v[:, order].T
 
 
 def _check_num_modes(layout: MeshLayout, num_modes: int) -> None:
@@ -521,11 +511,14 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     coefficients, which have no closed form, run seeded Lanczos.  A
     lambda_0 below -EIG_RESIDUAL rho (rho = max K_ii/M_ii) is rejected,
     negative roundoff above it clamped to zero.  The inertia of K - sigma
-    M (closed form, or splu) certifies the count below the last cluster;
-    each pair must pass the residual bound, ||r||_{M^-1} <= sqrt(3)
-    ||r||_{L^-1} with L the lumped mass (L/3 <= M <= L), and mass
-    orthonormality, or QGraphNumericalError.  Keep num_modes an order of
-    magnitude below the dof count.
+    M (closed form, or splu), counted once per attempt, certifies the
+    count below the last cluster; a Lanczos deficit is solved once more
+    with k more vectors than ARPACK's max(2k + 1, 20), k = num_modes, and
+    a second deficit, or a sliced one, raises.  Each pair must pass the
+    residual bound, ||r||_{M^-1} <= sqrt(3) ||r||_{L^-1} with L the
+    lumped mass (L/3 <= M <= L), and mass orthonormality, or
+    QGraphNumericalError.  Keep num_modes an order of magnitude below the
+    dof count.
     """
     _check_num_modes(op.layout, num_modes)
     m_diag, m_off = op.m_entries
@@ -541,18 +534,23 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
 
     sliced = (op.layout.n_vertices + len(op.layout.nodes) <= tol.SLICE_MAX_ORDER
               and all(e.diffusion.is_constant and e.potential.is_constant for e in op.graph.edges))
-    w, v = (_sliced_pairs if sliced else _lanczos_pairs)(op, num_modes)
-    if w[0] < -tol.EIG_RESIDUAL * rho:
-        raise QGraphNumericalError(f"spurious negative eigenvalue {w[0]}")
-    w = np.maximum(w, 0.0)
-    clusters = _cluster_ranges(w)
-    last = clusters[-1][0]
-    if last:  # with a single cluster nothing lies below it
+    wider = min(max(2 * num_modes + 1, 20) + num_modes, op.layout.total_dof)
+    for ncv in [None] if sliced else [None, wider]:
+        w, v = _sliced_pairs(op, num_modes) if sliced else _lanczos_pairs(op, num_modes, ncv)
+        if w[0] < -tol.EIG_RESIDUAL * rho:
+            raise QGraphNumericalError(f"spurious negative eigenvalue {w[0]}")
+        w = np.maximum(w, 0.0)
+        clusters = _cluster_ranges(w)
+        last = clusters[-1][0]
+        if not last:  # with a single cluster nothing lies below it
+            break
         sigma = 0.5 * (w[last - 1] + w[last])
         below = int(_slice_count(op, sigma)[0]) if sliced else _count_below(op, sigma)
-        if below != last:
-            raise QGraphNumericalError(
-                f"{below} eigenvalues lie below {sigma:.6g} but the solve found {last}")
+        if below == last:
+            break
+    else:
+        raise QGraphNumericalError(
+            f"{below} eigenvalues lie below {sigma:.6g} but the solve found {last}")
 
     # certificates, by stencils: residual norms against rho, then mass orthonormality
     mv = op.apply(m_diag, m_off, v)

@@ -64,6 +64,16 @@ def test_from_matrix_rejects_bad_shape(star3):
         NoiseModel.from_matrix(star3, np.eye(3))
 
 
+@pytest.mark.parametrize("matrix", [[[1, 0, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, "x"]]],
+                         ids=["ragged", "not-a-number"])
+def test_from_matrix_names_the_shape_rule(matrix):
+    """A ragged or non-numeric matrix is rejected by the n x n rule, not by
+    numpy's own message."""
+    with pytest.raises(qg.QGraphValidationError,
+                       match=r"^noise matrix must be 3x3 numbers for this graph$"):
+        NoiseModel.from_matrix(qg.star_graph([1.0, 1.0]), matrix)
+
+
 def test_rejects_non_finite_intensities(star3):
     with pytest.raises(qg.QGraphValidationError, match="non-finite"):
         NoiseModel.from_diagonal(star3, {"v1": float("nan")})
