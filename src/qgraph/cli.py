@@ -40,7 +40,7 @@ from .sim import (
     summary_to_csv,
     verify_covariance,
 )
-from .spectral import mode_to_csv, solve_spectrum, spectrum_to_csv
+from .spectral import EigenSystem, mode_to_csv, solve_spectrum, spectrum_to_csv
 from .treepaths import path_union, path_union_to_dict, st_active_set, verify_tf
 
 __all__ = ["main", "build_parser"]
@@ -79,6 +79,10 @@ def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def _numerics(eig: EigenSystem) -> dict:  # how the eigensolve went, and its mesh
+    return {**vars(eig.solve), "total_dof": eig.layout.total_dof, "h_max": eig.layout.h_max}
 
 
 def _write_manifest(args: argparse.Namespace, extra: dict) -> None:
@@ -135,7 +139,7 @@ def _cmd_spectrum(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMode
     show = min(eig.num_modes, 8)
     for k in range(show):
         print(f"  lambda_{k} = {eig.lambdas[k]:.10g}")
-    return {"h_max": eig.layout.h_max, "num_clusters": len(eig.clusters)}
+    return {"h_max": eig.layout.h_max, "num_clusters": len(eig.clusters), "numerics": _numerics(eig)}
 
 
 def _cmd_feller(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
@@ -167,7 +171,7 @@ def _cmd_control(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel
             "terminal_coefficients": [float(x) for x in result.terminal_coefficients],
             "diagnostics": d.to_json(),
         })
-    return {"diagnostics": d.to_json()}
+    return {"diagnostics": d.to_json(), "numerics": _numerics(eig)}
 
 
 def _cmd_st_active(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
@@ -202,7 +206,8 @@ def _cmd_invariant(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMod
         print(f"  T={t:g}: variance sum {total:.10g} (kernel term {kern:.10g})")
     if args.out:
         _write_json(args.out, report.to_json())
-    return {"exists": report.exists, "unique": report.unique, "rule": report.rule}
+    return {"exists": report.exists, "unique": report.unique, "rule": report.rule,
+            "numerics": _numerics(eig)}
 
 
 def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
@@ -229,7 +234,7 @@ def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMode
           f"max |z| = {report.max_cov_z:.3g}, mean max |z| = {report.max_mean_z:.3g}, "
           f"within 3 SE: {100 * report.frac_within_3se:.1f}%")
     extra = {"innovation_rank": ens.innovation_rank, "innovation_dropped": ens.innovation_dropped,
-             "rng": RNG_RECIPE, "covariance_check": report.to_json()}
+             "rng": RNG_RECIPE, "covariance_check": report.to_json(), "numerics": _numerics(eig)}
     if entries:
         for entry in entries:
             status = "convergent" if entry.convergent else "divergent"

@@ -57,7 +57,7 @@ class NoiseModel:
             raise QGraphValidationError(f"noise matrix must be {n}x{n} numbers for this graph"
                                         ) from exc
         if q.shape != (n, n):
-            raise ValueError(f"noise matrix must be {n}x{n} for this graph")
+            raise QGraphValidationError(f"noise matrix must be {n}x{n} for this graph")
         if not np.all(np.isfinite(q)):
             raise QGraphValidationError("noise matrix has non-finite entries")
         scale = max(1.0, float(np.abs(q).max()))

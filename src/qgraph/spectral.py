@@ -16,8 +16,8 @@ and runs seeded ARPACK otherwise (_lanczos_pairs).  Slicing starts each
 eigenvalue's Newton refinement at the lower end of its grid bracket,
 whose count is known, bisects the bracket where a step leaves it,
 refines the members of a multiple eigenvalue once, at one shared shift,
-and evaluates each slope's nudged shift in the shift's own border
-pattern, so a round makes one _shift_system call.
+and evaluates each slope's nudged shift in the shift's own border pattern,
+so a round makes one _shift_system call; EigenSystem.solve records each solve.
 
 Every CSV table of the package is written by _write_csv (exports
 section), the one place that knows the dialect.
@@ -44,6 +44,7 @@ __all__ = [
     "MeshLayout",
     "DiscreteOperator",
     "EigenSystem",
+    "SolveRecord",
     "assemble",
     "eigensolve",
     "solve_spectrum",
@@ -181,6 +182,21 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
 
 
 @dataclass(frozen=True)
+class SolveRecord:
+    """How eigensolve went: its path ("sliced" or "lanczos"), attempts, inertia
+    evaluations (calls) and the shifts stacked in them, count below the last
+    cluster (None with one), largest residual over its bound, orthonormality defect."""
+
+    path: str
+    attempts: int
+    calls: int
+    shifts: int
+    count_below: int | None
+    residual_ratio: float
+    orthonormality_defect: float
+
+
+@dataclass(frozen=True)
 class EigenSystem:
     """Sorted eigenpairs with vertex traces and multiplicity clusters.
 
@@ -197,6 +213,7 @@ class EigenSystem:
     trusted: np.ndarray
     source: str
     residuals: np.ndarray | None = None
+    solve: SolveRecord | None = None  # eigensolve's; analytic systems have none
 
     @property
     def num_modes(self) -> int:
@@ -370,7 +387,7 @@ def _extend(op: DiscreteOperator, parts, x: np.ndarray, owner: np.ndarray) -> np
     return f
 
 
-def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.ndarray]:
+def _sliced_pairs(op: DiscreteOperator, num_modes: int):
     """Lowest eigenpairs by spectrum slicing.  Counts on a grid bracket each
     eigenvalue i, where B's ordered branch i - count meets zero; all are
     refined at once, one stacked _shift_system per round, by Newton steps
@@ -391,7 +408,7 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
     half-integer (the star's anti-symmetric eigenvalues).  Values within
     SLICE_WINDOW form a cluster, its vectors the branches' null vectors,
     all extended in one pass; Rayleigh-Ritz makes all vectors
-    mass-orthonormal."""
+    mass-orthonormal.  Also returns its _shift_system calls and shifts."""
     c, p, h, _ = op._edge_data
     lengths = op.layout.coords[:, -1]
     unit = float(np.min(c / lengths**2))  # the graph's eigenvalue scale
@@ -400,10 +417,12 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
     # a grid in sqrt(sigma) up to a shift from Weyl's law, widened until num_modes lie below
     top = float(np.max(p)) + (np.pi * (num_modes + op.layout.n_vertices)
                               / np.sum(lengths / np.sqrt(c))) ** 2
+    calls = shifts = 0
     while True:
         grid = floor + (min(top, ceiling) - floor) * (np.arange(1, 2 * num_modes + 9)
                                                       / (2 * num_modes + 8)) ** 2
         counts = _slice_count(op, grid)
+        calls, shifts = calls + 1, shifts + len(grid)
         if top >= ceiling or counts[-1] >= num_modes:
             break
         top = floor + 4.0 * (top - floor)
@@ -424,6 +443,7 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
         nudge = 1e-7 * np.maximum(np.abs(shift), unit)  # for the slopes' difference quotients
         pair = np.concatenate([shift, shift + nudge])  # one call, in shift's border pattern
         base, matrix, parts = _shift_system(op, pair, paired=True)
+        calls, shifts = calls + 1, shifts + len(pair)
         beta, z = np.linalg.eigh(matrix[:k])
         slopes = (matrix[k:] - matrix[:k]) / nudge[:, None, None]
         rate = np.sum(z * (slopes @ z), axis=1)  # Hellmann-Feynman, per branch
@@ -474,7 +494,7 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int) -> tuple[np.ndarray, np.
     except np.linalg.LinAlgError as exc:
         raise QGraphNumericalError(f"sliced eigenvectors are dependent: {exc}") from exc
     w, y = np.linalg.eigh(inv @ (k_p + k_p.T) @ inv.T / 2.0)
-    return w, (inv.T @ y).T @ f
+    return w, (inv.T @ y).T @ f, calls, shifts
 
 
 def _lanczos_pairs(op: DiscreteOperator, num_modes: int, ncv: int | None
@@ -518,7 +538,7 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     residual bound, ||r||_{M^-1} <= sqrt(3) ||r||_{L^-1} with L the
     lumped mass (L/3 <= M <= L), and mass orthonormality, or
     QGraphNumericalError.  Keep num_modes an order of magnitude below the
-    dof count.
+    dof count.  Its SolveRecord, EigenSystem.solve, says how the solve went.
     """
     _check_num_modes(op.layout, num_modes)
     m_diag, m_off = op.m_entries
@@ -535,8 +555,10 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     sliced = (op.layout.n_vertices + len(op.layout.nodes) <= tol.SLICE_MAX_ORDER
               and all(e.diffusion.is_constant and e.potential.is_constant for e in op.graph.edges))
     wider = min(max(2 * num_modes + 1, 20) + num_modes, op.layout.total_dof)
-    for ncv in [None] if sliced else [None, wider]:
-        w, v = _sliced_pairs(op, num_modes) if sliced else _lanczos_pairs(op, num_modes, ncv)
+    calls = shifts = 0
+    for attempts, ncv in enumerate([None] if sliced else [None, wider], 1):
+        w, v, calls, shifts = (_sliced_pairs(op, num_modes) if sliced  # eigsh counts no inertia
+                               else (*_lanczos_pairs(op, num_modes, ncv), calls, shifts))
         if w[0] < -tol.EIG_RESIDUAL * rho:
             raise QGraphNumericalError(f"spurious negative eigenvalue {w[0]}")
         w = np.maximum(w, 0.0)
@@ -546,6 +568,7 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
             break
         sigma = 0.5 * (w[last - 1] + w[last])
         below = int(_slice_count(op, sigma)[0]) if sliced else _count_below(op, sigma)
+        calls, shifts = calls + 1, shifts + 1
         if below == last:
             break
     else:
@@ -575,6 +598,8 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
         trusted=trusted,
         source="fem",
         residuals=residuals,
+        solve=SolveRecord("sliced" if sliced else "lanczos", attempts, calls, shifts, last or None,
+                          float(excess), float(defect)),
     )
 
 

@@ -117,6 +117,23 @@ def test_st_active_command(workdir, star_file, capsys):
     assert payload["i_star"] == sorted(["v2", "v3"])
     assert payload["j_star"] == []
     assert payload["violations"] == []
+    assert "numerics" not in json.loads((workdir / "paths.json.manifest.json").read_text())
+
+
+@pytest.mark.parametrize("path,argv", [
+    ("sliced", ["spectrum"]), ("sliced", ["control", "--noise", "diag:v1=1", "--z0", "1=1"]),
+    ("sliced", ["invariant", "--noise", "diag:v1=1"]), ("lanczos", ["spectrum"]),
+    ("sliced", ["simulate", "--noise", "diag:v1=1", "--samples", "20", "--steps", "4"])])
+def test_solving_manifests_record_the_solve(workdir, capsys, path, argv):
+    """Each solving command's manifest says how its eigensolve went."""
+    c = 1.0 if path == "sliced" else qg.Coefficient.linear_samples([1.0, 1.0])  # no closed form
+    qg.save_graph(qg.star_graph([1.0] * 3, c=c), "star.json")
+    assert main([*argv, "--graph", "star.json", "--mesh", "64", "--modes", "8",
+                 "--manifest", "m.json"]) == 0
+    manifest = json.loads((workdir / "m.json").read_text())
+    numerics, limit = manifest["numerics"], manifest["tolerances"]["orthonormality"]
+    assert (numerics["path"], numerics["total_dof"], numerics["h_max"]) == (path, 193, 1 / 64)
+    assert numerics["residual_ratio"] <= 1.0 and numerics["orthonormality_defect"] <= limit
 
 
 def test_invariant_command(workdir, interval_file, capsys):

@@ -60,7 +60,7 @@ def test_from_matrix_rejects_asymmetric(star3):
 
 
 def test_from_matrix_rejects_bad_shape(star3):
-    with pytest.raises(ValueError):
+    with pytest.raises(qg.QGraphValidationError, match=r"^noise matrix must be 4x4 for this graph$"):
         NoiseModel.from_matrix(star3, np.eye(3))
 
 
