@@ -8,10 +8,11 @@ before any eigensolve and returns its manifest extras, add the noise
 record to them, and write the manifest JSON.  The manifest records the
 resolved configuration, the numerical tolerances in force, and library
 versions, so results can be traced and reproduced byte for byte; a
-failed run writes none.  Exceptions become exit codes: 0 success, 2
-invalid input (graph, noise, or request, also one too large to
-allocate), 3 numerical failure (including linear-algebra errors), never
-a traceback.
+failed run writes none.  The exception's family alone picks the exit
+code, never a traceback: 0 success; 2 invalid input, QGraphValidationError
+(a ValueError, also from the parsing here), OSError (a missing file) or
+MemoryError (a request too large to allocate); 3 QGraphNumericalError or
+any other ValueError (numpy's LinAlgError, or a fault of the program).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from . import tolerances as tol
 from .control import control_to_csv, solve_null_control
 from .errors import QGraphNumericalError, QGraphValidationError
 from .feller import decide_feller
-from .graphs import MetricGraph, load_graph
+from .graphs import MetricGraph, _parse, load_graph
 from .noise import NoiseModel, parse_noise
 from .sim import (
     RNG_RECIPE,
@@ -40,7 +41,7 @@ from .sim import (
     summary_to_csv,
     verify_covariance,
 )
-from .spectral import EigenSystem, mode_to_csv, solve_spectrum, spectrum_to_csv
+from .spectral import EigenSystem, _integer, mode_to_csv, solve_spectrum, spectrum_to_csv
 from .treepaths import path_union, path_union_to_dict, st_active_set, verify_tf
 
 __all__ = ["main", "build_parser"]
@@ -56,13 +57,13 @@ def _parse_z0(text: str, num_modes: int) -> list[float]:
             continue
         key, sep, val = item.partition("=")
         if not sep:
-            raise ValueError(f"bad z0 entry {item!r}, expected INDEX=VALUE")
-        k = int(key)
+            raise QGraphValidationError(f"bad z0 entry {item!r}, expected INDEX=VALUE")
+        k = _integer(_parse(int, key), "z0 mode index", per=1)  # sizes the dense list
         if not 0 <= k < num_modes:
-            raise ValueError(f"z0 mode index must lie in [0, {num_modes - 1}], got {k}")
+            raise QGraphValidationError(f"z0 mode index must lie in [0, {num_modes - 1}], got {k}")
         if k in entries:
-            raise ValueError(f"repeated z0 index {k}")
-        entries[k] = float(val)
+            raise QGraphValidationError(f"repeated z0 index {k}")
+        entries[k] = _parse(float, val)
     out = [0.0] * (max(entries, default=-1) + 1)
     for k, v in entries.items():
         out[k] = v
@@ -71,11 +72,11 @@ def _parse_z0(text: str, num_modes: int) -> list[float]:
 
 def _floats(text: str) -> list[float]:
     """Parse comma-separated floats, skipping empty items: "1,2," -> [1.0, 2.0]."""
-    return [float(x) for x in text.split(",") if x.strip()]
+    return [_parse(float, x) for x in text.split(",") if x.strip()]
 
 
 def _write_json(path: str, payload: dict) -> None:
-    # serialized first: a non-finite value raises ValueError and leaves no file
+    # serialized first: a non-finite value raises ValueError (exit 3) and leaves no file
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -90,11 +91,7 @@ def _write_manifest(args: argparse.Namespace, extra: dict) -> None:
     if path is None:
         base = getattr(args, "out", None)
         path = f"{base}.manifest.json" if base else f"qgraph-{args.command}.manifest.json"
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func",) and not k.startswith("_")
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     payload = {
         "command": args.command,
         "config": config,
@@ -125,10 +122,10 @@ def _cmd_spectrum(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMode
     if args.mode_out:
         k_str, _, mode_path = args.mode_out.partition(":")
         if not mode_path:
-            raise ValueError("--mode-out expects K:PATH")
-        k = int(k_str)
+            raise QGraphValidationError("--mode-out expects K:PATH")
+        k = _parse(int, k_str)
         if not 0 <= k < args.modes:
-            raise ValueError(f"mode index must lie in [0, {args.modes - 1}], got {k}")
+            raise QGraphValidationError(f"mode index must lie in [0, {args.modes - 1}], got {k}")
     eig = solve_spectrum(graph, args.mesh, args.modes)
     if args.mode_out:
         mode_to_csv(eig, k, mode_path)
@@ -139,7 +136,7 @@ def _cmd_spectrum(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMode
     show = min(eig.num_modes, 8)
     for k in range(show):
         print(f"  lambda_{k} = {eig.lambdas[k]:.10g}")
-    return {"h_max": eig.layout.h_max, "num_clusters": len(eig.clusters), "numerics": _numerics(eig)}
+    return {"num_clusters": len(eig.clusters), "numerics": _numerics(eig)}
 
 
 def _cmd_feller(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
@@ -334,13 +331,12 @@ def main(argv=None) -> int:
             extra["noise"] = noise.to_json()
         _write_manifest(args, extra)
         return 0
-    except (QGraphNumericalError, numpy.linalg.LinAlgError) as exc:
-        # before the input branch: LinAlgError is a ValueError
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (QGraphValidationError, ValueError, OSError, MemoryError) as exc:
+    except (QGraphValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (QGraphNumericalError, ValueError) as exc:  # second: the first family is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

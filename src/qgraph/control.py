@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import QGraphNumericalError
+from .errors import QGraphNumericalError, QGraphValidationError
 from .noise import NoiseModel, _check_vertices
-from .spectral import EigenSystem, _write_csv
+from .spectral import EigenSystem, _integer, _write_csv
 
 __all__ = ["ControlDiagnostics", "ControlResult", "solve_null_control", "control_to_csv"]
 
@@ -76,7 +76,7 @@ class ControlResult:
 
 def _check_horizon(horizon: float) -> None:
     if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError("horizon must be finite and positive")
+        raise QGraphValidationError("horizon must be finite and positive")
 
 
 def _eta(mu: np.ndarray, t) -> np.ndarray:
@@ -99,11 +99,11 @@ def _decay(lambdas: np.ndarray, t) -> np.ndarray:
 
 def _modes_in_play(eig: EigenSystem, num_modes: int | None, least: int = 1) -> int:
     """The number of leading modes used, all of them when num_modes is None."""
-    k = eig.num_modes if num_modes is None else int(num_modes)
+    k = eig.num_modes if num_modes is None else _integer(num_modes, "num_modes")
     if k < least:
-        raise ValueError(f"needs at least {least} modes, got {k}")
+        raise QGraphValidationError(f"needs at least {least} modes, got {k}")
     if k > eig.num_modes:
-        raise ValueError(f"num_modes must be at most {eig.num_modes}, got {k}")
+        raise QGraphValidationError(f"num_modes must be at most {eig.num_modes}, got {k}")
     return k
 
 
@@ -111,10 +111,10 @@ def _initial_coeffs(z0_coeffs, k: int) -> np.ndarray:
     """Initial mode coefficients, zero-padded to length k."""
     z0 = np.asarray(z0_coeffs, dtype=float).ravel()
     if len(z0) > k:
-        raise ValueError("z0 has more coefficients than modes in play")
+        raise QGraphValidationError("z0 has more coefficients than modes in play")
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(z0 @ z0):
-            raise ValueError("z0 must be finite, with a finite squared norm")
+            raise QGraphValidationError("z0 must be finite, with a finite squared norm")
     return np.pad(z0, (0, k - len(z0)))
 
 
@@ -132,7 +132,7 @@ def _covariance(lambdas: np.ndarray, channels: np.ndarray, t) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         cov = (channels @ channels.T) * _eta(lambdas[:, None] + lambdas[None, :], t)
     if not np.all(np.isfinite(cov)):
-        raise ValueError("noise intensity and horizon too large: the covariance overflows")
+        raise QGraphValidationError("noise intensity and horizon too large: the covariance overflows")
     return cov
 
 
@@ -145,7 +145,8 @@ def _variance_sums(lambdas: np.ndarray, channels: np.ndarray, t, weights=1.0):
         terms = weights * var
         sums = np.cumsum(terms, axis=-1)
     if not np.all(np.isfinite(sums)):  # finite sums mean finite terms too
-        raise ValueError("noise intensity and horizon too large: the variance sum overflows")
+        raise QGraphValidationError(
+            "noise intensity and horizon too large: the variance sum overflows")
     return terms, sums
 
 
@@ -166,9 +167,8 @@ def solve_null_control(
     diagnostics rather than raised.
     """
     _check_horizon(horizon)
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    k_total = _modes_in_play(eig, num_modes)
+    k_total = _modes_in_play(eig, num_modes)  # the grid's arrays take max(k, n) per point
+    grid_points = _integer(grid_points, "grid_points", 2, max(k_total, eig.layout.n_vertices))
     z0 = _initial_coeffs(z0_coeffs, k_total)
     lambdas = eig.lambdas[:k_total]
     channels = _channels(eig, noise, k_total)

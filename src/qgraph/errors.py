@@ -1,9 +1,10 @@
 """Exception hierarchy: one family per failure exit code of the command line.
 
-QGraphValidationError is bad input (exit 2) and QGraphNumericalError is a
-numerical procedure that cannot certify its result (exit 3); each raise site
-says in its message which rule failed.  InvalidGraphError, a validation
-error, lists every structural violation of a graph in ``.violations``.
+QGraphValidationError, also a ValueError, is bad input (exit 2) and
+QGraphNumericalError a result the numerics cannot certify (exit 3); each
+raise site names the rule that failed.  Any other ValueError is a program
+fault (exit 3), and a missing file stays an OSError (exit 2).
+InvalidGraphError lists every structural violation of a graph in ``.violations``.
 """
 
 __all__ = [
@@ -18,7 +19,7 @@ class QGraphError(Exception):
     """Base class for all package errors."""
 
 
-class QGraphValidationError(QGraphError):
+class QGraphValidationError(QGraphError, ValueError):
     """Bad input: malformed graphs, noise specs, or arguments."""
 
 

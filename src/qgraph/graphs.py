@@ -60,14 +60,14 @@ class Coefficient:
     def linear_samples(cls, values) -> "Coefficient":
         vals = tuple(float(v) for v in values)
         if len(vals) < 2:
-            raise ValueError("linear samples need at least two nodes")
+            raise QGraphValidationError("linear samples need at least two nodes")
         return cls(vals, "linear")
 
     @classmethod
     def cell_samples(cls, values) -> "Coefficient":
         vals = tuple(float(v) for v in values)
         if not vals:
-            raise ValueError("cell samples cannot be empty")
+            raise QGraphValidationError("cell samples cannot be empty")
         return cls(vals, "cells")
 
     @property
@@ -96,40 +96,47 @@ class Coefficient:
         return {"samples": list(self.values), "grid": "uniform"}
 
 
+def _parse(parse, *args, **kwargs):
+    """parse(*args, **kwargs) of input text; text it rejects is invalid input."""
+    try:
+        return parse(*args, **kwargs)
+    except (ValueError, RecursionError) as exc:
+        raise QGraphValidationError(str(exc)) from exc
+
+
 def _json_float(raw, what: str) -> float:
     """A JSON number as a float.  Booleans and strings are not numbers, and
-    an integer too large for a float is out of range (TypeError and
-    ValueError, which the JSON readers report as invalid input)."""
+    an integer too large for a float is out of range."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise TypeError(f"{what} must be a JSON number, got {raw!r:.40}")
+        raise QGraphValidationError(f"{what} must be a JSON number, got {raw!r:.40}")
     try:
         return float(raw)
     except OverflowError:
-        raise ValueError(f"{what} is out of range for a float") from None
+        raise QGraphValidationError(f"{what} is out of range for a float") from None
 
 
 def _json_str(raw, what: str) -> str:
-    """A JSON string, as vertex and edge ids must be (TypeError otherwise)."""
+    """A JSON string, as vertex and edge ids must be."""
     if not isinstance(raw, str):
-        raise TypeError(f"{what} must be a JSON string, got {raw!r:.40}")
+        raise QGraphValidationError(f"{what} must be a JSON string, got {raw!r:.40}")
     return raw
 
 
 def _json_array(data: dict, key: str) -> list:
-    """data[key], which must be a JSON array (KeyError, TypeError otherwise)."""
+    """data[key], which must be a JSON array (KeyError when it is missing)."""
     raw = data[key]
     if not isinstance(raw, list):
-        raise TypeError(f"{key} must be a JSON array, got {raw!r:.40}")
+        raise QGraphValidationError(f"{key} must be a JSON array, got {raw!r:.40}")
     return raw
 
 
 def _check_object(raw, keys: frozenset[str], what: str) -> None:
-    """raw must be a JSON object with no key outside keys (TypeError, ValueError)."""
+    """raw must be a JSON object with no key outside keys."""
     if not isinstance(raw, dict):
-        raise TypeError(f"{what} must be a JSON object, got {raw!r:.40}")
+        raise QGraphValidationError(f"{what} must be a JSON object, got {raw!r:.40}")
     unknown = raw.keys() - keys
     if unknown:
-        raise ValueError(f"unknown key {min(unknown)!r} in {what}")
+        raise QGraphValidationError(f"unknown key {min(unknown)!r} in {what}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -354,6 +361,8 @@ def graph_from_dict(data: dict) -> MetricGraph:
                     potential=_coefficient_from_json(raw.get("p"), "cells", 0.0),
                 )
             )
+    except InvalidGraphError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraphError([f"malformed graph data: {exc}"]) from exc
     return MetricGraph(vertices=vertices, edges=tuple(edges))
@@ -361,7 +370,7 @@ def graph_from_dict(data: dict) -> MetricGraph:
 
 def load_graph(path) -> MetricGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
+        return graph_from_dict(_parse(json.load, fh, object_pairs_hook=_unique_keys))
 
 
 def save_graph(graph: MetricGraph, path) -> None:
@@ -379,7 +388,7 @@ def _coeff_arg(value, count: int) -> list[Coefficient]:
         return [Coefficient.const(float(value))] * count
     vals = list(value)
     if len(vals) != count:
-        raise ValueError("per-edge coefficient list has wrong length")
+        raise QGraphValidationError("per-edge coefficient list has wrong length")
     return [v if isinstance(v, Coefficient) else Coefficient.const(float(v)) for v in vals]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import InvalidGraphError, QGraphValidationError
-from .graphs import MetricGraph, _check_object, _json_float, _unique_keys
+from .graphs import MetricGraph, _check_object, _json_float, _parse, _unique_keys
 
 __all__ = ["NoiseModel", "parse_noise"]
 
@@ -122,35 +122,35 @@ def parse_noise(spec: str, graph: MetricGraph) -> NoiseModel:
             for item in body.split(","):
                 name, _, val = item.partition("=")
                 if not _:
-                    raise ValueError(f"bad noise entry {item!r}, expected vertex=value")
+                    raise QGraphValidationError(f"bad noise entry {item!r}, expected vertex=value")
                 name = name.strip()
                 if name in q:
                     raise QGraphValidationError(f"repeated noise entry for vertex {name!r}")
-                q[name] = float(val)
+                q[name] = _parse(float, val)
         return NoiseModel.from_diagonal(graph, q)
     with open(spec, encoding="utf-8") as fh:
-        data = json.load(fh, object_pairs_hook=_unique_keys)
+        data = _parse(json.load, fh, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise QGraphValidationError(f"noise file must hold a JSON object, got {data!r:.40}")
     kind = data.get("type")
     if kind not in ("diagonal", "full"):
-        raise ValueError(f"unknown noise type {kind!r}")
+        raise QGraphValidationError(f"unknown noise type {kind!r}")
     field = "q" if kind == "diagonal" else "matrix"
     _check_object(data, frozenset({"type", field}), f"{kind} noise file")
     raw = data.get(field)
     try:
         if kind == "diagonal":
             if not isinstance(raw, dict):
-                raise TypeError(f"q must be a JSON object, got {raw!r:.40}")
+                raise QGraphValidationError(f"q must be a JSON object, got {raw!r:.40}")
             q = {k: _json_float(v, f"noise intensity at {k!r}") for k, v in raw.items()}
         else:
             if not (isinstance(raw, list) and all(isinstance(row, list) for row in raw)):
-                raise TypeError(f"matrix must be a JSON array of arrays, got {raw!r:.40}")
+                raise QGraphValidationError(f"matrix must be a JSON array of arrays, got {raw!r:.40}")
             if any(len(row) != graph.n for row in raw):
-                raise ValueError(f"every row of the matrix must hold {graph.n} entries")
+                raise QGraphValidationError(f"every row of the matrix must hold {graph.n} entries")
             matrix = np.asarray([[_json_float(x, "noise matrix entry") for x in row]
                                  for row in raw])
-    except (TypeError, ValueError) as exc:
+    except QGraphValidationError as exc:
         raise QGraphValidationError(f"malformed {kind} noise data: {exc}") from exc
     if kind == "diagonal":
         return NoiseModel.from_diagonal(graph, q)

@@ -40,9 +40,9 @@ from .control import (
     _modes_in_play,
     _variance_sums,
 )
-from .errors import QGraphNumericalError
+from .errors import QGraphNumericalError, QGraphValidationError
 from .noise import NoiseModel
-from .spectral import EigenSystem, _write_csv
+from .spectral import EigenSystem, _integer, _write_csv
 
 __all__ = [
     "TrajectoryEnsemble",
@@ -205,13 +205,12 @@ def simulate(
     order, which become the moments once divided by num_samples.
     """
     _check_horizon(horizon)
-    if num_steps < 1:
-        raise ValueError("num_steps must be positive")
-    if num_samples < 1:
-        raise ValueError("num_samples must be positive")
-    if keep_paths is not None and keep_paths < 0:
-        raise ValueError("keep_paths must be nonnegative")
-    k = _modes_in_play(eig, num_modes)
+    num_samples = _integer(num_samples, "num_samples", 1)
+    keep = num_samples if keep_paths is None else min(_integer(keep_paths, "keep_paths", 0),
+                                                      num_samples)
+    seed = _integer(seed, "seed", 0)
+    k = _modes_in_play(eig, num_modes)  # the paths take k max(k, keep) entries per step
+    num_steps = _integer(num_steps, "num_steps", 1, k * max(k, keep))
     z0 = _initial_coeffs(z0_coeffs, k)
     lambdas = np.asarray(eig.lambdas[:k], dtype=float)
     channels = _channels(eig, noise, k)
@@ -222,7 +221,6 @@ def simulate(
     factor, dropped = _innovation_factor(_covariance(lambdas, channels, dt))
     mean = _exact_mean(lambdas, z0, times)
 
-    keep = num_samples if keep_paths is None else min(keep_paths, num_samples)
     coeffs = np.empty((keep, num_steps + 1, k))
     coeffs[:, 0] = z0
     ones = np.ones(BLOCK_SAMPLES)
@@ -262,7 +260,8 @@ def simulate(
             del first_j, second_j  # freed before the next block starts
             pending.extend(pool.submit(block, j, lo) for j, lo in islice(blocks, 1))
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
-        raise ValueError("noise intensity and horizon too large: the sampled moments overflow")
+        raise QGraphValidationError(
+            "noise intensity and horizon too large: the sampled moments overflow")
     first /= num_samples
     second /= num_samples
     first.flags.writeable = second.flags.writeable = False  # shared by every reader
@@ -274,10 +273,10 @@ def simulate(
         vertex_traces=eig.vertex_traces[:k],
         channels=channels,
         z0=z0,
-        seed=int(seed),
+        seed=seed,
         innovation_rank=factor.shape[1],
         innovation_dropped=dropped,
-        num_samples=int(num_samples),
+        num_samples=num_samples,
         moments=(first, second),
     )
 
@@ -405,7 +404,7 @@ def regularity_profile(
     _check_horizon(horizon)
     alphas = [float(alpha) for alpha in alphas]
     if not np.all(np.isfinite(alphas)):
-        raise ValueError("alphas must be finite")
+        raise QGraphValidationError("alphas must be finite")
     k_total = _modes_in_play(eig, num_modes, least=2)
     lam = np.asarray(eig.lambdas[:k_total], dtype=float)
     channels = _channels(eig, noise, k_total)
@@ -415,7 +414,8 @@ def regularity_profile(
         with np.errstate(over="ignore", invalid="ignore"):
             weights = (1.0 + lam) ** (2.0 * alpha)
         if not np.all(np.isfinite(weights)):
-            raise ValueError(f"alphas too large: the weights overflow at alpha = {alpha:g}")
+            raise QGraphValidationError(
+                f"alphas too large: the weights overflow at alpha = {alpha:g}")
         inc, sums = _variance_sums(lam, channels, horizon, weights)
         ks = np.arange(max(1, k_total // 2), k_total)
         pos = inc[ks] > 0

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +38,7 @@ import numpy as np
 import scipy  # submodules named at each call load on first use, not at import
 
 from . import tolerances as tol
-from .errors import QGraphNumericalError
+from .errors import QGraphNumericalError, QGraphValidationError
 from .graphs import MetricGraph, interval_graph, star_graph
 
 __all__ = [
@@ -81,10 +82,23 @@ class MeshLayout:
         return float(np.max(self.coords[:, -1])) / self.elements_per_edge
 
 
+def _integer(value, name: str, least: int | None = None, per: int = 0) -> int:
+    """A count or index argument as an int (operator.index), at least least;
+    value + 1 units of per float64 entries each must make arrays numpy can index."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise QGraphValidationError(f"{name} must be an integer, got {value!r:.40}") from None
+    if least is not None and value < least:
+        rule = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise QGraphValidationError(f"{name} must be {rule}")
+    if 8 * per * (value + 1) > np.iinfo(np.intp).max:
+        raise QGraphValidationError(f"{name} = {value} is too large: numpy cannot index its arrays")
+    return value
+
+
 def _build_layout(graph: MetricGraph, elements_per_edge: int) -> MeshLayout:
-    if elements_per_edge < 2:
-        raise ValueError("elements_per_edge must be at least 2")
-    n, m, nel = graph.n, graph.m, elements_per_edge
+    n, m, nel = graph.n, graph.m, _integer(elements_per_edge, "elements_per_edge", 2, graph.m)
     nodes = np.empty((m, nel + 1), dtype=np.int64)
     nodes[:, 0] = [graph.vertex_index[e.tail] for e in graph.edges]
     nodes[:, -1] = [graph.vertex_index[e.head] for e in graph.edges]
@@ -177,7 +191,7 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
         k_diag = c_mid / h + p_mid * h / 3.0
         k_off = -c_mid / h + p_mid * h / 6.0
     if not (np.all(np.isfinite(k_diag)) and np.all(np.isfinite(k_off))):
-        raise ValueError("lengths and coefficients out of range: the stiffness overflows")
+        raise QGraphValidationError("lengths and coefficients out of range: the stiffness overflows")
     return DiscreteOperator(graph=graph, layout=layout, k_diag=k_diag, k_off=k_off)
 
 
@@ -224,8 +238,9 @@ class EigenSystem:
         return np.ascontiguousarray(self.vectors[:, : self.layout.n_vertices])
 
     def _cluster(self, ci: int) -> tuple[int, int]:
-        if not 0 <= ci < len(self.clusters):
-            raise ValueError(f"cluster index must lie in [0, {len(self.clusters) - 1}], got {ci}")
+        if not 0 <= _integer(ci, "cluster index") < len(self.clusters):
+            raise QGraphValidationError(
+                f"cluster index must lie in [0, {len(self.clusters) - 1}], got {ci}")
         return self.clusters[ci]
 
     def cluster_eigenvalue(self, ci: int) -> float:
@@ -251,8 +266,8 @@ class EigenSystem:
 
     def edge_values(self, k: int) -> dict[str, np.ndarray]:
         """Nodal values of mode k along each edge, tail to head."""
-        if not 0 <= k < self.num_modes:
-            raise ValueError(f"mode index must lie in [0, {self.num_modes - 1}], got {k}")
+        if not 0 <= _integer(k, "mode index") < self.num_modes:
+            raise QGraphValidationError(f"mode index must lie in [0, {self.num_modes - 1}], got {k}")
         return {e.id: self.vectors[k, idx] for e, idx in zip(self.graph.edges, self.layout.nodes)}
 
 
@@ -516,8 +531,8 @@ def _lanczos_pairs(op: DiscreteOperator, num_modes: int, ncv: int | None
 def _check_num_modes(layout: MeshLayout, num_modes: int) -> None:
     """The eigensolve's bound on num_modes, which decide_feller checks too."""
     dof = layout.total_dof
-    if not 1 <= num_modes <= dof - 1:
-        raise ValueError(f"num_modes must lie in [1, {dof - 1}]")
+    if not 1 <= _integer(num_modes, "num_modes") <= dof - 1:
+        raise QGraphValidationError(f"num_modes must lie in [1, {dof - 1}]")
 
 
 def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
@@ -643,10 +658,9 @@ def star_analytic(
     the first edge, inner product 1/2), so cluster computations downstream
     must not assume orthonormality of this basis.
     """
-    if n_edges < 2:
-        raise ValueError("a star needs at least two edges")
-    if num_clusters < 1:
-        raise ValueError("num_clusters must be positive")
+    if _integer(n_edges, "n_edges") < 2:
+        raise QGraphValidationError("a star needs at least two edges")
+    _integer(num_clusters, "num_clusters", 1)
     graph = star_graph([length] * n_edges)
     ell = float(length)
 

@@ -309,6 +309,11 @@ def malformed_files(workdir):
     (workdir / "noise_repeated_q.json").write_text(
         '{"type": "diagonal", "q": {"v1": 1.0, "v1": 0.0}}'
     )
+    # files that are not JSON, not UTF-8, or nested deeper than json can decode
+    for prefix in ("", "noise_"):
+        (workdir / f"{prefix}not_json.json").write_text("{not json")
+        (workdir / f"{prefix}latin1.json").write_bytes('{"vertices": ["\xe9"]}'.encode("latin-1"))
+        (workdir / f"{prefix}deep.json").write_text("[" * 100000 + "]" * 100000)
 
 
 EXACT_STDERR = {
@@ -318,6 +323,12 @@ EXACT_STDERR = {
         "malformed full noise data: matrix must be a JSON array of arrays, got {'a': 1}",
     "noise_flat_matrix.json":
         "malformed full noise data: matrix must be a JSON array of arrays, got [1, 2]",
+    "not_json.json": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    "noise_not_json.json":
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    "latin1.json": "'utf-8' codec can't decode byte 0xe9 in position 15: invalid continuation byte",
+    "noise_latin1.json":
+        "'utf-8' codec can't decode byte 0xe9 in position 15: invalid continuation byte",
 }
 
 
@@ -392,6 +403,21 @@ EXACT_STDERR = {
      "--grid", "1000000000000"],
     ["simulate", "--graph", "interval.json", "--noise", "diag:v1=1", "--steps", "1000000000000",
      "--samples", "2"],
+    # counts whose arrays numpy cannot index: rejected before any allocation
+    ["simulate", "--graph", "interval.json", "--noise", "diag:v1=1",
+     "--steps", "9223372036854775806"],
+    ["control", "--graph", "interval.json", "--noise", "diag:v1=1", "--z0", "1=1",
+     "--grid", "9223372036854775807"],
+    ["spectrum", "--graph", "interval.json", "--mesh", "9223372036854775807"],
+    ["simulate", "--graph", "interval.json", "--noise", "diag:v1=1",
+     "--steps", "10000000000000000000"],
+    ["control", "--graph", "interval.json", "--noise", "diag:v1=1",
+     "--modes", "100000000000000000000", "--z0", "99999999999999999999=1"],
+    # files that are not UTF-8 JSON, as a graph and as noise
+    *(pytest.param(["spectrum", "--graph", f"{name}.json"], id=name)
+      for name in ("not_json", "latin1", "deep")),
+    *(pytest.param(["invariant", "--graph", "interval.json", "--noise", f"noise_{name}.json"],
+                   id=f"noise_{name}") for name in ("not_json", "latin1", "deep")),
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_non_finite_or_malformed_input_exits_2(workdir, interval_file, malformed_files,
                                                capsys, argv):
@@ -499,7 +525,10 @@ def test_undefined_statistics_are_written_as_null(workdir, interval_file, capsys
                  id="QGraphValidationError"),
     pytest.param(qg.InvalidGraphError(["edge 'e1': nonpositive length", "disconnected"]), 2,
                  "error: ", id="InvalidGraphError"),
-    pytest.param(ValueError("bad value"), 2, "error: ", id="ValueError"),
+    # a ValueError outside the validation family is a fault of the program
+    pytest.param(ValueError("bad value"), 3, "numerical failure: ", id="ValueError"),
+    pytest.param(MemoryError("no room"), 2, "error: ", id="MemoryError"),
+    pytest.param(FileNotFoundError("no such file"), 2, "error: ", id="OSError"),
 ])
 def test_exception_family_exit_codes(workdir, interval_file, capsys, monkeypatch,
                                      exc, rc, prefix):

@@ -42,11 +42,12 @@ def test_no_module_reads_the_environment():
 def test_one_exception_family_per_exit_code():
     """errors holds the package's only exception classes: a base, one family
     per failure exit code (validation 2, numerical 3), and InvalidGraphError,
-    the one class that carries data."""
+    the one class that carries data.  The validation family is also a
+    ValueError, so callers that catch ValueError keep catching it."""
     assert errors.__all__ == ["QGraphError", "QGraphValidationError",
                               "QGraphNumericalError", "InvalidGraphError"]
     assert qg.QGraphError.__bases__ == (Exception,)
-    assert qg.QGraphValidationError.__bases__ == (qg.QGraphError,)
+    assert qg.QGraphValidationError.__bases__ == (qg.QGraphError, ValueError)
     assert qg.QGraphNumericalError.__bases__ == (qg.QGraphError,)
     assert qg.InvalidGraphError.__bases__ == (qg.QGraphValidationError,)
     assert qg.InvalidGraphError(["a", "b"]).violations == ["a", "b"]

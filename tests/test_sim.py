@@ -11,7 +11,7 @@ import qgraph as qg
 from qgraph import sim
 from qgraph import tolerances as tol
 from qgraph.control import _eta
-from qgraph.errors import QGraphNumericalError
+from qgraph.errors import QGraphNumericalError, QGraphValidationError
 from qgraph.noise import NoiseModel
 from qgraph.sim import _innovation_factor, _pivoted_cholesky
 
@@ -378,6 +378,19 @@ def test_simulate_validation(interval_eig):
             qg.simulate(interval_eig, nm, [0.0], bad, 4, 2)
         with pytest.raises(ValueError, match="z0"):
             qg.simulate(interval_eig, nm, [0.0, bad], 1.0, 4, 2, num_modes=3)
+
+
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be nonnegative$"),
+                                           (1.5, "seed must be an integer, got 1.5$")])
+def test_seed_is_checked_before_the_factor(interval_eig, monkeypatch, seed, message):
+    """A seed SeedSequence cannot take is bad input, rejected up front, not
+    on a pool thread after the innovation is factored."""
+    def no_factor(cov):
+        raise AssertionError("innovation factored before the seed was checked")
+
+    monkeypatch.setattr("qgraph.sim._innovation_factor", no_factor)
+    with pytest.raises(QGraphValidationError, match=message):
+        qg.simulate(interval_eig, _interval_noise(interval_eig), [0.0], 1.0, 4, 2, seed=seed)
 
 
 def test_innovation_cholesky_rejects_negative():
