@@ -41,7 +41,15 @@ from .sim import (
     summary_to_csv,
     verify_covariance,
 )
-from .spectral import EigenSystem, _integer, mode_to_csv, solve_spectrum, spectrum_to_csv
+from .spectral import (
+    EigenSystem,
+    _build_layout,
+    _check_num_modes,
+    _integer,
+    mode_to_csv,
+    solve_spectrum,
+    spectrum_to_csv,
+)
 from .treepaths import path_union, path_union_to_dict, st_active_set, verify_tf
 
 __all__ = ["main", "build_parser"]
@@ -78,7 +86,7 @@ def _floats(text: str) -> list[float]:
 def _write_json(path: str, payload: dict) -> None:
     # serialized first: a non-finite value raises ValueError (exit 3) and leaves no file
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _parse(open, path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -150,6 +158,7 @@ def _cmd_feller(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel 
 
 
 def _cmd_control(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
+    _check_num_modes(_build_layout(graph, args.mesh), args.modes)  # before it sizes z0
     z0 = _parse_z0(args.z0, args.modes)
     eig = solve_spectrum(graph, args.mesh, args.modes)
     result = solve_null_control(eig, noise, z0, args.horizon, grid_points=args.grid)
@@ -208,6 +217,7 @@ def _cmd_invariant(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMod
 
 
 def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
+    _check_num_modes(_build_layout(graph, args.mesh), args.modes)  # before it sizes z0
     z0 = _parse_z0(args.z0, args.modes)
     alphas = _floats(args.alphas)
     eig = solve_spectrum(graph, args.mesh, args.modes)

@@ -97,7 +97,8 @@ class Coefficient:
 
 
 def _parse(parse, *args, **kwargs):
-    """parse(*args, **kwargs) of input text; text it rejects is invalid input."""
+    """parse(*args, **kwargs) of input text; text it rejects is invalid input,
+    and so is a path that open rejects (one holding a NUL byte)."""
     try:
         return parse(*args, **kwargs)
     except (ValueError, RecursionError) as exc:
@@ -369,12 +370,12 @@ def graph_from_dict(data: dict) -> MetricGraph:
 
 
 def load_graph(path) -> MetricGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _parse(open, path, "r", encoding="utf-8") as fh:
         return graph_from_dict(_parse(json.load, fh, object_pairs_hook=_unique_keys))
 
 
 def save_graph(graph: MetricGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _parse(open, path, "w", encoding="utf-8") as fh:
         json.dump(graph_to_dict(graph), fh, indent=2)
         fh.write("\n")
 

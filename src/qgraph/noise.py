@@ -128,7 +128,7 @@ def parse_noise(spec: str, graph: MetricGraph) -> NoiseModel:
                     raise QGraphValidationError(f"repeated noise entry for vertex {name!r}")
                 q[name] = _parse(float, val)
         return NoiseModel.from_diagonal(graph, q)
-    with open(spec, encoding="utf-8") as fh:
+    with _parse(open, spec, encoding="utf-8") as fh:
         data = _parse(json.load, fh, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise QGraphValidationError(f"noise file must hold a JSON object, got {data!r:.40}")

@@ -15,9 +15,10 @@ constant on every edge (_sliced_pairs, no scipy.sparse or scipy.linalg)
 and runs seeded ARPACK otherwise (_lanczos_pairs).  Slicing starts each
 eigenvalue's Newton refinement at the lower end of its grid bracket,
 whose count is known, bisects the bracket where a step leaves it,
-refines the members of a multiple eigenvalue once, at one shared shift,
-and evaluates each slope's nudged shift in the shift's own border pattern,
-so a round makes one _shift_system call; EigenSystem.solve records each solve.
+refines the members of a multiple eigenvalue once, at one shared shift
+while their Newton values agree to SLICE_WINDOW, and evaluates each
+slope's nudged shift in the shift's own border pattern, so a round makes
+one _shift_system call; EigenSystem.solve records each solve.
 
 Every CSV table of the package is written by _write_csv (exports
 section), the one place that knows the dialect.
@@ -39,7 +40,7 @@ import scipy  # submodules named at each call load on first use, not at import
 
 from . import tolerances as tol
 from .errors import QGraphNumericalError, QGraphValidationError
-from .graphs import MetricGraph, interval_graph, star_graph
+from .graphs import MetricGraph, _parse, interval_graph, star_graph
 
 __all__ = [
     "MeshLayout",
@@ -372,11 +373,11 @@ def _extend(op: DiscreteOperator, parts, x: np.ndarray, owner: np.ndarray) -> np
     column v at the shift whose parts are row owner[v] of parts: the vertex
     values, and per edge the interior solution, its sine weight from the
     border value if bordered.  Each shift's trig tables are built once and
-    applied to all its vectors by one matmul.  A small miss d of the head
-    value is spread back as the ramp d i/N: a residual of order lambda d."""
+    each vector gathers its own shift's.  A small miss d of the head value
+    is spread back as the ramp d i/N: a residual of order lambda d."""
     trig, pole, theta, eps, gam, s, one_g, scale, t, flip = parts  # shifts x edges
     lay = op.layout
-    n, big_n, shifts = lay.n_vertices, lay.elements_per_edge, len(trig)
+    n, big_n = lay.n_vertices, lay.elements_per_edge
     u_t, u_h = x[lay.nodes[:, 0]].T, x[lay.nodes[:, -1]].T  # vectors x edges
     bordered, g, e = pole[owner], gam[owner], eps[owner]
     i = np.arange(1, big_n)
@@ -391,39 +392,36 @@ def _extend(op: DiscreteOperator, parts, x: np.ndarray, owner: np.ndarray) -> np
                      / np.expm1(-2.0 * big_n * t[hyp])[:, None])
             ratio *= np.where(flip[hyp][:, None], (-1.0) ** (big_n - i), 1.0)
             first_b[hyp], second_b[hyp] = ratio[:, ::-1], ratio
-    # vector v weighs its own shift's tables: rows owner[v] and shifts + owner[v]
-    weights = np.zeros((len(lay.nodes), len(owner), 2 * shifts))
-    col = np.arange(len(owner))
-    weights[:, col, owner], weights[:, col, shifts + owner] = u_t.T, second.T
-    interior = weights @ np.concatenate([first_b, second_b]).transpose(1, 0, 2)
-    interior += missed.T[..., None] * (i / big_n)
+    interior = (u_t[..., None] * first_b[owner] + second[..., None] * second_b[owner]
+                + missed[..., None] * (i / big_n))  # vectors x edges x interior nodes
     f = np.empty((len(owner), lay.total_dof))
-    f[:, :n], f[:, n:] = x[:n].T, interior.transpose(1, 0, 2).reshape(len(owner), -1)
+    f[:, :n], f[:, n:] = x[:n].T, interior.reshape(len(owner), -1)
     return f
 
 
 def _sliced_pairs(op: DiscreteOperator, num_modes: int):
-    """Lowest eigenpairs by spectrum slicing.  Counts on a grid bracket each
-    eigenvalue i, where B's ordered branch i - count meets zero; all are
-    refined at once, one stacked _shift_system per round, by Newton steps
-    on the slopes z^T B' z (to the next crossing from below, back along
-    the branch from above).  Each bracket starts at its lower end, whose
-    count is already known (the first at floor, where a uniform
-    potential's constant mode sits), so Newton advances from below
-    instead of bisecting toward a root that sits next to that end.  Every
-    count narrows a root's bracket [lo, hi]; a step that leaves it is
-    replaced by its midpoint, or by the geometric mean of max(lo, unit)
-    and hi where hi is more than 4 times that.  The roots of one bracket
-    share a shift, the step of their lowest unconverged member, until
-    their counts part them, so a multiple eigenvalue is refined once, with
-    B and its eigh formed once per distinct shift; each member still
-    converges on its own branch.  Slopes are forward differences, shift +
-    nudge paired with shift in one call and taken in its border pattern,
-    so each is the derivative of one smooth B, also where N theta/pi is a
-    half-integer (the star's anti-symmetric eigenvalues).  Values within
-    SLICE_WINDOW form a cluster, its vectors the branches' null vectors,
-    all extended in one pass; Rayleigh-Ritz makes all vectors
-    mass-orthonormal.  Also returns its _shift_system calls and shifts."""
+    """Lowest eigenpairs by spectrum slicing.  Counts on a grid bracket
+    each eigenvalue i, where B's ordered branch i - count meets zero; all
+    are refined at once, one stacked _shift_system per round, by Newton
+    steps on the slopes z^T B' z (to the next crossing from below, back
+    along the branch from above).  Each bracket starts at its lower end,
+    whose count is already known (the first at floor, where a uniform
+    potential's constant mode sits), so Newton advances from below instead
+    of bisecting toward a root that sits next to that end.  Every count
+    narrows a root's bracket [lo, hi]; a step that leaves it is replaced
+    by its midpoint, or by the geometric mean of max(lo, unit) and hi
+    where hi is more than 4 times that.  The roots of one bracket start at
+    one shift; then adjacent roots share a shift, the step of their lowest
+    member, while their own steps agree to SLICE_WINDOW, so a multiple
+    eigenvalue is refined once (B and its eigh once per distinct shift)
+    and distinct roots part in their first round; each still converges on
+    its own branch.  Slopes are forward differences, shift + nudge paired
+    with shift in one call and taken in its border pattern, so each is the
+    derivative of one smooth B, also where N theta/pi is a half-integer
+    (the star's anti-symmetric eigenvalues).  Values within SLICE_WINDOW
+    form a cluster, its vectors the branches' null vectors, all extended
+    in one pass; Rayleigh-Ritz makes all vectors mass-orthonormal.  Also
+    returns its _shift_system calls and shifts."""
     c, p, h, _ = op._edge_data
     lengths = op.layout.coords[:, -1]
     unit = float(np.min(c / lengths**2))  # the graph's eigenvalue scale
@@ -487,8 +485,9 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
         step = np.where((low < step) & (step < high), step,
                         np.where(high > 4.0 * np.maximum(low, unit),
                                  np.sqrt(np.maximum(low, unit) * high), 0.5 * (low + high)))
-        # a root follows the lowest member of its run, the roots its counts do not yet part
-        apart = np.concatenate([[True], lo[todo[1:]] >= hi[todo[:-1]]])
+        # a root follows the lowest member of its run: adjacent roots whose own steps agree
+        apart = np.concatenate([[True], np.abs(np.diff(step)) > tol.SLICE_WINDOW
+                                * np.maximum(np.abs(step[:-1]), unit)])
         lead = np.maximum.accumulate(np.where(apart, np.arange(len(todo)), 0))
         sigma[todo] = np.where(final[todo], step, step[lead])  # a pinned root keeps its own
     if len(todo):
@@ -721,7 +720,7 @@ def _write_csv(path, header, chunks) -> None:
     """Write one CSV table: the header through the csv module, which quotes
     vertex and edge ids where they need it, then the chunks, each text of
     whole rows, every number written by repr and every row ended by CRLF."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _parse(open, path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(chunks)
 

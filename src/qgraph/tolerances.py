@@ -11,7 +11,8 @@ manifests can record the complete set.
 EIG_RESIDUAL = 1e-8
 
 # spectrum slicing: a Newton step under SLICE_WINDOW relative to the value
-# (or min c/length^2) converges, and values that close form one cluster;
+# (or min c/length^2) converges, roots whose steps agree to it share a
+# shift, and values that close form one cluster;
 # slicing costs (n + m)^3 per shift, so larger graphs run Lanczos
 SLICE_WINDOW = 1e-12
 SLICE_MAX_ORDER = 64

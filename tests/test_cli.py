@@ -456,6 +456,38 @@ def test_string_arguments_are_parsed_before_the_eigensolve(workdir, interval_fil
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["control", "simulate"])
+def test_modes_are_checked_before_z0_sizes_a_list(workdir, interval_file, capsys, command):
+    """--modes is checked against the mesh before a --z0 index below it
+    sizes the dense coefficient list: a 2e7-entry list would take 160 MB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rc = main([command, "--graph", interval_file, "--noise", "diag:v1=1", "--mesh", "8",
+                   "--modes", "20000000", "--z0", "19999999=1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and capsys.readouterr() == ("", "error: num_modes must lie in [1, 8]\n")
+    assert peak < 5e6
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--graph", "interval\0.json"],
+    ["invariant", "--graph", "interval.json", "--noise", "noise\0.json"],
+    ["spectrum", "--graph", "interval.json", "--out", "spectrum\0.csv"],
+    ["feller", "--graph", "interval.json", "--noise", "diag:v1=1", "--out", "verdict\0.json"],
+    ["spectrum", "--graph", "interval.json", "--manifest", "run\0.json"],
+], ids=["graph", "noise", "csv-out", "json-out", "manifest"])
+def test_paths_that_open_rejects_exit_2(workdir, interval_file, capsys, argv):
+    """A path holding a NUL byte, read or written, is invalid input."""
+    assert main(argv[:1] + ["--mesh", "16", "--modes", "4"] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: embedded null byte\n"
+    assert not list(workdir.glob("*.manifest.json"))
+
+
 def test_arpack_failure_exits_3(workdir, capsys):
     """A zero-length scale breaks ARPACK itself: a numerical failure, not a crash."""
     tiny = workdir / "tiny.json"

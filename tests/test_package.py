@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import qgraph as qg
 from qgraph import control, errors, feller, graphs, noise, sim, spectral, treepaths
 
@@ -100,3 +102,17 @@ def test_scipy_submodules_load_on_first_solve(tmp_path):
                  "simulate"):
         assert loaded[name] == [], name
     assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded["sampled"])
+
+
+def test_readme_library_block_runs():
+    """The README's "Library at a glance" block runs as written: simulate
+    keeps 10 of the 20 solved modes, and decide_feller solves its own
+    eigensystem."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("## Library at a glance", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["eig"].num_modes == 20 and names["ens"].num_modes == 10
+    assert names["verdict"].verdict == "NotStrongFeller"
+    assert abs(names["eig"].lambdas[1] - (np.pi / 2) ** 2) < 1e-4
