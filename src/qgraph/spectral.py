@@ -98,6 +98,19 @@ def _integer(value, name: str, least: int | None = None, per: int = 0) -> int:
     return value
 
 
+# float64 entries in one row block of a pass over (rows x dof) arrays (about
+# 256 KiB, within a core's L2): the stencils, _extend and the certificates
+# hold one such block of temporaries instead of whole (modes x dof) arrays
+ROW_BLOCK = 32768
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """range(rows) in slices of max(1, ROW_BLOCK // width) rows: one slice
+    when the (rows x width) array fits in a block."""
+    step = max(1, ROW_BLOCK // width)
+    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
 def _build_layout(graph: MetricGraph, elements_per_edge: int) -> MeshLayout:
     n, m, nel = graph.n, graph.m, _integer(elements_per_edge, "elements_per_edge", 2, graph.m)
     nodes = np.empty((m, nel + 1), dtype=np.int64)
@@ -135,22 +148,38 @@ class DiscreteOperator:
         return scipy.sparse.coo_matrix((values.ravel(), (rows.ravel(), cols.ravel())),
                                        shape=(self.layout.total_dof,) * 2).tocsr()
 
-    def apply(self, diag, off, f: np.ndarray) -> np.ndarray:
-        """The matrix with element entries (diag, off) times each row of f."""
-        lay = self.layout
-        n, tail, head = lay.n_vertices, f[:, lay.nodes[:, 0]], f[:, lay.nodes[:, -1]]
-        v = f[:, n:].reshape(len(f), len(lay.nodes), -1)  # rows x edges x interior nodes
-        out = np.zeros(f.shape)  # C order, so w is a view of its interior part
-        w = out[:, n:].reshape(v.shape)  # each entry sums its three terms in order
-        np.multiply(diag[:, :-1] + diag[:, 1:], v, out=w)
-        w[..., 0] += off[:, 0] * tail
-        inner = np.multiply(off[:, 1:-1], v[..., :-1])  # one buffer for both neighbours' terms
-        w[..., 1:] += inner
-        w[..., :-1] += np.multiply(off[:, 1:-1], v[..., 1:], out=inner)
-        w[..., -1] += off[:, -1] * head
-        np.add.at(out, (slice(None), lay.nodes[:, 0]), diag[:, 0] * tail + off[:, 0] * v[..., 0])
-        np.add.at(out, (slice(None), lay.nodes[:, -1]), diag[:, -1] * head + off[:, -1] * v[..., -1])
+    def apply(self, diag, off, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The matrix with element entries (diag, off) times each row of f,
+        written into out (C order, f's shape; a new array by default).  The
+        stencil runs on one block of _row_blocks rows at a time, so besides f
+        and out it holds about one block, not another (rows x dof) array."""
+        out = np.empty(f.shape) if out is None else out
+        centre = diag[:, :-1] + diag[:, 1:]
+        for rows in _row_blocks(*f.shape):
+            self._stencil(diag, off, centre, f[rows], out[rows])
         return out
+
+    def _stencil(self, diag, off, centre, f: np.ndarray, out: np.ndarray) -> None:
+        """apply's stencil on one row block; its buffer is freed on return."""
+        lay = self.layout
+        n, tail, head = lay.n_vertices, lay.nodes[:, 0], lay.nodes[:, -1]
+        u_t, u_h = f[:, tail], f[:, head]
+        v = f[:, n:].reshape(len(f), len(lay.nodes), -1)  # rows x edges x interior nodes
+        out[:, :n] = 0.0
+        w = out[:, n:].reshape(v.shape)  # a view of out; each entry sums its three terms in order
+        np.multiply(centre, v, out=w)
+        w[..., 0] += off[:, 0] * u_t
+        # one buffer for both neighbours' terms, summed in it and copied back:
+        # numpy would copy a strided view of out that is added to in place
+        inner = np.multiply(off[:, 1:-1], v[..., :-1])
+        inner += w[..., 1:]
+        w[..., 1:] = inner
+        np.multiply(off[:, 1:-1], v[..., 1:], out=inner)
+        inner += w[..., :-1]
+        w[..., :-1] = inner
+        w[..., -1] += off[:, -1] * u_h
+        np.add.at(out, (slice(None), tail), diag[:, 0] * u_t + off[:, 0] * v[..., 0])
+        np.add.at(out, (slice(None), head), diag[:, -1] * u_h + off[:, -1] * v[..., -1])
 
     @cached_property
     def _edge_data(self) -> tuple[np.ndarray, ...]:
@@ -368,34 +397,63 @@ def _slice_count(op: DiscreteOperator, sigma) -> np.ndarray:
     return count + np.count_nonzero(np.linalg.eigvalsh(matrix) < 0.0, axis=1)
 
 
+def _trig_tables(parts, at: slice, big_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The interior shapes at the shifts in rows at of parts, shifts x edges x
+    nodes i = 1 .. N - 1: cos(i theta) and sin(i theta), or on a hyperbolic
+    edge sinh((N - i) t)/sinh(N t) and sinh(i t)/sinh(N t) with its sign
+    pattern, computed stably for large N t."""
+    trig, _, theta, *_, t, flip = (q[at] for q in parts)
+    i = np.arange(1, big_n)
+    with np.errstate(all="ignore"):
+        angle = theta[..., None] * i
+        first_b, second_b = np.cos(angle), np.sin(angle, out=angle)
+        hyp = ~trig
+        if hyp.any():
+            th = t[hyp][:, None]
+            ratio = np.exp(th * (i - big_n)) * np.expm1(-2.0 * th * i) / np.expm1(-2.0 * big_n * th)
+            ratio *= np.where(flip[hyp][:, None], (-1.0) ** (big_n - i), 1.0)
+            first_b[hyp], second_b[hyp] = ratio[:, ::-1], ratio
+    return first_b, second_b
+
+
 def _extend(op: DiscreteOperator, parts, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Nodal vectors, one row each, from the columns x of B's null vectors,
     column v at the shift whose parts are row owner[v] of parts: the vertex
     values, and per edge the interior solution, its sine weight from the
-    border value if bordered.  Each shift's trig tables are built once and
-    each vector gathers its own shift's.  A small miss d of the head value
-    is spread back as the ramp d i/N: a residual of order lambda d."""
-    trig, pole, theta, eps, gam, s, one_g, scale, t, flip = parts  # shifts x edges
+    border value if bordered.  One block of _row_blocks rows at a time, the
+    _trig_tables of the block's shifts are built (a cluster's blocks share
+    them), each vector gathers its own shift's, and the interiors are summed
+    in a block buffer and copied into the returned array, so besides it the
+    pass holds a few blocks.  A small miss d of the head value is spread
+    back as the ramp d i/N: a residual of order lambda d."""
+    trig, pole, _, eps, gam, s, one_g, scale, *_ = parts  # shifts x edges
     lay = op.layout
     n, big_n = lay.n_vertices, lay.elements_per_edge
     u_t, u_h = x[lay.nodes[:, 0]].T, x[lay.nodes[:, -1]].T  # vectors x edges
     bordered, g, e = pole[owner], gam[owner], eps[owner]
-    i = np.arange(1, big_n)
     with np.errstate(all="ignore"):
         second = np.where(bordered, (s[owner] * e * u_t - x[n:].T / scale[owner]) / one_g[owner],
                           np.where(trig[owner], (u_h - g * u_t) / e, u_h))
         missed = np.where(bordered, u_h - g * u_t - e * second, 0.0)
-        first_b, second_b = np.cos(theta[..., None] * i), np.sin(theta[..., None] * i)
-        if not trig.all():  # sinh(i t)/sinh(N t), stable for large N t, and sign pattern
-            hyp = ~trig
-            ratio = (np.exp(t[hyp][:, None] * (i - big_n)) * np.expm1((-2.0 * t[hyp])[:, None] * i)
-                     / np.expm1(-2.0 * big_n * t[hyp])[:, None])
-            ratio *= np.where(flip[hyp][:, None], (-1.0) ** (big_n - i), 1.0)
-            first_b[hyp], second_b[hyp] = ratio[:, ::-1], ratio
-    interior = (u_t[..., None] * first_b[owner] + second[..., None] * second_b[owner]
-                + missed[..., None] * (i / big_n))  # vectors x edges x interior nodes
+    ramp = np.arange(1, big_n) / big_n
     f = np.empty((len(owner), lay.total_dof))
-    f[:, :n], f[:, n:] = x[:n].T, interior.reshape(len(owner), -1)
+    f[:, :n] = x[:n].T
+    tables = built = None
+    for rows in _row_blocks(*f.shape):
+        at = slice(owner[rows].min(), owner[rows].max() + 1)  # the block's shifts
+        if at != built:
+            tables = None  # the last block's tables are freed before these are built
+            tables, built = _trig_tables(parts, at, big_n), at
+        own = owner[rows] - at.start
+        # numpy would copy a strided view of f that is added to in place
+        interior = tables[0][own]  # vectors x edges x interior nodes
+        interior *= u_t[rows, :, None]
+        term = tables[1][own]  # one buffer for the sine and ramp terms
+        term *= second[rows, :, None]
+        interior += term
+        interior += np.multiply(missed[rows, :, None], ramp, out=term)
+        f[rows, n:] = interior.reshape(len(own), -1)
+        del interior, term  # freed before the next block's are made
     return f
 
 
@@ -502,7 +560,10 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
     x = np.hstack([source[a][0][:, a - source[a][2]:b - source[a][2]] for a, b in spans])
     parts = tuple(np.array(q) for q in zip(*(source[a][1] for a, _ in spans)))
     f = _extend(op, parts, x, np.repeat(np.arange(len(spans)), [b - a for a, b in spans]))
-    k_p, m_p = f @ op.apply(op.k_diag, op.k_off, f).T, f @ op.apply(*op.m_entries, f).T
+    product = op.apply(op.k_diag, op.k_off, f)  # one buffer: K f, then M f
+    k_p = f @ product.T
+    m_p = f @ op.apply(*op.m_entries, f, out=product).T
+    del product  # so f and the returned vectors are the only (modes x dof) arrays left
     try:
         inv = np.linalg.inv(np.linalg.cholesky((m_p + m_p.T) / 2.0))
     except np.linalg.LinAlgError as exc:
@@ -551,8 +612,15 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     a second deficit, or a sliced one, raises.  Each pair must pass the
     residual bound, ||r||_{M^-1} <= sqrt(3) ||r||_{L^-1} with L the
     lumped mass (L/3 <= M <= L), and mass orthonormality, or
-    QGraphNumericalError.  Keep num_modes an order of magnitude below the
-    dof count.  Its SolveRecord, EigenSystem.solve, says how the solve went.
+    QGraphNumericalError; both test the returned vectors v.  The residuals
+    take K v one block of _row_blocks rows at a time, each row's norm
+    summed along the row; M v is kept whole for the Gram matrix's one
+    product, since Rayleigh-Ritz holds two such arrays anyway.  Every pass
+    over (num_modes x dof) arrays runs in such blocks (ROW_BLOCK float64
+    entries), so a sliced solve holds about two such arrays plus one
+    block, and the block size changes no result.  Keep num_modes an order
+    of magnitude below the dof count.  Its SolveRecord, EigenSystem.solve,
+    says how the solve went.
     """
     _check_num_modes(op.layout, num_modes)
     m_diag, m_off = op.m_entries
@@ -589,10 +657,18 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
         raise QGraphNumericalError(
             f"{below} eigenvalues lie below {sigma:.6g} but the solve found {last}")
 
-    # certificates, by stencils: residual norms against rho, then mass orthonormality
-    mv = op.apply(m_diag, m_off, v)
-    r = op.apply(op.k_diag, op.k_off, v) - w[:, None] * mv
-    residuals = np.sqrt(3.0 * np.einsum("ki,ki->k", r, r / op.apply(m_diag, m_off, ones)))
+    # certificates, by stencils on the returned vectors: residual norms
+    # against rho, one row block at a time, then mass orthonormality
+    v = np.ascontiguousarray(v)
+    mv, lumped = op.apply(m_diag, m_off, v), op.apply(m_diag, m_off, ones)
+    residuals = np.empty(num_modes)
+    for rows in _row_blocks(*v.shape):
+        r = op.apply(op.k_diag, op.k_off, v[rows])
+        r -= w[rows, None] * mv[rows]
+        weighted = r / lumped
+        weighted *= r  # summed along each row, so a row's norm is the same in any block
+        residuals[rows] = np.sqrt(3.0 * weighted.sum(axis=1))
+        del r, weighted  # freed before the next block's are made
     excess = np.max(residuals / (tol.EIG_RESIDUAL * (w + rho)))
     if not excess <= 1.0:
         raise QGraphNumericalError(f"eigenpair residual {excess:.3g} times its bound")
@@ -607,7 +683,7 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
         graph=op.graph,
         layout=op.layout,
         lambdas=w,
-        vectors=np.ascontiguousarray(v),
+        vectors=v,
         clusters=clusters,
         trusted=trusted,
         source="fem",
@@ -740,11 +816,14 @@ def spectrum_to_csv(eig: EigenSystem, path) -> None:
 
 def mode_to_csv(eig: EigenSystem, k: int, path) -> None:
     values = eig.edge_values(k)
-    chunks = []
-    for e, xs in zip(eig.graph.edges, eig.layout.coords.tolist()):
+    chunks, x_text = [], {}  # each distinct coordinate row's repr text, shared by equal edges
+    for e, xs in zip(eig.graph.edges, eig.layout.coords):
         edge = io.StringIO()
         csv.writer(edge, lineterminator="").writerow([e.id, ""])  # the id as csv quotes it
         prefix = edge.getvalue()
-        rows = zip(xs, values[e.id].tolist())
-        chunks.append("".join(f"{prefix}{x!r},{v!r}\r\n" for x, v in rows))
+        key = xs.tobytes()
+        if key not in x_text:
+            x_text[key] = list(map(repr, xs.tolist()))
+        rows = zip(x_text[key], values[e.id].tolist())
+        chunks.append("".join(f"{prefix}{x},{v!r}\r\n" for x, v in rows))
     _write_csv(path, ["edge", "x", "value"], chunks)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,42 @@ def test_repeated_solves_are_identical(mesh, modes):
         assert max(b - a for a, b in first.clusters) == min(9, modes - 1)
         assert np.array_equal(first.lambdas, second.lambdas)
         assert np.array_equal(first.vectors, second.vectors)
+
+
+@pytest.mark.parametrize("block", [1, 10**12], ids=["one-row", "all-rows"])
+@pytest.mark.parametrize("sampled", [False, True], ids=["sliced", "lanczos"])
+def test_row_blocks_change_no_result(monkeypatch, block, sampled):
+    """The row-block rule of the passes over (modes x dof) arrays changes
+    nothing: one row per block and all rows in one block give the default's
+    (two blocks here) eigenpairs, clusters and residuals, bit for bit, on
+    the closed-form path and on the Lanczos path."""
+    star = qg.star_graph([1.0] * 10)
+    graph = _sampled(star) if sampled else star
+    reference = qg.solve_spectrum(graph, 128, 30)
+    assert len(spectral._row_blocks(30, reference.layout.total_dof)) == 2
+    monkeypatch.setattr(spectral, "ROW_BLOCK", block)
+    eig = qg.solve_spectrum(graph, 128, 30)
+    assert eig.solve.path == ("lanczos" if sampled else "sliced")
+    assert eig.clusters == reference.clusters
+    for name in ("lambdas", "vectors", "residuals"):
+        assert np.array_equal(getattr(eig, name), getattr(reference, name)), name
+
+
+@pytest.mark.parametrize("graph,mesh,modes", [(qg.star_graph([1.0] * 10), 256, 50),
+                                               (qg.path_graph([1.0, 0.7, 1.3, 0.9, 1.1]), 512, 30)],
+                         ids=["10-star", "5-path"])
+def test_eigensolve_peak_memory_is_bounded(graph, mesh, modes):
+    """The eigensolve streams its passes over (modes x dof) arrays in row
+    blocks, so its traced peak stays within 3.5 such arrays: about two of
+    them (the vectors and one product) plus a few blocks."""
+    op = assemble(graph, mesh)
+    tracemalloc.start()
+    try:
+        eigensolve(op, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * modes * op.layout.total_dof * 8
 
 
 def _p1_dirichlet(c, p, length, mesh, k):
@@ -806,7 +843,9 @@ def test_csv_writers_match_csv_module(tmp_path, star3_analytic):
                qg.Edge("e3", "w", "x,y", 1.3, c1, c0)),
     )
     written = []
-    for eig in (qg.solve_spectrum(g, 16, 8), star3_analytic):
+    # the star [1, 0.5, 1] has two edges of equal length, which share their x text
+    for eig in (qg.solve_spectrum(g, 16, 8), star3_analytic,
+                qg.solve_spectrum(qg.star_graph([1.0, 0.5, 1.0]), 16, 8)):
         for writer, reference, args in (
             (qg.spectrum_to_csv, _reference_spectrum_csv, ()),
             (qg.mode_to_csv, _reference_mode_csv, (3,)),
