@@ -15,10 +15,10 @@ constant on every edge (_sliced_pairs, no scipy.sparse or scipy.linalg)
 and runs seeded ARPACK otherwise (_lanczos_pairs).  Slicing starts each
 eigenvalue's Newton refinement at the lower end of its grid bracket,
 whose count is known, bisects the bracket where a step leaves it,
-refines the members of a multiple eigenvalue once, at one shared shift
-while their Newton values agree to SLICE_WINDOW, and evaluates each
-slope's nudged shift in the shift's own border pattern, so a round makes
-one _shift_system call; EigenSystem.solve records each solve.
+refines a multiple eigenvalue's members at one shared shift while their
+Newton values agree to SLICE_WINDOW (one _shift_system call a round),
+stops a root where its vertex system is singular to roundoff, and keeps
+each root's value and converged shift, where one pass finds the vectors.
 
 Every CSV table of the package is written by _write_csv (exports
 section), the one place that knows the dialect.
@@ -227,9 +227,9 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
 
 @dataclass(frozen=True)
 class SolveRecord:
-    """How eigensolve went: its path ("sliced" or "lanczos"), attempts, inertia
-    evaluations (calls) and the shifts stacked in them, count below the last
-    cluster (None with one), largest residual over its bound, orthonormality defect."""
+    """How eigensolve went: path ("sliced" or "lanczos"), attempts, inertia
+    evaluations (calls; not the sliced vector pass) and their stacked shifts, count
+    below the last cluster (None with one), largest residual ratio, orthonormality defect."""
 
     path: str
     attempts: int
@@ -462,24 +462,24 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
     each eigenvalue i, where B's ordered branch i - count meets zero; all
     are refined at once, one stacked _shift_system per round, by Newton
     steps on the slopes z^T B' z (to the next crossing from below, back
-    along the branch from above).  Each bracket starts at its lower end,
-    whose count is already known (the first at floor, where a uniform
-    potential's constant mode sits), so Newton advances from below instead
-    of bisecting toward a root that sits next to that end.  Every count
-    narrows a root's bracket [lo, hi]; a step that leaves it is replaced
-    by its midpoint, or by the geometric mean of max(lo, unit) and hi
-    where hi is more than 4 times that.  The roots of one bracket start at
-    one shift; then adjacent roots share a shift, the step of their lowest
-    member, while their own steps agree to SLICE_WINDOW, so a multiple
-    eigenvalue is refined once (B and its eigh once per distinct shift)
-    and distinct roots part in their first round; each still converges on
-    its own branch.  Slopes are forward differences, shift + nudge paired
-    with shift in one call and taken in its border pattern, so each is the
-    derivative of one smooth B, also where N theta/pi is a half-integer
-    (the star's anti-symmetric eigenvalues).  Values within SLICE_WINDOW
-    form a cluster, its vectors the branches' null vectors, all extended
-    in one pass; Rayleigh-Ritz makes all vectors mass-orthonormal.  Also
-    returns its _shift_system calls and shifts."""
+    along the branch from above), from each bracket's lower end, whose
+    count is known (the first at floor, a uniform potential's constant
+    mode).  Counts narrow a root's bracket [lo, hi]; a step that leaves it
+    is replaced by its midpoint, or by the geometric mean of max(lo, unit)
+    and hi where hi is more than 4 times that.  A bracket's roots start at
+    one shift, then share the step of their lowest member while their own
+    steps agree to SLICE_WINDOW, so a multiple eigenvalue is refined once.
+    Slopes are forward differences, shift + nudge paired with shift in one
+    call and taken in its border pattern, so each is the derivative of one
+    smooth B, also where N theta/pi is a half-integer.  A root converges
+    where its step is within SLICE_WINDOW, or at its shift where its branch
+    is zero to roundoff, |beta| <= 8 eps max|beta| (no step reaches the
+    window where eps ||B|| exceeds it), and keeps only its value and that
+    shift.  Values within SLICE_WINDOW form a cluster [a, b); one
+    _shift_system and eigh at the clusters' first shifts give B's null
+    vectors a - base .. b - base (a cluster wider than B raises) and the
+    edge law for one _extend; Rayleigh-Ritz makes them mass-orthonormal.
+    Returns its inertia evaluations too (calls, shifts; not the vector pass)."""
     c, p, h, _ = op._edge_data
     lengths = op.layout.coords[:, -1]
     unit = float(np.min(c / lengths**2))  # the graph's eigenvalue scale
@@ -503,7 +503,7 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
     lo, hi = known[group - 1], known[group]
     sigma = np.maximum(lo, floor)  # the lower ends; a uniform potential's constant mode is floor
 
-    value, source = np.empty(num_modes), [None] * num_modes
+    value, converged = np.empty(num_modes), np.empty(num_modes)  # each root's, and its shift's
     todo, final = roots, np.zeros(num_modes, dtype=bool)
     for _ in range(200):
         if not len(todo):
@@ -513,12 +513,11 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
         k = len(shift)
         nudge = 1e-7 * np.maximum(np.abs(shift), unit)  # for the slopes' difference quotients
         pair = np.concatenate([shift, shift + nudge])  # one call, in shift's border pattern
-        base, matrix, parts = _shift_system(op, pair, paired=True)
+        base, matrix, _ = _shift_system(op, pair, paired=True)
         calls, shifts = calls + 1, shifts + len(pair)
         beta, z = np.linalg.eigh(matrix[:k])
         slopes = (matrix[k:] - matrix[:k]) / nudge[:, None, None]
         rate = np.sum(z * (slopes @ z), axis=1)  # Hellmann-Feynman, per branch
-        base, parts = base[:k], tuple(q[:k] for q in parts)
         # from here on one row per root, at its shift
         shift, base, beta, rate = shift[at], base[at], beta[at], rate[at]
         below = base + np.count_nonzero(beta < 0.0, axis=1)
@@ -532,11 +531,13 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
             back = shift - beta[row, branch] / np.where(rate[row, branch] < 0.0,
                                                         rate[row, branch], np.nan)
         step = np.where(below > todo, back, ahead)
+        singular = np.abs(beta[row, branch]) <= 8.0 * np.finfo(float).eps * np.max(
+            np.abs(beta), axis=1)  # B is singular to roundoff: the shift is the value
+        step = np.where(singular & (todo >= base), shift, step)
         done = final[todo] | (np.abs(step - shift)
                               <= tol.SLICE_WINDOW * np.maximum(np.abs(shift), unit))
-        for j in np.flatnonzero(done):
-            value[todo[j]] = shift[j] if final[todo[j]] else step[j]
-            source[todo[j]] = (z[at[j]], tuple(q[at[j]] for q in parts), int(base[j]))
+        value[todo[done]] = np.where(final[todo[done]], shift[done], step[done])
+        converged[todo[done]] = shift[done]
         todo, step = todo[~done], step[~done]
         low, high = lo[todo], hi[todo]
         final[todo] = ~(low < high)  # counts pin it: converge where it is
@@ -557,9 +558,14 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
         spans.append((first, first + int(np.count_nonzero(
             value[first:] <= value[first] + tol.SLICE_WINDOW * max(abs(value[first]), unit)))))
         first = spans[-1][1]
-    x = np.hstack([source[a][0][:, a - source[a][2]:b - source[a][2]] for a, b in spans])
-    parts = tuple(np.array(q) for q in zip(*(source[a][1] for a, _ in spans)))
-    f = _extend(op, parts, x, np.repeat(np.arange(len(spans)), [b - a for a, b in spans]))
+    first, end = np.array(spans).T  # each cluster's vectors: B's null vectors at its first shift
+    base, matrix, parts = _shift_system(op, converged[first])
+    if np.any(first < base) or np.any(end - base > matrix.shape[1]):
+        raise QGraphNumericalError("a cluster of eigenvalues within slice_window needs more "
+                                   "null vectors than its vertex system has branches")
+    x = np.hstack([z[:, a - o:b - o] for z, a, b, o
+                   in zip(np.linalg.eigh(matrix)[1], first, end, base)])
+    f = _extend(op, parts, x, np.repeat(np.arange(len(spans)), end - first))
     product = op.apply(op.k_diag, op.k_off, f)  # one buffer: K f, then M f
     k_p = f @ product.T
     m_p = f @ op.apply(*op.m_entries, f, out=product).T
@@ -601,26 +607,27 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     The input picks the path.  With c and p constant on every edge and
     n + m <= SLICE_MAX_ORDER, closed-form slicing (_sliced_pairs): its
     count is exact, so it misses no member of a cluster, it has no random
-    start and it loads neither scipy.sparse nor scipy.linalg.  Its cost
-    grows as (n + m)^3 per shift, so larger graphs, and sampled
-    coefficients, which have no closed form, run seeded Lanczos.  A
-    lambda_0 below -EIG_RESIDUAL rho (rho = max K_ii/M_ii) is rejected,
-    negative roundoff above it clamped to zero.  The inertia of K - sigma
-    M (closed form, or splu), counted once per attempt, certifies the
-    count below the last cluster; a Lanczos deficit is solved once more
-    with k more vectors than ARPACK's max(2k + 1, 20), k = num_modes, and
-    a second deficit, or a sliced one, raises.  Each pair must pass the
-    residual bound, ||r||_{M^-1} <= sqrt(3) ||r||_{L^-1} with L the
-    lumped mass (L/3 <= M <= L), and mass orthonormality, or
-    QGraphNumericalError; both test the returned vectors v.  The residuals
-    take K v one block of _row_blocks rows at a time, each row's norm
-    summed along the row; M v is kept whole for the Gram matrix's one
-    product, since Rayleigh-Ritz holds two such arrays anyway.  Every pass
-    over (num_modes x dof) arrays runs in such blocks (ROW_BLOCK float64
-    entries), so a sliced solve holds about two such arrays plus one
-    block, and the block size changes no result.  Keep num_modes an order
-    of magnitude below the dof count.  Its SolveRecord, EigenSystem.solve,
-    says how the solve went.
+    start and it loads neither scipy.sparse nor scipy.linalg; it keeps a
+    value and converged shift per root, stops one where its vertex system
+    is singular to roundoff, and finds the vectors in one pass at those
+    shifts.  Its cost grows as (n + m)^3 per shift, so larger graphs and
+    sampled coefficients (no closed form) run seeded Lanczos.  A lambda_0
+    below -EIG_RESIDUAL rho (rho = max K_ii/M_ii) is rejected, negative
+    roundoff above it clamped to zero.  The inertia of K - sigma M (closed
+    form, or splu), counted once per attempt, certifies the count below
+    the last cluster; a Lanczos deficit is solved once more with k more
+    vectors than ARPACK's max(2k + 1, 20), k = num_modes, and a second
+    deficit, a sliced one, or a sliced cluster wider than its vertex
+    system raises.  Each pair must pass the residual bound, ||r||_{M^-1}
+    <= sqrt(3) ||r||_{L^-1} with L the lumped mass (L/3 <= M <= L), and
+    mass orthonormality, or QGraphNumericalError; both test the returned
+    vectors v.  The residuals take K v one block of _row_blocks rows at a
+    time, each row's norm summed along the row; M v is kept whole for the
+    Gram matrix's one product.  Every pass over (num_modes x dof) arrays
+    runs in such blocks (ROW_BLOCK float64 entries), so a sliced solve
+    holds about two such arrays plus one block, and the block size
+    changes no result.  Keep num_modes an order of magnitude below the dof
+    count.  Its SolveRecord, EigenSystem.solve, says how it went.
     """
     _check_num_modes(op.layout, num_modes)
     m_diag, m_off = op.m_entries

@@ -574,6 +574,56 @@ def test_lasso_root_follows_its_neighbours_shift():
         assert solve.calls <= 8 and solve.shifts <= most
 
 
+@pytest.mark.parametrize("graph,mesh,modes", [
+    (qg.path_graph([1e-5, 2.0]), 64, 20), (qg.path_graph([1e-3, 1.0, 1e3]), 64, 30),
+    (qg.star_graph([1.0] * 3, c=[1e-4, 1.0, 1e4]), 64, 30), (qg.lasso_graph(1e-4, 1e2), 128, 30)],
+    ids=["path-1e-5", "path-1e-3-1e3", "star-c-1e-4-1e4", "lasso-1e-4-1e2"])
+def test_spread_scales_stop_where_the_vertex_system_is_singular(graph, mesh, modes):
+    """Where B's roundoff, eps ||B||, exceeds SLICE_WINDOW, Newton cannot
+    step to within it, so a root whose branch is zero to roundoff (|beta| <=
+    8 eps max |beta|) converges at its shift; without that rule these roots
+    circled one shift until slicing left them unresolved."""
+    eig = qg.solve_spectrum(graph, mesh, modes)
+    assert eig.solve.path == "sliced" and eig.solve.residual_ratio <= 1.0
+    assert eig.solve.orthonormality_defect <= tol.ORTHONORMALITY
+
+
+def test_cluster_wider_than_its_branches_is_a_numerical_error():
+    """p >> c/h^2 puts distinct eigenvalues within SLICE_WINDOW of each other,
+    a cluster with more members than B has branches at its shift: that is a
+    QGraphNumericalError naming the rule, not numpy's broadcast error."""
+    with pytest.raises(qg.QGraphNumericalError, match="more null vectors than"):
+        qg.solve_spectrum(qg.interval_graph(682.0, c=2.4e-4, p=5.3e4), 64, 10)
+
+
+@st.composite
+def _ill_scaled_graphs(draw):
+    """Edgewise-constant graphs with loops and repeated edges whose lengths and
+    c span 10^[-2, 2] and whose p is 0 or in 10^[-3, 4]."""
+    n = draw(st.integers(2, 4))
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    ends += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+    decade = st.floats(-2.0, 2.0)
+    edges = [qg.Edge(f"e{j}", f"v{a}", f"v{b}", 10.0 ** draw(decade),
+                     qg.Coefficient.const(10.0 ** draw(decade)),
+                     qg.Coefficient.const(draw(st.one_of(st.just(0.0),
+                                                         st.floats(-3.0, 4.0).map(lambda x: 10.0**x)))))
+             for j, (a, b) in enumerate(ends)]
+    return qg.MetricGraph(vertices=tuple(f"v{i}" for i in range(n)), edges=tuple(edges))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(graph=_ill_scaled_graphs(), mesh=st.integers(2, 64), data=st.data())
+def test_ill_scaled_graphs_solve_or_raise_a_numerical_error(graph, mesh, data):
+    """On valid ill-scaled input the eigensolve returns, or raises
+    QGraphNumericalError; no other exception and no warning escapes."""
+    op = assemble(graph, mesh)
+    try:
+        eigensolve(op, data.draw(st.integers(1, min(12, op.layout.total_dof - 1))))
+    except qg.QGraphNumericalError:
+        pass
+
+
 @pytest.mark.parametrize("edges,sliced", [(30, True), (32, False)])
 def test_large_graphs_run_lanczos(edges, sliced):
     """Slicing's cost grows as (n + m)^3 per shift: an edgewise-constant
