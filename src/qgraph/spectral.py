@@ -189,6 +189,16 @@ class DiscreteOperator:
         return c, np.array([e.potential.values[0] for e in self.graph.edges]), h, c / h
 
     @cached_property
+    def _scales(self) -> tuple[float, float]:
+        """min c/length^2, the eigenvalue scale that floors every window, and max
+        h^2/c, lambda's factor in the trusted cut, over the edges at their least c."""
+        lengths = self.layout.coords[:, -1]
+        c = np.array([e.diffusion.minimum() for e in self.graph.edges])
+        with np.errstate(over="ignore"):  # a huge cell trusts nothing
+            return (float(np.min(c / lengths**2)),
+                    float(np.max(np.square(lengths / self.layout.elements_per_edge) / c)))
+
+    @cached_property
     def _scatter(self) -> np.ndarray:
         """Where _shift_system puts each edge's (t, t), (h, h), (t, h), (h, t),
         (y, t), (t, y), (y, h), (h, y), (y, y) entries, flat in its n + m
@@ -244,9 +254,9 @@ class SolveRecord:
 class EigenSystem:
     """Sorted eigenpairs with vertex traces and multiplicity clusters.
 
-    vectors holds one global nodal vector per row; vertex traces are the
-    first n_vertices entries of each.  clusters are half-open index
-    ranges grouping eigenvalues equal up to a relative gap.
+    vectors holds one global nodal vector per row, its first n_vertices entries
+    the vertex traces.  eigensolve's clusters are _spans at CLUSTER_GAP, and its
+    trusted cut is lambda max h^2/c: no unit of length moves either.
     """
 
     graph: MetricGraph
@@ -285,14 +295,8 @@ class EigenSystem:
     def trusted_cluster_indices(self) -> list[int]:
         """Clusters whose every mode is trusted and whose multiplicity is
         certain (a cluster touching the truncation end may be cut off)."""
-        out = []
-        for ci, (a, b) in enumerate(self.clusters):
-            if not bool(self.trusted[a:b].all()):
-                continue
-            if self.source == "fem" and b == self.num_modes:
-                continue
-            out.append(ci)
-        return out
+        return [ci for ci, (a, b) in enumerate(self.clusters)
+                if self.trusted[a:b].all() and not (self.source == "fem" and b == self.num_modes)]
 
     def edge_values(self, k: int) -> dict[str, np.ndarray]:
         """Nodal values of mode k along each edge, tail to head."""
@@ -301,15 +305,14 @@ class EigenSystem:
         return {e.id: self.vectors[k, idx] for e, idx in zip(self.graph.edges, self.layout.nodes)}
 
 
-def _cluster_ranges(lambdas: np.ndarray) -> tuple[tuple[int, int], ...]:
-    clusters = []
-    start = 0
-    for k in range(1, len(lambdas)):
-        if lambdas[k] - lambdas[k - 1] > tol.CLUSTER_GAP * (1.0 + abs(lambdas[k])):
-            clusters.append((start, k))
-            start = k
-    clusters.append((start, len(lambdas)))
-    return tuple(clusters)
+def _spans(values: np.ndarray, window: float, unit: float) -> tuple[tuple[int, int], ...]:
+    """Half-open index ranges of the sorted values, each holding the values
+    within window * max(|v|, unit) of its first value v: relative, floored at unit."""
+    spans = [(0, 0)]
+    while (first := spans[-1][1]) < len(values):
+        bound = values[first] + window * max(abs(values[first]), unit)
+        spans.append((first, first + int(np.count_nonzero(values[first:] <= bound))))
+    return tuple(spans[1:])
 
 
 def _count_below(op: DiscreteOperator, sigma: float) -> int:
@@ -464,9 +467,10 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
     steps on the slopes z^T B' z (to the next crossing from below, back
     along the branch from above), from each bracket's lower end, whose
     count is known (the first at floor, a uniform potential's constant
-    mode).  Counts narrow a root's bracket [lo, hi]; a step that leaves it
-    is replaced by its midpoint, or by the geometric mean of max(lo, unit)
-    and hi where hi is more than 4 times that.  A bracket's roots start at
+    mode).  Counts narrow a root's bracket [lo, hi]; a step that leaves it,
+    or a back step from below the shift's Dirichlet count (no branch of B is
+    the root's), is replaced by the midpoint, or by the geometric mean of
+    max(lo, unit) and hi where hi is more than 4 times that.  A bracket's roots start at
     one shift, then share the step of their lowest member while their own
     steps agree to SLICE_WINDOW, so a multiple eigenvalue is refined once.
     Slopes are forward differences, shift + nudge paired with shift in one
@@ -475,14 +479,13 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
     where its step is within SLICE_WINDOW, or at its shift where its branch
     is zero to roundoff, |beta| <= 8 eps max|beta| (no step reaches the
     window where eps ||B|| exceeds it), and keeps only its value and that
-    shift.  Values within SLICE_WINDOW form a cluster [a, b); one
+    shift.  The values' _spans at SLICE_WINDOW are the clusters [a, b); one
     _shift_system and eigh at the clusters' first shifts give B's null
     vectors a - base .. b - base (a cluster wider than B raises) and the
     edge law for one _extend; Rayleigh-Ritz makes them mass-orthonormal.
     Returns its inertia evaluations too (calls, shifts; not the vector pass)."""
     c, p, h, _ = op._edge_data
-    lengths = op.layout.coords[:, -1]
-    unit = float(np.min(c / lengths**2))  # the graph's eigenvalue scale
+    lengths, unit = op.layout.coords[:, -1], op._scales[0]
     floor, ceiling = float(np.min(p)), float(np.max(p + 12.0 * c / h**2)) * (1 + 1e-9) + unit
     roots = np.arange(num_modes)
     # a grid in sqrt(sigma) up to a shift from Weyl's law, widened until num_modes lie below
@@ -530,7 +533,7 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
                                      np.inf), axis=1)[row, np.clip(todo - below, 0, last)]
             back = shift - beta[row, branch] / np.where(rate[row, branch] < 0.0,
                                                         rate[row, branch], np.nan)
-        step = np.where(below > todo, back, ahead)
+        step = np.where(below > todo, np.where(todo < base, np.nan, back), ahead)
         singular = np.abs(beta[row, branch]) <= 8.0 * np.finfo(float).eps * np.max(
             np.abs(beta), axis=1)  # B is singular to roundoff: the shift is the value
         step = np.where(singular & (todo >= base), shift, step)
@@ -553,11 +556,7 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
         raise QGraphNumericalError(f"spectrum slicing left {len(todo)} of {num_modes} "
                                    "eigenvalues unresolved")
 
-    spans, first = [], 0
-    while first < num_modes:  # a cluster: the values within the window of its first
-        spans.append((first, first + int(np.count_nonzero(
-            value[first:] <= value[first] + tol.SLICE_WINDOW * max(abs(value[first]), unit)))))
-        first = spans[-1][1]
+    spans = _spans(value, tol.SLICE_WINDOW, unit)
     first, end = np.array(spans).T  # each cluster's vectors: B's null vectors at its first shift
     base, matrix, parts = _shift_system(op, converged[first])
     if np.any(first < base) or np.any(end - base > matrix.shape[1]):
@@ -640,6 +639,7 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
                            / op.apply(m_diag, 0.0 * m_off, ones)))
     if not 0 < rho < np.inf:
         raise QGraphNumericalError(f"stiffness scale max K_ii/M_ii = {rho} out of range")
+    unit, resolution = op._scales
 
     sliced = (op.layout.n_vertices + len(op.layout.nodes) <= tol.SLICE_MAX_ORDER
               and all(e.diffusion.is_constant and e.potential.is_constant for e in op.graph.edges))
@@ -651,7 +651,7 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
         if w[0] < -tol.EIG_RESIDUAL * rho:
             raise QGraphNumericalError(f"spurious negative eigenvalue {w[0]}")
         w = np.maximum(w, 0.0)
-        clusters = _cluster_ranges(w)
+        clusters = _spans(w, tol.CLUSTER_GAP, unit)
         last = clusters[-1][0]
         if not last:  # with a single cluster nothing lies below it
             break
@@ -684,7 +684,7 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
         raise QGraphNumericalError(f"eigenvectors not mass-orthonormal: defect {defect:.3g}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # a huge cell trusts nothing
-        trusted = w * np.square(op.layout.h_max) <= tol.TRUSTED_LAMBDA_H2
+        trusted = w * resolution <= tol.TRUSTED_LAMBDA_H2
 
     return EigenSystem(
         graph=op.graph,

@@ -20,7 +20,7 @@ SLICE_MAX_ORDER = 64
 # mass orthonormality of eigenvectors: max |<f_j, f_k> - delta_jk|
 ORTHONORMALITY = 1e-8
 
-# relative gap below which two eigenvalues are placed in the same cluster
+# a cluster: the sorted eigenvalues within CLUSTER_GAP * max(lambda, min c/length^2) of its first
 CLUSTER_GAP = 1e-6
 
 # noise-weighted trace residuals treated as zero (both Feller scans' witnesses)
@@ -33,7 +33,7 @@ RATIONAL_RATIO = 1e-12
 # ratio that needs a deeper order leaves the verdict Unknown
 RATIONAL_MAX_ORDER = 64
 
-# a discrete mode is trusted when lambda * h_max^2 <= this
+# a discrete mode is trusted when lambda * max_j h_j^2 / c_j <= this (least c_j)
 TRUSTED_LAMBDA_H2 = 0.1
 
 # relative eigenvalue cutoff when inverting the moment-problem Gram matrix

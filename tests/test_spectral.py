@@ -596,6 +596,22 @@ def test_cluster_wider_than_its_branches_is_a_numerical_error():
         qg.solve_spectrum(qg.interval_graph(682.0, c=2.4e-4, p=5.3e4), 64, 10)
 
 
+def test_root_below_its_shifts_dirichlet_count_bisects():
+    """A root below its shift's Dirichlet count has no branch of B to step
+    back along there, and following branch 0 took the next root's value: a
+    cluster wider than its branches, exit 3.  It bisects instead, and the
+    values match a dense solve."""
+    const = qg.Coefficient.const
+    edges = [("v0", "v1", 0.098, 0.025, 0.0), ("v0", "v2", 90.303, 0.255, 5537.1),
+             ("v0", "v3", 0.111, 2.077, 49.7), ("v1", "v0", 13.787, 0.031, 0.2)]
+    graph = qg.MetricGraph(vertices=("v0", "v1", "v2", "v3"), edges=tuple(
+        qg.Edge(f"e{j}", t, h, ell, const(c), const(p)) for j, (t, h, ell, c, p) in enumerate(edges)))
+    op = assemble(graph, 64)
+    dense = sla.eigh(op.stiffness.toarray(), op.mass.toarray(), eigvals_only=True,
+                     subset_by_index=[0, 24])
+    np.testing.assert_allclose(eigensolve(op, 25).lambdas, dense, rtol=1e-8)
+
+
 @st.composite
 def _ill_scaled_graphs(draw):
     """Edgewise-constant graphs with loops and repeated edges whose lengths and
@@ -664,6 +680,10 @@ def test_trusted_range_marks_coarse_modes():
     assert not bool(eig.trusted[-1])
     # trusted clusters exclude anything touching the last computed mode
     assert (len(eig.clusters) - 1) not in eig.trusted_cluster_indices()
+
+
+def test_clusters_do_not_depend_on_the_length_unit():
+    assert len(qg.solve_spectrum(qg.interval_graph(1e4), 32, 10).clusters) == 10
 
 
 def test_variable_diffusion_matches_constant_when_flat():
