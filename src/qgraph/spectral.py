@@ -11,14 +11,9 @@ same element count, so the mesh is laid out once as two tables, each
 edge's node dofs and coordinates (MeshLayout.nodes, .coords), which
 assembly, the analytic systems and the exports index.  The eigensolve
 slices the spectrum in closed form on small graphs whose c and p are
-constant on every edge (_sliced_pairs, no scipy.sparse or scipy.linalg)
-and runs seeded ARPACK otherwise (_lanczos_pairs).  Slicing starts each
-eigenvalue's Newton refinement at the lower end of its grid bracket,
-whose count is known, bisects the bracket where a step leaves it,
-refines a multiple eigenvalue's members at one shared shift while their
-Newton values agree to SLICE_WINDOW (one _shift_system call a round),
-stops a root where its vertex system is singular to roundoff, and keeps
-each root's value and converged shift, where one pass finds the vectors.
+constant on every edge (_sliced_pairs, no scipy.sparse or scipy.linalg;
+its docstring describes the refinement) and runs seeded ARPACK otherwise
+(_lanczos_pairs).
 
 Every CSV table of the package is written by _write_csv (exports
 section), the one place that knows the dialect.
@@ -461,29 +456,32 @@ def _extend(op: DiscreteOperator, parts, x: np.ndarray, owner: np.ndarray) -> np
 
 
 def _sliced_pairs(op: DiscreteOperator, num_modes: int):
-    """Lowest eigenpairs by spectrum slicing.  Counts on a grid bracket
-    each eigenvalue i, where B's ordered branch i - count meets zero; all
-    are refined at once, one stacked _shift_system per round, by Newton
-    steps on the slopes z^T B' z (to the next crossing from below, back
-    along the branch from above), from each bracket's lower end, whose
-    count is known (the first at floor, a uniform potential's constant
-    mode).  Counts narrow a root's bracket [lo, hi]; a step that leaves it,
-    or a back step from below the shift's Dirichlet count (no branch of B is
-    the root's), is replaced by the midpoint, or by the geometric mean of
-    max(lo, unit) and hi where hi is more than 4 times that.  A bracket's roots start at
-    one shift, then share the step of their lowest member while their own
-    steps agree to SLICE_WINDOW, so a multiple eigenvalue is refined once.
-    Slopes are forward differences, shift + nudge paired with shift in one
-    call and taken in its border pattern, so each is the derivative of one
-    smooth B, also where N theta/pi is a half-integer.  A root converges
+    """Lowest eigenpairs by spectrum slicing.  Counts on a grid bracket each
+    eigenvalue i; all are refined at once, one stacked _shift_system per round,
+    from each bracket's lower end, whose count is known (the first at floor, a
+    uniform potential's constant mode).  B's eigenvalues beta are sorted and
+    fall as the shift grows, so between Dirichlet values root i is branch
+    i - base, base the shift's Dirichlet count.  One rule steps every root: sort
+    each branch's Newton crossing shift - beta/beta' (slopes z^T B' z; -inf
+    where beta' >= 0 > beta, inf where beta' >= 0 <= beta) and take entry
+    i - base, NaN where B has no such branch: from below the (i - count)-th
+    crossing ahead, from above Newton on the root's branch unless the
+    predictions cross out of branch order.  Counts narrow a root's bracket
+    [lo, hi]; a step that leaves it (or NaN) is replaced by the midpoint, or by
+    the geometric mean of max(lo, unit) and hi where hi exceeds 4 times that.
+    A bracket's roots start at one shift, then share the step of their lowest
+    member while their own steps agree to SLICE_WINDOW, so a multiple eigenvalue
+    is refined once.  Slopes are forward differences, shift + nudge paired with
+    shift in one call and taken in its border pattern, so each is the derivative
+    of one smooth B, also where N theta/pi is a half-integer.  A root converges
     where its step is within SLICE_WINDOW, or at its shift where its branch
-    is zero to roundoff, |beta| <= 8 eps max|beta| (no step reaches the
-    window where eps ||B|| exceeds it), and keeps only its value and that
+    exists and is zero to roundoff, |beta| <= 8 eps max|beta| (no step reaches
+    the window where eps ||B|| exceeds it), and keeps only its value and that
     shift.  The values' _spans at SLICE_WINDOW are the clusters [a, b); one
-    _shift_system and eigh at the clusters' first shifts give B's null
-    vectors a - base .. b - base (a cluster wider than B raises) and the
-    edge law for one _extend; Rayleigh-Ritz makes them mass-orthonormal.
-    Returns its inertia evaluations too (calls, shifts; not the vector pass)."""
+    _shift_system and eigh at the clusters' first shifts give B's null vectors
+    a - base .. b - base (a cluster wider than B raises) and the edge law for
+    one _extend; Rayleigh-Ritz makes them mass-orthonormal.  Returns its inertia
+    evaluations too (calls, shifts; not the vector pass)."""
     c, p, h, _ = op._edge_data
     lengths, unit = op.layout.coords[:, -1], op._scales[0]
     floor, ceiling = float(np.min(p)), float(np.max(p + 12.0 * c / h**2)) * (1 + 1e-9) + unit
@@ -526,17 +524,13 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
         below = base + np.count_nonzero(beta < 0.0, axis=1)
         lo = np.maximum(lo, np.where(below <= roots[:, None], shift, -np.inf).max(axis=1))
         hi = np.minimum(hi, np.where(below > roots[:, None], shift, np.inf).min(axis=1))
-        row, last = np.arange(len(todo)), beta.shape[1] - 1
-        branch = np.clip(todo - base, 0, last)
-        with np.errstate(all="ignore"):
-            ahead = np.sort(np.where((rate < 0.0) & (beta >= 0.0), shift[:, None] - beta / rate,
-                                     np.inf), axis=1)[row, np.clip(todo - below, 0, last)]
-            back = shift - beta[row, branch] / np.where(rate[row, branch] < 0.0,
-                                                        rate[row, branch], np.nan)
-        step = np.where(below > todo, np.where(todo < base, np.nan, back), ahead)
-        singular = np.abs(beta[row, branch]) <= 8.0 * np.finfo(float).eps * np.max(
-            np.abs(beta), axis=1)  # B is singular to roundoff: the shift is the value
-        step = np.where(singular & (todo >= base), shift, step)
+        own = (todo >= base) & (todo - base < beta.shape[1])  # B has the root's branch
+        pick = np.arange(len(todo)), np.where(own, todo - base, 0)
+        with np.errstate(all="ignore"):  # each branch's Newton crossing, -inf or inf if it rises
+            cross = np.sort(np.where(rate < 0.0, shift[:, None] - beta / rate,
+                                     np.where(beta < 0.0, -np.inf, np.inf)), axis=1)
+        singular = np.abs(beta[pick]) <= 8.0 * np.finfo(float).eps * np.max(np.abs(beta), axis=1)
+        step = np.where(own, np.where(singular, shift, cross[pick]), np.nan)  # singular to roundoff: shift
         done = final[todo] | (np.abs(step - shift)
                               <= tol.SLICE_WINDOW * np.maximum(np.abs(shift), unit))
         value[todo[done]] = np.where(final[todo[done]], shift[done], step[done])
@@ -578,16 +572,19 @@ def _sliced_pairs(op: DiscreteOperator, num_modes: int):
 
 
 def _lanczos_pairs(op: DiscreteOperator, num_modes: int, ncv: int | None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
     """Lowest eigenpairs by shift-invert Lanczos (ARPACK) with ncv vectors
     about a negative shift, so p = 0 stays factorizable, started from
     default_rng(0) normals (all ones would miss modes orthogonal to the
-    symmetric subspace) with restarts from rng=0."""
+    symmetric subspace) with restarts from rng=0.  (None, None) where ARPACK
+    does not converge with its default ncv (None), for a wider re-solve."""
     v0 = np.random.default_rng(0).standard_normal(op.layout.total_dof)
     try:
         w, v = scipy.sparse.linalg.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0,
                                          which="LM", v0=v0, ncv=ncv, rng=0)
     except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
+        if ncv is None and isinstance(exc, scipy.sparse.linalg.ArpackNoConvergence):
+            return None, None
         raise QGraphNumericalError(f"Lanczos iteration failed: {exc}") from exc
     order = np.argsort(w)
     return w[order], v[:, order].T
@@ -606,18 +603,17 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     The input picks the path.  With c and p constant on every edge and
     n + m <= SLICE_MAX_ORDER, closed-form slicing (_sliced_pairs): its
     count is exact, so it misses no member of a cluster, it has no random
-    start and it loads neither scipy.sparse nor scipy.linalg; it keeps a
-    value and converged shift per root, stops one where its vertex system
-    is singular to roundoff, and finds the vectors in one pass at those
-    shifts.  Its cost grows as (n + m)^3 per shift, so larger graphs and
-    sampled coefficients (no closed form) run seeded Lanczos.  A lambda_0
+    start and it loads neither scipy.sparse nor scipy.linalg.  Its cost
+    grows as (n + m)^3 per shift, so larger graphs and sampled
+    coefficients (no closed form) run seeded Lanczos.  A lambda_0
     below -EIG_RESIDUAL rho (rho = max K_ii/M_ii) is rejected, negative
     roundoff above it clamped to zero.  The inertia of K - sigma M (closed
     form, or splu), counted once per attempt, certifies the count below
-    the last cluster; a Lanczos deficit is solved once more with k more
-    vectors than ARPACK's max(2k + 1, 20), k = num_modes, and a second
-    deficit, a sliced one, or a sliced cluster wider than its vertex
-    system raises.  Each pair must pass the residual bound, ||r||_{M^-1}
+    the last cluster; a Lanczos deficit, or an ARPACK run that does not
+    converge, is solved once more with k more vectors than ARPACK's
+    max(2k + 1, 20), k = num_modes, and a second such failure, a sliced
+    deficit, or a sliced cluster wider than its vertex system raises.
+    Each pair must pass the residual bound, ||r||_{M^-1}
     <= sqrt(3) ||r||_{L^-1} with L the lumped mass (L/3 <= M <= L), and
     mass orthonormality, or QGraphNumericalError; both test the returned
     vectors v.  The residuals take K v one block of _row_blocks rows at a
@@ -648,6 +644,8 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     for attempts, ncv in enumerate([None] if sliced else [None, wider], 1):
         w, v, calls, shifts = (_sliced_pairs(op, num_modes) if sliced  # eigsh counts no inertia
                                else (*_lanczos_pairs(op, num_modes, ncv), calls, shifts))
+        if w is None:  # ARPACK did not converge: re-solved wider, as a deficit is
+            continue
         if w[0] < -tol.EIG_RESIDUAL * rho:
             raise QGraphNumericalError(f"spurious negative eigenvalue {w[0]}")
         w = np.maximum(w, 0.0)

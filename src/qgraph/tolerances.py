@@ -13,7 +13,8 @@ EIG_RESIDUAL = 1e-8
 # spectrum slicing: a Newton step under SLICE_WINDOW relative to the value
 # (or min c/length^2) converges, roots whose steps agree to it share a
 # shift, and values that close form one cluster;
-# slicing costs (n + m)^3 per shift, so larger graphs run Lanczos
+# slicing costs (n + m)^3 per shift, so larger graphs run Lanczos (random trees, 2 Xeon
+# cores: 316 against 41 ms at 100 edges; 21 against 13 ms plus a 0.2 s cold import at 20)
 SLICE_WINDOW = 1e-12
 SLICE_MAX_ORDER = 64
 

@@ -316,6 +316,43 @@ def test_missed_eigenvalue_exits_3(tmp_path, monkeypatch, capsys):
              "50 eigenvalues lie below")
 
 
+def _unconverged(monkeypatch, failures):
+    """eigsh raising ArpackNoConvergence on its first failures calls; returns the ncv of each call."""
+    eigsh, seen = spla.eigsh, []
+
+    def flaky(a, **kwargs):
+        seen.append(kwargs["ncv"])
+        if len(seen) <= failures:
+            raise spla.ArpackNoConvergence("No convergence", [], [])
+        return eigsh(a, **kwargs)
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", flaky)
+    return seen
+
+
+def test_unconverged_lanczos_is_re_solved_wider(monkeypatch):
+    """An ARPACK run that does not converge is re-solved once with k more
+    vectors, as a count deficit is: two attempts, one inertia count."""
+    star = _sampled(qg.star_graph([1.0] * 3))
+    expected = qg.solve_spectrum(star, 64, 6).lambdas
+    seen = _unconverged(monkeypatch, 1)
+    eig = qg.solve_spectrum(star, 64, 6)
+    assert seen == [None, 26]  # max(2k + 1, 20) + k
+    assert (eig.solve.path, eig.solve.attempts, eig.solve.calls) == ("lanczos", 2, 1)
+    np.testing.assert_allclose(eig.lambdas, expected, rtol=1e-10, atol=1e-10)
+
+
+def test_lanczos_unconverged_twice_exits_3(tmp_path, monkeypatch, capsys):
+    """Where ARPACK does not converge on the re-solve either, the solve raises: exit 3."""
+    star = _sampled(qg.star_graph([1.0] * 3))
+    seen = _unconverged(monkeypatch, float("inf"))
+    with pytest.raises(qg.QGraphNumericalError, match="^Lanczos iteration failed: ARPACK error -1"):
+        qg.solve_spectrum(star, 64, 6)
+    assert seen == [None, 26]
+    _exits_3(tmp_path, capsys, star, ["--mesh", "64", "--modes", "6"],
+             "Lanczos iteration failed: ARPACK error -1: No convergence")
+
+
 def test_sliced_count_deficit_exits_3(tmp_path, monkeypatch, capsys):
     """A slicing result missing one member of a 9-fold cluster of the
     10-star (forced) fails the closed-form count certificate, with the
@@ -542,11 +579,13 @@ def test_multiple_eigenvalues_are_refined_once(n, mesh, modes, most):
     ([3.0, 1.0, 1.0], 256, 50, 8), ([1.0] * 3, 512, 20, 5)])
 def test_brackets_start_at_their_counted_end(lengths, mesh, modes, most):
     """Each grid bracket's refinement starts at its lower end, whose count
-    is known, so Newton advances from below instead of bisecting toward a
-    grid point just under the star's doublets (16-18 _shift_system calls
-    per solve when brackets started inside them), and each refinement
-    round makes one call (6-10 per solve, the grid's and the count
-    certificate's included, with a second call for a slope from below).
+    is known, so a root's entry among the sorted Newton crossings is the
+    crossing ahead of it and Newton advances from below instead of
+    bisecting toward a grid point just under the star's doublets (16-18
+    _shift_system calls per solve when brackets started inside them), and
+    each refinement round makes one call (6-10 per solve, the grid's and
+    the count certificate's included, with a second call for a slope from
+    below).
     The cases are the feller, control and invariant solves of the
     analysis benchmark and the README's 3-star at mesh 512."""
     graph = qg.star_graph(lengths)
@@ -597,10 +636,11 @@ def test_cluster_wider_than_its_branches_is_a_numerical_error():
 
 
 def test_root_below_its_shifts_dirichlet_count_bisects():
-    """A root below its shift's Dirichlet count has no branch of B to step
-    back along there, and following branch 0 took the next root's value: a
-    cluster wider than its branches, exit 3.  It bisects instead, and the
-    values match a dense solve."""
+    """A root below its shift's Dirichlet count has no branch of B there: its
+    entry among the sorted Newton crossings does not exist, so its step is
+    NaN and it bisects.  Following branch 0 instead took the next root's
+    value, a cluster wider than its branches, exit 3.  The values match a
+    dense solve."""
     const = qg.Coefficient.const
     edges = [("v0", "v1", 0.098, 0.025, 0.0), ("v0", "v2", 90.303, 0.255, 5537.1),
              ("v0", "v3", 0.111, 2.077, 49.7), ("v1", "v0", 13.787, 0.031, 0.2)]
