@@ -60,14 +60,15 @@ class MeshLayout:
     the global dofs of its N + 1 nodes, tail to head: the tail vertex dof,
     the edge's own N - 1 interior dofs, then the head vertex dof.  The
     shared vertex dofs glue the edgewise P1 spaces into a continuous space
-    on the graph.  Row j of coords holds the same nodes' distances from
-    the tail, np.linspace(0, length_j, N + 1).  Both arrays are read-only.
+    on the graph.  Row j of coords holds the same nodes' distances from the
+    tail, np.linspace(0, length_j, N + 1), h[j] = length_j / N.  All read-only.
     """
 
     n_vertices: int
     elements_per_edge: int
     nodes: np.ndarray
     coords: np.ndarray
+    h: np.ndarray
 
     @property
     def total_dof(self) -> int:
@@ -75,7 +76,7 @@ class MeshLayout:
 
     @property
     def h_max(self) -> float:
-        return float(np.max(self.coords[:, -1])) / self.elements_per_edge
+        return float(np.max(self.h))
 
 
 def _integer(value, name: str, least: int | None = None, per: int = 0) -> int:
@@ -113,8 +114,9 @@ def _build_layout(graph: MetricGraph, elements_per_edge: int) -> MeshLayout:
     nodes[:, -1] = [graph.vertex_index[e.head] for e in graph.edges]
     nodes[:, 1:-1] = np.arange(n, n + m * (nel - 1)).reshape(m, nel - 1)
     coords = np.linspace(0.0, [e.length for e in graph.edges], nel + 1, axis=1)
-    nodes.flags.writeable = coords.flags.writeable = False
-    return MeshLayout(n_vertices=n, elements_per_edge=nel, nodes=nodes, coords=coords)
+    h = coords[:, -1] / nel
+    nodes.flags.writeable = coords.flags.writeable = h.flags.writeable = False
+    return MeshLayout(n_vertices=n, elements_per_edge=nel, nodes=nodes, coords=coords, h=h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +131,7 @@ class DiscreteOperator:
 
     @cached_property
     def m_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        h = self.layout.coords[:, -1:] / self.layout.elements_per_edge
-        return (np.broadcast_to(h / 3.0, self.k_diag.shape),
-                np.broadcast_to(h / 6.0, self.k_diag.shape))
+        return tuple(np.broadcast_to(self.layout.h[:, None] / q, self.k_diag.shape) for q in (3.0, 6.0))
 
     stiffness = cached_property(lambda self: self._csr(self.k_diag, self.k_off))
     mass = cached_property(lambda self: self._csr(*self.m_entries))
@@ -179,19 +179,28 @@ class DiscreteOperator:
     @cached_property
     def _edge_data(self) -> tuple[np.ndarray, ...]:
         """c, p, h and c/h of each edge, for edgewise-constant coefficients."""
-        c = np.array([e.diffusion.values[0] for e in self.graph.edges])
-        h = self.layout.coords[:, -1] / self.layout.elements_per_edge
+        c, h = np.array([e.diffusion.values[0] for e in self.graph.edges]), self.layout.h
         return c, np.array([e.potential.values[0] for e in self.graph.edges]), h, c / h
 
     @cached_property
-    def _scales(self) -> tuple[float, float]:
-        """min c/length^2, the eigenvalue scale that floors every window, and max
-        h^2/c, lambda's factor in the trusted cut, over the edges at their least c."""
-        lengths = self.layout.coords[:, -1]
+    def _scales(self) -> tuple[float, float, float, np.ndarray]:
+        """What eigensolve reads: unit = min c/length^2 and resolution = max h^2/c (each edge at
+        its least c), the stiffness scale rho = max K_ii/M_ii and the lumped (row-sum) mass."""
         c = np.array([e.diffusion.minimum() for e in self.graph.edges])
-        with np.errstate(over="ignore"):  # a huge cell trusts nothing
-            return (float(np.min(c / lengths**2)),
-                    float(np.max(np.square(lengths / self.layout.elements_per_edge) / c)))
+        with np.errstate(over="ignore", divide="ignore"):  # a huge cell trusts nothing
+            return (float(np.min(c / self.layout.coords[:, -1]**2)), float(np.max(self.layout.h**2 / c)),
+                    float(np.max(self._row_sums(self.k_diag) / self._row_sums(self.m_entries[0]))),
+                    self._row_sums(*self.m_entries))
+
+    def _row_sums(self, *tables) -> np.ndarray:
+        """Each dof's sum of its row's entries in the element tables (diag alone: the diagonal),
+        in _stencil's order: a node adds each table's left then right element entry in turn, a
+        vertex its edge ends' sums, at tails in edge order and then at heads."""
+        node = np.zeros((len(tables[0]), tables[0].shape[1] + 1))  # edges x nodes, tail to head
+        for entries in tables:
+            node[:, 1:] += entries  # each node's left element
+            node[:, :-1] += entries  # then its right
+        return np.bincount(self.layout.nodes.T.ravel(), node.T.ravel(), self.layout.total_dof)
 
     @cached_property
     def _scatter(self) -> np.ndarray:
@@ -215,7 +224,7 @@ def assemble(graph: MetricGraph, elements_per_edge: int) -> DiscreteOperator:
     constant on each element.
     """
     layout = _build_layout(graph, elements_per_edge)
-    h = layout.coords[:, -1:] / layout.elements_per_edge  # one spacing per edge
+    h = layout.h[:, None]
     mids = 0.5 * (layout.coords[:, :-1] + layout.coords[:, 1:])
     c_mid = np.array([e.diffusion.at(x, e.length) for e, x in zip(graph.edges, mids)])
     p_mid = np.array([e.potential.at(x, e.length) for e, x in zip(graph.edges, mids)])
@@ -577,11 +586,13 @@ def _lanczos_pairs(op: DiscreteOperator, num_modes: int, ncv: int | None
     about a negative shift, so p = 0 stays factorizable, started from
     default_rng(0) normals (all ones would miss modes orthogonal to the
     symmetric subspace) with restarts from rng=0.  (None, None) where ARPACK
-    does not converge with its default ncv (None), for a wider re-solve."""
+    does not converge with its default ncv (None), within LANCZOS_MAXITER
+    iterations, for a wider re-solve, which runs to ARPACK's own limit."""
     v0 = np.random.default_rng(0).standard_normal(op.layout.total_dof)
     try:
-        w, v = scipy.sparse.linalg.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0,
-                                         which="LM", v0=v0, ncv=ncv, rng=0)
+        w, v = scipy.sparse.linalg.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0, which="LM",
+                                         v0=v0, ncv=ncv, rng=0,
+                                         maxiter=tol.LANCZOS_MAXITER if ncv is None else None)
     except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
         if ncv is None and isinstance(exc, scipy.sparse.linalg.ArpackNoConvergence):
             return None, None
@@ -590,9 +601,9 @@ def _lanczos_pairs(op: DiscreteOperator, num_modes: int, ncv: int | None
     return w[order], v[:, order].T
 
 
-def _check_num_modes(layout: MeshLayout, num_modes: int) -> None:
-    """The eigensolve's bound on num_modes, which decide_feller checks too."""
-    dof = layout.total_dof
+def _check_num_modes(graph: MetricGraph, elements_per_edge: int, num_modes: int) -> None:
+    """The eigensolve's bounds on elements_per_edge and num_modes, checked without a layout."""
+    dof = graph.n + graph.m * (_integer(elements_per_edge, "elements_per_edge", 2, graph.m) - 1)
     if not 1 <= _integer(num_modes, "num_modes") <= dof - 1:
         raise QGraphValidationError(f"num_modes must lie in [1, {dof - 1}]")
 
@@ -610,32 +621,27 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     roundoff above it clamped to zero.  The inertia of K - sigma M (closed
     form, or splu), counted once per attempt, certifies the count below
     the last cluster; a Lanczos deficit, or an ARPACK run that does not
-    converge, is solved once more with k more vectors than ARPACK's
-    max(2k + 1, 20), k = num_modes, and a second such failure, a sliced
-    deficit, or a sliced cluster wider than its vertex system raises.
+    converge (the first within LANCZOS_MAXITER iterations), is solved
+    once more with k more vectors than ARPACK's max(2k + 1, 20), k =
+    num_modes, and a second such failure, a sliced deficit, or a sliced
+    cluster wider than its vertex system raises.
     Each pair must pass the residual bound, ||r||_{M^-1}
     <= sqrt(3) ||r||_{L^-1} with L the lumped mass (L/3 <= M <= L), and
     mass orthonormality, or QGraphNumericalError; both test the returned
-    vectors v.  The residuals take K v one block of _row_blocks rows at a
-    time, each row's norm summed along the row; M v is kept whole for the
-    Gram matrix's one product.  Every pass over (num_modes x dof) arrays
+    vectors v.  rho and L are summed node by node from the element tables
+    (the operator's _scales), so the stencils run only on eigenvectors:
+    the residuals take K v one block of _row_blocks rows at a time, each
+    row's norm summed along the row, and M v is kept whole for the Gram
+    matrix's one product.  Every pass over (num_modes x dof) arrays
     runs in such blocks (ROW_BLOCK float64 entries), so a sliced solve
     holds about two such arrays plus one block, and the block size
     changes no result.  Keep num_modes an order of magnitude below the dof
     count.  Its SolveRecord, EigenSystem.solve, says how it went.
     """
-    _check_num_modes(op.layout, num_modes)
-    m_diag, m_off = op.m_entries
-    ones = np.ones((1, op.layout.total_dof))
-
-    # the operator's own stiffness scale rho bounds both the roundoff of a
-    # zero mode, which is clamped, and the certified residuals
-    with np.errstate(over="ignore", divide="ignore"):
-        rho = float(np.max(op.apply(op.k_diag, 0.0 * op.k_off, ones)
-                           / op.apply(m_diag, 0.0 * m_off, ones)))
+    _check_num_modes(op.graph, op.layout.elements_per_edge, num_modes)
+    unit, resolution, rho, lumped = op._scales  # rho bounds a zero mode's roundoff and the residuals
     if not 0 < rho < np.inf:
         raise QGraphNumericalError(f"stiffness scale max K_ii/M_ii = {rho} out of range")
-    unit, resolution = op._scales
 
     sliced = (op.layout.n_vertices + len(op.layout.nodes) <= tol.SLICE_MAX_ORDER
               and all(e.diffusion.is_constant and e.potential.is_constant for e in op.graph.edges))
@@ -665,7 +671,7 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     # certificates, by stencils on the returned vectors: residual norms
     # against rho, one row block at a time, then mass orthonormality
     v = np.ascontiguousarray(v)
-    mv, lumped = op.apply(m_diag, m_off, v), op.apply(m_diag, m_off, ones)
+    mv = op.apply(*op.m_entries, v)
     residuals = np.empty(num_modes)
     for rows in _row_blocks(*v.shape):
         r = op.apply(op.k_diag, op.k_off, v[rows])

@@ -54,7 +54,7 @@ def test_spectrum_command(workdir, star_file, capsys):
     assert mode_out.read_text().splitlines()[0] == "edge,x,value"
     manifest = json.loads((workdir / "spectrum.csv.manifest.json").read_text())
     assert manifest["command"] == "spectrum"
-    assert len(manifest["tolerances"]) == 16
+    assert len(manifest["tolerances"]) == 17
     assert manifest["tolerances"]["rational_max_order"] == 64
     assert set(manifest["versions"]) == {"qgraph", "numpy", "scipy", "python"}
     assert manifest["config"]["mesh"] == 64
@@ -456,21 +456,34 @@ def test_string_arguments_are_parsed_before_the_eigensolve(workdir, interval_fil
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["control", "simulate"])
-def test_modes_are_checked_before_z0_sizes_a_list(workdir, interval_file, capsys, command):
-    """--modes is checked against the mesh before a --z0 index below it
-    sizes the dense coefficient list: a 2e7-entry list would take 160 MB."""
+@pytest.mark.parametrize("command,z0", [("control", ["--z0", "19999999=1"]),
+                                        ("simulate", ["--z0", "19999999=1"]), ("feller", [])],
+                         ids=["control", "simulate", "feller"])
+def test_modes_are_checked_before_z0_sizes_a_list(workdir, interval_file, star_file, capsys,
+                                                  monkeypatch, command, z0):
+    """--modes is checked against the dof count n + m (N - 1) of the graph and
+    mesh, with no layout built, before a --z0 index below it sizes the dense
+    coefficient list: a 2e7-entry list would take 160 MB.  feller checks it
+    the same way, before its tree rule."""
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        rc = main([command, "--graph", interval_file, "--noise", "diag:v1=1", "--mesh", "8",
-                   "--modes", "20000000", "--z0", "19999999=1"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 2 and capsys.readouterr() == ("", "error: num_modes must lie in [1, 8]\n")
-    assert peak < 5e6
+    from qgraph import cli, feller, spectral
+
+    def no_layout(*args):
+        raise AssertionError("a layout was built")
+
+    for module in (spectral, cli, feller):
+        monkeypatch.setattr(module, "_build_layout", no_layout, raising=False)
+    for graph_file, dof in [(interval_file, 2 + 1 * 7), (star_file, 4 + 3 * 7)]:
+        tracemalloc.start()
+        try:
+            rc = main([command, "--graph", graph_file, "--noise", "diag:v1=1", "--mesh", "8",
+                       "--modes", "20000000", *z0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2 and capsys.readouterr() == ("", f"error: num_modes must lie in [1, {dof - 1}]\n")
+        assert peak < 5e6
 
 
 @pytest.mark.parametrize("argv", [

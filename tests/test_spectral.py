@@ -58,15 +58,40 @@ def test_star_dof_count():
 
 def test_layout_tables():
     """Each edge's row of nodes runs tail, interiors, head; the loop's two
-    ends are one dof.  Both tables are read-only."""
+    ends are one dof; h is each edge's spacing.  The tables are read-only."""
     lay = assemble(qg.lasso_graph(), 4).layout
     assert lay.nodes.tolist() == [[0, 2, 3, 4, 0], [0, 5, 6, 7, 1]]
     assert np.array_equal(lay.coords[0], np.linspace(0.0, 1.0, 5))
+    assert np.array_equal(lay.h, lay.coords[:, 1]) and lay.h_max == lay.h.max()
     assert lay.total_dof == 8
     with pytest.raises(ValueError):
         lay.nodes[0, 1] = 1
     with pytest.raises(ValueError):
         lay.coords[0, 1] = 0.5
+    with pytest.raises(ValueError):
+        lay.h[0] = 0.5
+
+
+@pytest.mark.parametrize("mesh", [2, 16, 256])
+@pytest.mark.parametrize("graph", [
+    qg.star_graph([1.0] * 10),
+    qg.lasso_graph(),
+    qg.path_graph([1.0, 0.6, 2.3]),
+    qg.star_graph([1.0, 0.7, 1.3], c=1e3, p=0.3),
+    qg.star_graph([1.0, 0.7, 1.3], c=qg.Coefficient.linear_samples([0.5, 2.0, 1.0]), p=0.4),
+], ids=["star-10", "lasso", "path-unequal", "star-c1e3-p0.3", "star-sampled"])
+def test_operator_scales_match_the_stencil(graph, mesh):
+    """The operator's rho and lumped mass are, bit for bit, what the stencil
+    gives on a row of ones: max K_ii/M_ii with the off-diagonal entries
+    zeroed, and M's row sums."""
+    op = assemble(graph, mesh)
+    ones = np.ones((1, op.layout.total_dof))
+    m_diag, m_off = op.m_entries
+    diagonal = [op.apply(d, np.zeros_like(o), ones)[0] for d, o in [(op.k_diag, op.k_off), (m_diag, m_off)]]
+    *_, rho, lumped = op._scales
+    assert np.array_equal(rho, np.max(diagonal[0] / diagonal[1]))
+    assert np.array_equal(lumped, op.apply(m_diag, m_off, ones)[0])
+    assert np.allclose(lumped, op.mass.sum(axis=1).A1, rtol=1e-14, atol=0.0)
 
 
 def test_constant_potential_adds_mass():
