@@ -45,6 +45,7 @@ from .spectral import (
     EigenSystem,
     _check_num_modes,
     _integer,
+    _mesh_size,
     mode_to_csv,
     solve_spectrum,
     spectrum_to_csv,
@@ -157,7 +158,7 @@ def _cmd_feller(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel 
 
 
 def _cmd_control(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
-    _check_num_modes(graph, args.mesh, args.modes)  # before it sizes z0
+    _check_num_modes(args.modes, _mesh_size(graph, args.mesh)[1])  # before it sizes z0
     z0 = _parse_z0(args.z0, args.modes)
     eig = solve_spectrum(graph, args.mesh, args.modes)
     result = solve_null_control(eig, noise, z0, args.horizon, grid_points=args.grid)
@@ -216,7 +217,7 @@ def _cmd_invariant(args: argparse.Namespace, graph: MetricGraph, noise: NoiseMod
 
 
 def _cmd_simulate(args: argparse.Namespace, graph: MetricGraph, noise: NoiseModel | None) -> dict:
-    _check_num_modes(graph, args.mesh, args.modes)  # before it sizes z0
+    _check_num_modes(args.modes, _mesh_size(graph, args.mesh)[1])  # before it sizes z0
     z0 = _parse_z0(args.z0, args.modes)
     alphas = _floats(args.alphas)
     eig = solve_spectrum(graph, args.mesh, args.modes)

@@ -23,7 +23,7 @@ from . import tolerances as tol
 from .errors import InvalidGraphError, QGraphNumericalError
 from .graphs import Coefficient, MetricGraph
 from .noise import NoiseModel, _check_vertices
-from .spectral import EigenSystem, _check_num_modes, _pair_mode, solve_spectrum
+from .spectral import EigenSystem, _check_num_modes, _mesh_size, _pair_mode, solve_spectrum
 
 __all__ = [
     "Witness",
@@ -248,7 +248,7 @@ def decide_feller(
     sufficient rule answers without a solve.
     """
     if eig is None:
-        _check_num_modes(graph, elements_per_edge, num_modes)
+        _check_num_modes(num_modes, _mesh_size(graph, elements_per_edge)[1])
     elif eig.graph != graph:
         raise InvalidGraphError(["the eigensystem was solved on another graph"])
     detail = sufficient_tree_rule(graph, noise)

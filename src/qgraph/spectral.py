@@ -61,18 +61,15 @@ class MeshLayout:
     the edge's own N - 1 interior dofs, then the head vertex dof.  The
     shared vertex dofs glue the edgewise P1 spaces into a continuous space
     on the graph.  Row j of coords holds the same nodes' distances from the
-    tail, np.linspace(0, length_j, N + 1), h[j] = length_j / N.  All read-only.
+    tail, np.linspace(0, length_j, N + 1); h = coords[:, 1] = length / N.  All read-only.
     """
 
     n_vertices: int
     elements_per_edge: int
+    total_dof: int
     nodes: np.ndarray
     coords: np.ndarray
     h: np.ndarray
-
-    @property
-    def total_dof(self) -> int:
-        return self.n_vertices + len(self.nodes) * (self.elements_per_edge - 1)
 
     @property
     def h_max(self) -> float:
@@ -107,16 +104,21 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
+def _mesh_size(graph: MetricGraph, elements_per_edge: int) -> tuple[int, int]:
+    """N = elements_per_edge, checked, and the dof count n + m (N - 1), the one place it is counted."""
+    nel = _integer(elements_per_edge, "elements_per_edge", 2, graph.m)
+    return nel, graph.n + graph.m * (nel - 1)
+
+
 def _build_layout(graph: MetricGraph, elements_per_edge: int) -> MeshLayout:
-    n, m, nel = graph.n, graph.m, _integer(elements_per_edge, "elements_per_edge", 2, graph.m)
+    (nel, dof), n, m = _mesh_size(graph, elements_per_edge), graph.n, graph.m
     nodes = np.empty((m, nel + 1), dtype=np.int64)
     nodes[:, 0] = [graph.vertex_index[e.tail] for e in graph.edges]
     nodes[:, -1] = [graph.vertex_index[e.head] for e in graph.edges]
-    nodes[:, 1:-1] = np.arange(n, n + m * (nel - 1)).reshape(m, nel - 1)
+    nodes[:, 1:-1] = np.arange(n, dof).reshape(m, nel - 1)
     coords = np.linspace(0.0, [e.length for e in graph.edges], nel + 1, axis=1)
-    h = coords[:, -1] / nel
-    nodes.flags.writeable = coords.flags.writeable = h.flags.writeable = False
-    return MeshLayout(n_vertices=n, elements_per_edge=nel, nodes=nodes, coords=coords, h=h)
+    nodes.flags.writeable = coords.flags.writeable = False
+    return MeshLayout(n, nel, dof, nodes, coords, h=coords[:, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +186,7 @@ class DiscreteOperator:
 
     @cached_property
     def _scales(self) -> tuple[float, float, float, np.ndarray]:
-        """What eigensolve reads: unit = min c/length^2 and resolution = max h^2/c (each edge at
-        its least c), the stiffness scale rho = max K_ii/M_ii and the lumped (row-sum) mass."""
+        """eigensolve's unit min c/length^2, resolution max h^2/c (at least c), rho and lumped mass."""
         c = np.array([e.diffusion.minimum() for e in self.graph.edges])
         with np.errstate(over="ignore", divide="ignore"):  # a huge cell trusts nothing
             return (float(np.min(c / self.layout.coords[:, -1]**2)), float(np.max(self.layout.h**2 / c)),
@@ -193,9 +194,8 @@ class DiscreteOperator:
                     self._row_sums(*self.m_entries))
 
     def _row_sums(self, *tables) -> np.ndarray:
-        """Each dof's sum of its row's entries in the element tables (diag alone: the diagonal),
-        in _stencil's order: a node adds each table's left then right element entry in turn, a
-        vertex its edge ends' sums, at tails in edge order and then at heads."""
+        """Each dof's row sum over the element tables (diag alone: the diagonal) in _stencil's order:
+        a node adds each table's left then right entry, a vertex its tail ends then its head ends."""
         node = np.zeros((len(tables[0]), tables[0].shape[1] + 1))  # edges x nodes, tail to head
         for entries in tables:
             node[:, 1:] += entries  # each node's left element
@@ -586,13 +586,11 @@ def _lanczos_pairs(op: DiscreteOperator, num_modes: int, ncv: int | None
     about a negative shift, so p = 0 stays factorizable, started from
     default_rng(0) normals (all ones would miss modes orthogonal to the
     symmetric subspace) with restarts from rng=0.  (None, None) where ARPACK
-    does not converge with its default ncv (None), within LANCZOS_MAXITER
-    iterations, for a wider re-solve, which runs to ARPACK's own limit."""
+    does not converge with its default ncv (None), for a wider re-solve."""
     v0 = np.random.default_rng(0).standard_normal(op.layout.total_dof)
     try:
-        w, v = scipy.sparse.linalg.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0, which="LM",
-                                         v0=v0, ncv=ncv, rng=0,
-                                         maxiter=tol.LANCZOS_MAXITER if ncv is None else None)
+        w, v = scipy.sparse.linalg.eigsh(op.stiffness, k=num_modes, M=op.mass, sigma=-1.0,
+                                         which="LM", v0=v0, ncv=ncv, rng=0)
     except RuntimeError as exc:  # an ArpackError, or the shift-invert factorization
         if ncv is None and isinstance(exc, scipy.sparse.linalg.ArpackNoConvergence):
             return None, None
@@ -601,9 +599,8 @@ def _lanczos_pairs(op: DiscreteOperator, num_modes: int, ncv: int | None
     return w[order], v[:, order].T
 
 
-def _check_num_modes(graph: MetricGraph, elements_per_edge: int, num_modes: int) -> None:
-    """The eigensolve's bounds on elements_per_edge and num_modes, checked without a layout."""
-    dof = graph.n + graph.m * (_integer(elements_per_edge, "elements_per_edge", 2, graph.m) - 1)
+def _check_num_modes(num_modes: int, dof: int) -> None:
+    """The eigensolve's bound on num_modes, which needs only the dof count (_mesh_size)."""
     if not 1 <= _integer(num_modes, "num_modes") <= dof - 1:
         raise QGraphValidationError(f"num_modes must lie in [1, {dof - 1}]")
 
@@ -621,24 +618,21 @@ def eigensolve(op: DiscreteOperator, num_modes: int) -> EigenSystem:
     roundoff above it clamped to zero.  The inertia of K - sigma M (closed
     form, or splu), counted once per attempt, certifies the count below
     the last cluster; a Lanczos deficit, or an ARPACK run that does not
-    converge (the first within LANCZOS_MAXITER iterations), is solved
-    once more with k more vectors than ARPACK's max(2k + 1, 20), k =
-    num_modes, and a second such failure, a sliced deficit, or a sliced
-    cluster wider than its vertex system raises.
+    converge, is solved once more with k more vectors than ARPACK's
+    max(2k + 1, 20), k = num_modes, and a second such failure, a sliced
+    deficit, or a sliced cluster wider than its vertex system raises.
     Each pair must pass the residual bound, ||r||_{M^-1}
-    <= sqrt(3) ||r||_{L^-1} with L the lumped mass (L/3 <= M <= L), and
-    mass orthonormality, or QGraphNumericalError; both test the returned
-    vectors v.  rho and L are summed node by node from the element tables
-    (the operator's _scales), so the stencils run only on eigenvectors:
-    the residuals take K v one block of _row_blocks rows at a time, each
-    row's norm summed along the row, and M v is kept whole for the Gram
-    matrix's one product.  Every pass over (num_modes x dof) arrays
+    <= sqrt(3) ||r||_{L^-1} with L the lumped mass (L/3 <= M <= L; rho and
+    L summed from the element tables, op._scales), and mass orthonormality,
+    or QGraphNumericalError; both test the returned vectors v.  K v runs one
+    block of _row_blocks rows at a time, each row's residual norm summed
+    along the row; M v is kept whole for the Gram's one product.  Every pass over (num_modes x dof) arrays
     runs in such blocks (ROW_BLOCK float64 entries), so a sliced solve
     holds about two such arrays plus one block, and the block size
     changes no result.  Keep num_modes an order of magnitude below the dof
     count.  Its SolveRecord, EigenSystem.solve, says how it went.
     """
-    _check_num_modes(op.graph, op.layout.elements_per_edge, num_modes)
+    _check_num_modes(num_modes, op.layout.total_dof)
     unit, resolution, rho, lumped = op._scales  # rho bounds a zero mode's roundoff and the residuals
     if not 0 < rho < np.inf:
         raise QGraphNumericalError(f"stiffness scale max K_ii/M_ii = {rho} out of range")

@@ -18,12 +18,6 @@ EIG_RESIDUAL = 1e-8
 SLICE_WINDOW = 1e-12
 SLICE_MAX_ORDER = 64
 
-# Arnoldi iterations of the first ARPACK attempt, which is then re-solved with
-# more vectors: 10x the most a converging first attempt took (168) on the README
-# sampled star, the RE_SOLVED test stars and CI's seeded sampled family; ARPACK's
-# default (10 x dof) spent 2.2 s failing where the wider re-solve took 0.27 s
-LANCZOS_MAXITER = 1680
-
 # mass orthonormality of eigenvectors: max |<f_j, f_k> - delta_jk|
 ORTHONORMALITY = 1e-8
 

@@ -52,8 +52,9 @@ def test_assemble_interval_tridiag_two_elements():
 
 def test_star_dof_count():
     n = 16
-    op = assemble(qg.star_graph([1.0, 1.0, 1.0]), n)
-    assert op.layout.total_dof == 3 * (n - 1) + 4
+    star = qg.star_graph([1.0, 1.0, 1.0])
+    assert assemble(star, n).layout.total_dof == 3 * (n - 1) + 4
+    assert spectral._mesh_size(star, n) == (n, 3 * (n - 1) + 4)
 
 
 def test_layout_tables():
@@ -62,7 +63,10 @@ def test_layout_tables():
     lay = assemble(qg.lasso_graph(), 4).layout
     assert lay.nodes.tolist() == [[0, 2, 3, 4, 0], [0, 5, 6, 7, 1]]
     assert np.array_equal(lay.coords[0], np.linspace(0.0, 1.0, 5))
-    assert np.array_equal(lay.h, lay.coords[:, 1]) and lay.h_max == lay.h.max()
+    assert np.array_equal(lay.h, lay.coords[:, -1] / 4) and lay.h_max == lay.h.max()
+    for mesh in (3, 7, 256):  # h, linspace's step, is each length / N bit for bit
+        path = assemble(qg.path_graph([1.0, 0.6, 2.3, 1e-3, 7.77]), mesh).layout
+        assert np.array_equal(path.h, path.coords[:, -1] / mesh)
     assert lay.total_dof == 8
     with pytest.raises(ValueError):
         lay.nodes[0, 1] = 1
